@@ -24,13 +24,19 @@ An access query spans a collection interval. Each step of the interval
 may be covered by a different consent; the query is authorized when no
 step is left uncovered. There is no union reasoning within one step: a
 single consent must cover a given collection step outright.
+
+At a fixed access step every consent covers one half-open interval of
+collection steps (`ConsentRecord.reach`), so a decision stores coverage in
+closed form: the query interval cut into maximal runs of steps, each with
+the ids of the consents that cover all of it. Cost and size depend on the
+number of matching consents, not on how many steps the query spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import chronology
 from .chronology import StepInterval
@@ -117,6 +123,26 @@ class ConsentRecord:
             return True
         return accessed_at < w.step if w.retroactive else collected_at < w.step
 
+    def reach(self, action: ActionType, accessed_at: int) -> tuple[int, int | None] | None:
+        """The collection steps [lo, hi) this consent covers at one access step.
+
+        A hi of None leaves the run unbounded; None means no step at all.
+        Collection ignores the access step. Access needs the grant to have
+        happened, reaches back to T1 for a retroactive grant, and is cut at
+        the withdrawal for good (retroactive) or from w on (non-retroactive).
+        """
+        w = self.withdrawal
+        if action is ActionType.COLLECT:
+            return self.granted_at, None if w is None else w.step
+        if accessed_at < self.granted_at:
+            return None
+        lo = 1 if self.grant_retroactive else self.granted_at
+        if w is None:
+            return lo, None
+        if w.retroactive:
+            return (lo, None) if accessed_at < w.step else None
+        return lo, w.step
+
 
 @dataclass(frozen=True)
 class AuthzQuery:
@@ -131,16 +157,25 @@ class AuthzQuery:
     mode: Mode = Mode.GUARANTEED
 
 
+Run = tuple[StepInterval, frozenset[int]]
+
+
 @dataclass(frozen=True)
 class Decision:
-    """Outcome of one query: the verdict, who covered what, and why not."""
+    """Outcome of one query: the verdict, who covered what, and why not.
+
+    `runs` cuts the query's collection interval into maximal runs of steps,
+    in order, each with the ids of the consents covering every step of it.
+    """
 
     authorized: bool
-    coverage: Mapping[int, frozenset[int]]
+    runs: tuple[Run, ...]
     reason: Reason
 
-    def __post_init__(self):
-        object.__setattr__(self, "coverage", dict(self.coverage))
+    @property
+    def coverage(self) -> dict[int, frozenset[int]]:
+        """Per-step view of `runs`: each collection step to its covering ids."""
+        return {step: ids for run, ids in self.runs for step in run.steps()}
 
 
 @dataclass(frozen=True)
@@ -298,24 +333,19 @@ class Ledger:
             raise UnknownSubjectError(query.subject)
         self._validate_query_shape(query)
 
+        span = query.collected_interval
         if graph.is_unsatisfiable(query.data_concept) or graph.is_unsatisfiable(
             query.recipient_concept
         ):
-            empty = {s: frozenset() for s in query.collected_interval.steps()}
-            return Decision(False, empty, Reason.CONCEPT_UNSATISFIABLE)
+            return Decision(False, ((span, frozenset()),), Reason.CONCEPT_UNSATISFIABLE)
 
-        matching = [c for c in self.consents if self._matches(c, query)]
-        coverage: dict[int, frozenset[int]] = {}
-        for step in query.collected_interval.steps():
-            if query.action is ActionType.COLLECT:
-                ids = [c.id for c in matching if c.authorizes_collection(step)]
-            else:
-                ids = [c.id for c in matching if c.authorizes_access(step, query.access_at)]
-            coverage[step] = frozenset(ids)
-
-        if all(coverage.values()):
-            return Decision(True, coverage, Reason.OK)
-        return Decision(False, coverage, self._denial_reason(query, matching, coverage))
+        subject = query.subject
+        matching = [c for c in self.consents
+                    if c.subject == subject and self._matches(c, query)]
+        runs = _runs(span, matching, query.action, query.access_at)
+        if all(ids for _, ids in runs):
+            return Decision(True, runs, Reason.OK)
+        return Decision(False, runs, self._denial_reason(query, matching, runs))
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
         interval = query.collected_interval
@@ -331,9 +361,7 @@ class Ledger:
             )
 
     def _matches(self, consent: ConsentRecord, query: AuthzQuery) -> bool:
-        """Concept and subject applicability, before any time reasoning."""
-        if consent.subject != query.subject:
-            return False
+        """Concept applicability, before any subject or time reasoning."""
         graph = self.ontology
         if query.mode is Mode.GUARANTEED:
             return graph.subsumes(consent.data_concept, query.data_concept) and \
@@ -343,16 +371,8 @@ class Ledger:
         return not graph.are_disjoint(consent.data_concept, query.data_concept) and \
             not graph.are_disjoint(consent.recipient_concept, query.recipient_concept)
 
-    def _concept_match(self, consent: ConsentRecord, query: AuthzQuery) -> bool:
-        graph = self.ontology
-        if query.mode is Mode.GUARANTEED:
-            return graph.subsumes(consent.data_concept, query.data_concept) and \
-                graph.subsumes(consent.recipient_concept, query.recipient_concept)
-        return not graph.are_disjoint(consent.data_concept, query.data_concept) and \
-            not graph.are_disjoint(consent.recipient_concept, query.recipient_concept)
-
     def _denial_reason(self, query: AuthzQuery, matching: list[ConsentRecord],
-                       coverage: dict[int, frozenset[int]]) -> Reason:
+                       runs: tuple[Run, ...]) -> Reason:
         """Pick the most informative explanation for a denial.
 
         When applicable consents exist, the denial is a timing story: report
@@ -360,17 +380,23 @@ class Ledger:
         withdrawal over non-retroactive over a plain grant-window miss).
         Only when no consent even matches the concepts and subject do the
         structural reasons apply.
+
+        Each uncovered run is judged at its two ends, which is exact: a
+        cause either ignores the collection step, holds below the grant
+        (so at the first step if anywhere) or from the withdrawal on (so at
+        the last step if anywhere).
         """
         if matching:
             causes: set[Reason] = set()
-            for step, covered in coverage.items():
+            for run, covered in runs:
                 if covered:
                     continue
                 for c in matching:
-                    causes.update(self._failure_causes(c, query, step))
+                    causes.update(self._failure_causes(c, query, run.start))
+                    causes.update(self._failure_causes(c, query, run.last))
             return min(causes, key=_DENIAL_RANK.__getitem__)
         if any(
-            c.subject != query.subject and self._concept_match(c, query)
+            c.subject != query.subject and self._matches(c, query)
             for c in self.consents
         ):
             return Reason.SUBJECT_MISMATCH
@@ -407,34 +433,29 @@ class Ledger:
                      recipient: int | str,
                      collected_interval: StepInterval | None = None) -> EventRecord:
         """Record a collection or access at the current step, verdict attached."""
-        data_id = self.ontology.resolve(data, ConceptKind.DATA)
-        recipient_id = self.ontology.resolve(recipient, ConceptKind.RECIPIENT)
-        self.declare_subject(subject)
         if action is ActionType.COLLECT:
             if collected_interval is not None:
                 raise QueryError("collection events do not take a collected interval")
+            query = self.collect_query(data, subject, recipient)
             interval = None
-            query = AuthzQuery(
-                ActionType.COLLECT, data_id, subject, recipient_id,
-                StepInterval.single(self.now), self.now,
-            )
         else:
-            interval = collected_interval or StepInterval(1, self.now + 1)
-            if not interval.bounded or interval.last > self.now:
+            if collected_interval is not None and (
+                not collected_interval.bounded or collected_interval.last > self.now
+            ):
                 raise QueryError(
                     f"access event at {chronology.format_step(self.now)} cannot "
-                    f"cover data collected in the future ({interval})"
+                    f"cover data collected in the future ({collected_interval})"
                 )
-            query = AuthzQuery(
-                ActionType.ACCESS, data_id, subject, recipient_id, interval, self.now,
-            )
+            query = self.access_query(data, subject, recipient, collected_interval)
+            interval = query.collected_interval
+        self.declare_subject(subject)
         verdict = self.check(query)
         event = EventRecord(
             id=self._next_event,
             action=action,
-            data_concept=data_id,
+            data_concept=query.data_concept,
             subject=subject,
-            recipient_concept=recipient_id,
+            recipient_concept=query.recipient_concept,
             occurred_at=self.now,
             collected_interval=interval,
             verdict=verdict,
@@ -442,6 +463,35 @@ class Ledger:
         self._next_event += 1
         self.events.append(event)
         return event
+
+
+def _runs(span: StepInterval, consents: list[ConsentRecord], action: ActionType,
+          accessed_at: int) -> tuple[Run, ...]:
+    """Cut span into maximal runs of steps, each with the consents covering it.
+
+    The cuts are the span's ends plus every end of a consent's reach inside
+    it. Each inner cut is where some consent starts or stops covering, and
+    every consent occurs once, so neighbouring runs never share an id set.
+    """
+    start, end = span.start, span.end
+    reaches = []
+    cuts = {start, end}
+    for c in consents:
+        reach = c.reach(action, accessed_at)
+        if reach is None:
+            continue
+        lo = max(reach[0], start)
+        hi = end if reach[1] is None else min(reach[1], end)
+        if lo < hi:
+            reaches.append((c.id, lo, hi))
+            cuts.add(lo)
+            cuts.add(hi)
+    bounds = sorted(cuts)
+    return tuple(
+        (StepInterval(a, b),
+         frozenset(cid for cid, lo, hi in reaches if lo <= a and b <= hi))
+        for a, b in zip(bounds, bounds[1:])
+    )
 
 
 def authorized_region(consent: ConsentRecord, horizon: int) -> set[tuple[int, int]]:

@@ -304,6 +304,15 @@ def _merged(consents: list[ConsentLogRecord],
     return _heap_merge(consents, accesses, key=lambda r: r.timestamp)
 
 
+def _step_of(epoch: datetime, instant: datetime, step_duration: timedelta,
+             line: int, source: str) -> int:
+    """`map_to_step`, with a failure reported against its log line."""
+    try:
+        return map_to_step(epoch, instant, step_duration)
+    except ValueError as err:
+        raise MonitorError(str(err), line, source) from None
+
+
 def _replay(manifest: str, consent_log: str, access_log: str, epoch: datetime,
             step_duration: timedelta):
     """Drive a fresh ledger through the merged logs.
@@ -315,12 +324,6 @@ def _replay(manifest: str, consent_log: str, access_log: str, epoch: datetime,
     consents = parse_consent_log(consent_log)
     accesses = parse_access_log(access_log)
 
-    def step_of(instant: datetime, line: int, source: str) -> int:
-        try:
-            return map_to_step(epoch, instant, step_duration)
-        except ValueError as err:
-            raise MonitorError(str(err), line, source) from None
-
     def ensure_recipient(name: str) -> None:
         # Same leniency as the script layer: recipient roles auto-declare
         # under the Recipient root, so a translated script replays the same.
@@ -329,7 +332,7 @@ def _replay(manifest: str, consent_log: str, access_log: str, epoch: datetime,
 
     for record in _merged(consents, accesses):
         source = "consent log" if isinstance(record, ConsentLogRecord) else "access log"
-        target = step_of(record.timestamp, record.line, source)
+        target = _step_of(epoch, record.timestamp, step_duration, record.line, source)
         while ledger.now < target:
             ledger.advance()
         try:
@@ -348,8 +351,10 @@ def _replay(manifest: str, consent_log: str, access_log: str, epoch: datetime,
                 ensure_recipient(record.recipient_concept)
                 interval = None
                 if record.collected_from is not None:
-                    lo = step_of(record.collected_from, record.line, source)
-                    hi = step_of(record.collected_to, record.line, source)
+                    lo = _step_of(epoch, record.collected_from, step_duration,
+                                  record.line, source)
+                    hi = _step_of(epoch, record.collected_to, step_duration,
+                                  record.line, source)
                     interval = StepInterval(lo, hi + 1)
                 action = ActionType(record.action)
                 if action is ActionType.COLLECT:
@@ -413,10 +418,7 @@ def translate_to_script(manifest: str, consent_log: str, access_log: str,
     current = 1
     for record in _merged(consents, accesses):
         source = "consent log" if isinstance(record, ConsentLogRecord) else "access log"
-        try:
-            target = map_to_step(epoch, record.timestamp, step_duration)
-        except ValueError as err:
-            raise MonitorError(str(err), record.line, source) from None
+        target = _step_of(epoch, record.timestamp, step_duration, record.line, source)
         while current < target:
             lines.append("step")
             current += 1
@@ -438,8 +440,10 @@ def translate_to_script(manifest: str, consent_log: str, access_log: str,
         else:
             span = ""
             if record.collected_from is not None:
-                lo = map_to_step(epoch, record.collected_from, step_duration)
-                hi = map_to_step(epoch, record.collected_to, step_duration)
+                lo = _step_of(epoch, record.collected_from, step_duration,
+                              record.line, source)
+                hi = _step_of(epoch, record.collected_to, step_duration,
+                              record.line, source)
                 span = f" T{lo} T{hi + 1}"
             lines.append(f"access {record.data_concept} {record.subject} "
                          f"{record.recipient_concept}{span}")

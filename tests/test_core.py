@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,6 +262,17 @@ class TestDenialReasons:
         decision = led.check(led.collect_query("Location", ALICE, "Partner"))
         assert decision.reason is Reason.WITHDRAWN_NON_RETRO
 
+    def test_withdrawal_on_the_grant_step_is_seen_at_the_runs_end(self):
+        # The consent covers no step; across [T1, T3) the window miss shows at
+        # T1 and the withdrawal only at T2, and the withdrawal must win.
+        led = fresh_ledger()
+        led.advance()
+        cid = led.grant("Location", ALICE, "Partner")              # T2
+        led.withdraw(cid)                                          # T2, non-retro
+        decision = led.check(led.access_query("Location", ALICE, "Partner"))
+        assert decision.runs == ((StepInterval(1, 3), frozenset()),)
+        assert decision.reason is Reason.WITHDRAWN_NON_RETRO
+
     def test_withdrawn_retro_outranks_window_miss(self):
         led = fresh_ledger()
         led.advance()
@@ -329,7 +343,6 @@ class TestLedgerValidation:
 
 
 def AuthzQueryWith(query, **overrides):
-    from dataclasses import replace
     return replace(query, **overrides)
 
 
@@ -441,3 +454,178 @@ class TestModeImplication:
         assert led.check(query).authorized
         led.grant(extra_data, ALICE, extra_rec, retroactive=extra_retro)
         assert led.check(query).authorized
+
+
+# -- closed-form coverage against the per-step procedure -----------------------
+
+QUERY_DATA = DATA_CHOICES + ("DrivingRoute", "Contacts", "Impossible")
+DENIAL_ORDER = (Reason.CONCEPT_UNSATISFIABLE, Reason.SUBJECT_MISMATCH,
+                Reason.NO_MATCHING_CONSENT, Reason.WITHDRAWN_RETRO,
+                Reason.WITHDRAWN_NON_RETRO, Reason.OUTSIDE_GRANT_WINDOW)
+
+
+def per_step_check(led, query):
+    """Reference decision: one covering set per collection step.
+
+    This is the procedure `Ledger.check` used before coverage became runs
+    of steps; it walks every step of the query and every matching consent.
+    """
+    g = led.ontology
+    steps = query.collected_interval.steps()
+    if g.is_unsatisfiable(query.data_concept) or \
+            g.is_unsatisfiable(query.recipient_concept):
+        return {s: frozenset() for s in steps}, Reason.CONCEPT_UNSATISFIABLE
+
+    def concepts_match(c):
+        if query.mode is Mode.GUARANTEED:
+            return g.subsumes(c.data_concept, query.data_concept) and \
+                g.subsumes(c.recipient_concept, query.recipient_concept)
+        return not g.are_disjoint(c.data_concept, query.data_concept) and \
+            not g.are_disjoint(c.recipient_concept, query.recipient_concept)
+
+    def covers(c, step):
+        if query.action is ActionType.COLLECT:
+            return c.authorizes_collection(step)
+        return c.authorizes_access(step, query.access_at)
+
+    def causes(c, step):
+        w = c.withdrawal
+        if query.action is ActionType.COLLECT:
+            early = step < c.granted_at
+            cut = w is not None and step >= w.step
+        else:
+            early = query.access_at < c.granted_at or \
+                (not c.grant_retroactive and step < c.granted_at)
+            cut = w is not None and (
+                query.access_at >= w.step if w.retroactive else step >= w.step)
+        found = {Reason.OUTSIDE_GRANT_WINDOW} if early else set()
+        if cut:
+            found.add(Reason.WITHDRAWN_RETRO if w.retroactive
+                      else Reason.WITHDRAWN_NON_RETRO)
+        return found
+
+    matching = [c for c in led.consents
+                if c.subject == query.subject and concepts_match(c)]
+    coverage = {s: frozenset(c.id for c in matching if covers(c, s)) for s in steps}
+    if all(coverage.values()):
+        return coverage, Reason.OK
+    if not matching:
+        if any(c.subject != query.subject and concepts_match(c)
+               for c in led.consents):
+            return coverage, Reason.SUBJECT_MISMATCH
+        return coverage, Reason.NO_MATCHING_CONSENT
+    found = set()
+    for step, ids in coverage.items():
+        if not ids:
+            for c in matching:
+                found |= causes(c, step)
+    return coverage, min(found, key=DENIAL_ORDER.index)
+
+
+def assert_runs_tile(decision, interval):
+    """Runs are in order, contiguous, span the query, and are maximal."""
+    runs = decision.runs
+    assert runs[0][0].start == interval.start
+    assert runs[-1][0].end == interval.end
+    for (left, left_ids), (right, right_ids) in zip(runs, runs[1:]):
+        assert left.end == right.start
+        assert left_ids != right_ids
+
+
+class TestClosedFormCoverage:
+    def test_reach_matches_the_per_step_predicates(self):
+        grid = product(range(1, 5), (False, True), (None, *range(1, 6)),
+                       (False, True), range(1, 7), ActionType)
+        for g, gr, w, wr, accessed_at, action in grid:
+            if w is not None and w < g:
+                continue
+            c = record(g, gr, None if w is None else Withdrawal(w, wr))
+            reach = c.reach(action, accessed_at)
+            for step in range(1, 8):
+                inside = reach is not None and reach[0] <= step and \
+                    (reach[1] is None or step < reach[1])
+                if action is ActionType.COLLECT:
+                    assert inside == c.authorizes_collection(step)
+                else:
+                    assert inside == c.authorizes_access(step, accessed_at)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), horizon=st.integers(1, 60))
+    def test_matches_per_step_reference(self, data, horizon):
+        led = fresh_ledger()
+        led.declare_data("Impossible", "WalkingRoute", "DrivingRoute")
+        # Half the events land on the query's own step, where cuts bite.
+        step_st = st.integers(1, horizon) | st.just(horizon)
+        grants = data.draw(st.lists(st.tuples(
+            step_st, st.sampled_from(QUERY_DATA), st.sampled_from((ALICE, BOB)),
+            st.sampled_from(RECIPIENT_CHOICES), st.booleans()), max_size=8))
+        withdrawals = data.draw(st.lists(st.tuples(
+            step_st, st.integers(0, 7), st.booleans()), max_size=6))
+        plan = sorted([(step, 0, grant) for step, *grant in grants] +
+                      [(step, 1, cut) for step, *cut in withdrawals])
+        for step, kind, args in plan:
+            while led.now < step:
+                led.advance()
+            if kind == 0:
+                concept, subject, recipient, retro = args
+                led.grant(concept, subject, recipient, retroactive=retro)
+            else:
+                index, retro = args
+                if index < len(led.consents) and led.consents[index].withdrawal is None:
+                    led.withdraw(index, retroactive=retro)
+        while led.now < horizon:
+            led.advance()
+        mode = data.draw(st.sampled_from(Mode))
+        subject = data.draw(st.sampled_from((ALICE, BOB)))
+        query_data = data.draw(st.sampled_from(QUERY_DATA))
+        recipient = data.draw(st.sampled_from(RECIPIENT_CHOICES))
+        if data.draw(st.booleans()):
+            query = led.collect_query(query_data, subject, recipient, mode=mode)
+        else:
+            lo = data.draw(st.integers(1, led.now))
+            hi = data.draw(st.integers(lo, led.now))
+            query = led.access_query(query_data, subject, recipient,
+                                     StepInterval(lo, hi + 1), mode=mode)
+            # Any access step from the interval's end on is a valid query.
+            query = replace(query, access_at=data.draw(st.integers(hi, led.now)))
+        decision = led.check(query)
+        coverage, reason = per_step_check(led, query)
+        assert decision.coverage == coverage
+        assert decision.reason is reason
+        assert decision.authorized == (reason is Reason.OK)
+        assert_runs_tile(decision, query.collected_interval)
+
+    @settings(max_examples=40, deadline=None)
+    @given(consents=st.lists(
+        st.tuples(st.integers(1, 400), st.booleans(),
+                  st.one_of(st.none(), st.integers(0, 400)), st.booleans()),
+        min_size=1, max_size=12))
+    def test_runs_stay_few_over_long_history(self, consents):
+        # Memory per recorded event must not grow with history length: an
+        # all-history access at T400 keeps at most 2k + 1 runs for k consents.
+        led = fresh_ledger()
+        plan = []
+        for i, (granted, retro, lasts, withdraw_retro) in enumerate(consents):
+            plan.append((granted, 0, i, retro))
+            if lasts is not None and granted + lasts <= 400:
+                plan.append((granted + lasts, 1, i, withdraw_retro))
+        ids = {}
+        for step, kind, i, retro in sorted(plan):
+            while led.now < step:
+                led.advance()
+            if kind == 0:
+                ids[i] = led.grant("Location", ALICE, "Partner", retroactive=retro)
+            else:
+                led.withdraw(ids[i], retroactive=retro)
+        led.grant("Contacts", ALICE, "Partner")
+        led.grant("Location", BOB, "Partner")
+        while led.now < 400:
+            led.advance()
+        event = led.record_event(ActionType.ACCESS, "DeviceLocation", ALICE,
+                                 "Advertiser")
+        decision = event.verdict
+        assert event.collected_interval == StepInterval(1, 401)
+        assert len(decision.runs) <= 2 * len(consents) + 1
+        assert_runs_tile(decision, event.collected_interval)
+        query = led.access_query("DeviceLocation", ALICE, "Advertiser")
+        assert (decision.coverage, decision.reason) == per_step_check(led, query)

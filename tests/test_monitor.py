@@ -320,6 +320,17 @@ class TestTranslation:
     def test_empty_everything_translates_to_nothing(self):
         assert translate_to_script("", "", "", EPOCH, DAY) == ""
 
+    def test_collection_window_before_epoch_reports_line(self):
+        late_epoch = datetime(2026, 1, 4, tzinfo=timezone.utc)
+        accesses = jl(access(5, "Telemetry", "alice", "Analytics",
+                             from_day=2, to_day=3))
+        for run in (scan, translate_to_script):
+            with pytest.raises(MonitorError) as err:
+                run(MANIFEST, "", accesses, late_epoch, DAY)
+            assert err.value.line == 1
+            assert "access log line 1" in str(err.value)
+            assert "precedes the epoch" in str(err.value)
+
     def test_consent_ids_must_be_label_safe(self):
         consents = jl(grant(1, "c 1", "Telemetry", "alice", "Analytics"))
         with pytest.raises(MonitorError):
