@@ -23,7 +23,7 @@ import json
 import os
 import re
 import sys
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 
 from . import bench, monitor
 from .core import authorized_region
@@ -141,16 +141,12 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     consent_log = _read(args.consent_log)
     access_log = _read(args.access_log)
     duration = _step_duration(args)
+    epoch = None  # the earliest record
     if args.epoch:
         try:
             epoch = monitor.parse_instant(args.epoch)
         except ValueError as err:
             raise ConsentryError(str(err)) from None
-    else:
-        epoch = monitor.earliest_timestamp(consent_log, access_log)
-        if epoch is None:
-            # No records at all; any epoch yields the same empty replay.
-            epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     report = monitor.scan(manifest, consent_log, access_log, epoch, duration)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))

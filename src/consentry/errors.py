@@ -30,6 +30,10 @@ class ConsistencyError(OntologyError):
     """The declaration would contradict facts already on record."""
 
 
+class DeclarationError(OntologyError):
+    """The declaration is malformed on its own, e.g. names too few concepts."""
+
+
 class IntervalError(ConsentryError):
     """A step interval was constructed or used with impossible bounds."""
 

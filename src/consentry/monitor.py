@@ -15,12 +15,19 @@ access log carries collect/access records:
      "collected_from": "2024-03-05T00:00:00Z",
      "collected_to": "2024-03-05T23:00:00Z"}
 
-The scanner maps each wall-clock instant onto a 1-based step of fixed
-duration starting at an epoch, replays the merged record stream through
-a fresh ledger (consent records first at equal timestamps), and reports
-every event whose verdict came back denied. Scanning is replay: the
-same logs always yield the same report, and appending new records never
-changes the verdicts already issued.
+The manifest and the merged records (consent records first at equal
+timestamps) become one stream of script statements. Each wall-clock
+instant maps onto a 1-based step of fixed duration starting at an epoch;
+with no epoch given, the earliest record of either log starts step 1.
+`scan` runs that stream through the script interpreter on a fresh ledger
+and reports every event whose verdict came back denied. Scanning is
+replay: the same logs always yield the same report, and appending new
+records never changes the verdicts already issued.
+
+`translate_to_script` prints the same stream as a script. It rejects a
+subject, data or recipient name that is a keyword, a time token such as
+T3 or not a word, and a consent id that is not a word, since those would
+not read back; `scan` accepts them.
 
 Unknown JSON fields are ignored so services can log extra context.
 """
@@ -28,14 +35,12 @@ Unknown JSON fields are ignored so services can log extra context.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from heapq import merge as _heap_merge
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
-from .chronology import StepInterval
-from .core import ActionType, Ledger, Reason
+from .core import Ledger, Reason
 from .errors import (
     ConsentryError,
     LogFormatError,
@@ -44,10 +49,9 @@ from .errors import (
 )
 from . import script as script_mod
 from .script import (
-    NewData, NewDisjoint, NewEquiv, NewRecipient, Statement, print_statement,
+    Access, Collect, Grant, NewData, NewDisjoint, NewEquiv, NewRecipient, Statement,
+    Step, Withdraw, print_program, print_statement,
 )
-
-_LABEL_SAFE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 CONSENT_ACTIONS = ("grant", "withdraw")
 ACCESS_ACTIONS = ("collect", "access")
@@ -205,20 +209,9 @@ def parse_manifest(text: str) -> list[Statement]:
     for stmt in statements:
         if not isinstance(stmt, (NewData, NewRecipient, NewDisjoint, NewEquiv)):
             raise MonitorError(
-                f"manifest line {stmt.line}: only declarations are allowed here, "
-                f"found {print_statement(stmt).split()[0]!r}")
+                "only declarations are allowed here, found "
+                f"{print_statement(stmt).split()[0]!r}", stmt.line, "manifest")
     return statements
-
-
-def earliest_timestamp(consent_log: str, access_log: str) -> datetime | None:
-    """First instant mentioned in either log; the natural default epoch."""
-    stamps = []
-    for text, parser in ((consent_log, parse_consent_log),
-                         (access_log, parse_access_log)):
-        records = parser(text)
-        if records:
-            stamps.append(records[0].timestamp)
-    return min(stamps) if stamps else None
 
 
 @dataclass(frozen=True)
@@ -313,74 +306,64 @@ def _step_of(epoch: datetime, instant: datetime, step_duration: timedelta,
         raise MonitorError(str(err), line, source) from None
 
 
-def _replay(manifest: str, consent_log: str, access_log: str, epoch: datetime,
-            step_duration: timedelta):
-    """Drive a fresh ledger through the merged logs.
+def _statements(manifest: str, consent_log: str, access_log: str,
+                epoch: datetime | None, step_duration: timedelta
+                ) -> Iterator[tuple[str, Statement]]:
+    """The manifest, then the merged log records, as (source, statement) pairs.
 
-    Yields (record, event_or_none, ledger) after applying each record.
+    A statement's line is its line in that source. Before each record come
+    the steps that bring the clock to the record's step, carrying the
+    record's line. A None epoch means the earliest record.
     """
-    ledger = Ledger()
-    script_mod.execute(parse_manifest(manifest), ledger)
+    for stmt in parse_manifest(manifest):
+        yield "manifest", stmt
     consents = parse_consent_log(consent_log)
     accesses = parse_access_log(access_log)
-
-    def ensure_recipient(name: str) -> None:
-        # Same leniency as the script layer: recipient roles auto-declare
-        # under the Recipient root, so a translated script replays the same.
-        if name not in ledger.ontology:
-            ledger.declare_recipient(name)
-
+    if epoch is None:
+        epoch = min((log[0].timestamp for log in (consents, accesses) if log),
+                    default=None)
+    now = 1
     for record in _merged(consents, accesses):
+        line = record.line
         source = "consent log" if isinstance(record, ConsentLogRecord) else "access log"
-        target = _step_of(epoch, record.timestamp, step_duration, record.line, source)
-        while ledger.now < target:
-            ledger.advance()
-        try:
-            if isinstance(record, ConsentLogRecord):
-                if record.action == "grant":
-                    ensure_recipient(record.recipient_concept)
-                    ledger.grant(record.data_concept, record.subject,
-                                 record.recipient_concept,
-                                 retroactive=record.retroactive,
-                                 label=record.consent_id)
-                else:
-                    ledger.withdraw(record.consent_id,
-                                    retroactive=record.retroactive)
-                yield record, None, ledger
-            else:
-                ensure_recipient(record.recipient_concept)
-                interval = None
-                if record.collected_from is not None:
-                    lo = _step_of(epoch, record.collected_from, step_duration,
-                                  record.line, source)
-                    hi = _step_of(epoch, record.collected_to, step_duration,
-                                  record.line, source)
-                    interval = StepInterval(lo, hi + 1)
-                action = ActionType(record.action)
-                if action is ActionType.COLLECT:
-                    event = ledger.record_event(action, record.data_concept,
-                                                record.subject,
-                                                record.recipient_concept)
-                else:
-                    event = ledger.record_event(action, record.data_concept,
-                                                record.subject,
-                                                record.recipient_concept, interval)
-                yield record, event, ledger
-        except MonitorError:
-            raise
-        except ConsentryError as err:
-            raise MonitorError(str(err), record.line, source) from None
+        target = _step_of(epoch, record.timestamp, step_duration, line, source)
+        while now < target:
+            now += 1
+            yield source, Step(line=line)
+        if record.action == "grant":
+            stmt = Grant(record.data_concept, record.subject, record.recipient_concept,
+                         record.consent_id, record.retroactive, line=line)
+        elif record.action == "withdraw":
+            stmt = Withdraw(record.consent_id, record.retroactive, line=line)
+        elif record.action == "collect":
+            stmt = Collect(record.data_concept, record.subject,
+                           record.recipient_concept, line=line)
+        elif record.collected_from is None:
+            stmt = Access(record.data_concept, record.subject,
+                          record.recipient_concept, line=line)
+        else:
+            lo = _step_of(epoch, record.collected_from, step_duration, line, source)
+            hi = _step_of(epoch, record.collected_to, step_duration, line, source)
+            stmt = Access(record.data_concept, record.subject,
+                          record.recipient_concept, lo, hi + 1, line=line)
+        yield source, stmt
 
 
-def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime,
+def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | None,
          step_duration: timedelta) -> ViolationReport:
-    """Replay the logs and report every event no consent covered."""
+    """Replay the logs and report every event no consent covered.
+
+    `epoch` is the instant step 1 starts; None means the earliest record.
+    """
+    ledger = Ledger()
     violations = []
     events = 0
-    final_step = 1
-    for record, event, ledger in _replay(manifest, consent_log, access_log,
-                                         epoch, step_duration):
-        final_step = ledger.now
+    for source, stmt in _statements(manifest, consent_log, access_log, epoch,
+                                    step_duration):
+        try:
+            event = script_mod.apply(ledger, stmt)
+        except ConsentryError as err:
+            raise MonitorError(str(err), stmt.line, source) from None
         if event is None:
             continue
         events += 1
@@ -390,7 +373,7 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime,
         if event.collected_interval is not None:
             collected = (event.collected_interval.start, event.collected_interval.end)
         violations.append(Violation(
-            log_line=record.line,
+            log_line=stmt.line,
             event_id=event.id,
             action=event.action.value,
             data_concept=ledger.ontology.name_of(event.data_concept),
@@ -400,51 +383,24 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime,
             collected_steps=collected,
             reason=event.verdict.reason,
         ))
-    return ViolationReport(tuple(violations), events, final_step)
+    return ViolationReport(tuple(violations), events, ledger.now)
 
 
 def translate_to_script(manifest: str, consent_log: str, access_log: str,
-                        epoch: datetime, step_duration: timedelta) -> str:
-    """Render the logs as an equivalent script.
+                        epoch: datetime | None, step_duration: timedelta) -> str:
+    """Print the statements `scan` replays as a script.
 
     Running the result reproduces the scan: the same events in the same
-    order with the same verdicts. Consent ids must be valid script labels.
+    order with the same verdicts. A subject, data or recipient name that
+    is a keyword, a time token such as T3 or not a word, and a consent id
+    that is not a word, raise MonitorError with the record's line.
     """
-    statements = parse_manifest(manifest)
-    lines = [print_statement(s) for s in statements]
-    consents = parse_consent_log(consent_log)
-    accesses = parse_access_log(access_log)
-
-    current = 1
-    for record in _merged(consents, accesses):
-        source = "consent log" if isinstance(record, ConsentLogRecord) else "access log"
-        target = _step_of(epoch, record.timestamp, step_duration, record.line, source)
-        while current < target:
-            lines.append("step")
-            current += 1
-        if isinstance(record, ConsentLogRecord):
-            if not _LABEL_SAFE.match(record.consent_id):
-                raise MonitorError(
-                    f"consent_id {record.consent_id!r} is not usable as a script label",
-                    record.line, source)
-            retro = "retro " if record.retroactive else ""
-            if record.action == "grant":
-                lines.append(
-                    f"grant {retro}{record.data_concept} {record.subject} "
-                    f"{record.recipient_concept} :{record.consent_id}")
-            else:
-                lines.append(f"withdraw {retro}:{record.consent_id}")
-        elif record.action == "collect":
-            lines.append(f"collect {record.data_concept} {record.subject} "
-                         f"{record.recipient_concept}")
-        else:
-            span = ""
-            if record.collected_from is not None:
-                lo = _step_of(epoch, record.collected_from, step_duration,
-                              record.line, source)
-                hi = _step_of(epoch, record.collected_to, step_duration,
-                              record.line, source)
-                span = f" T{lo} T{hi + 1}"
-            lines.append(f"access {record.data_concept} {record.subject} "
-                         f"{record.recipient_concept}{span}")
-    return "\n".join(lines) + "\n" if lines else ""
+    statements = []
+    for source, stmt in _statements(manifest, consent_log, access_log, epoch,
+                                    step_duration):
+        name = script_mod.unprintable_name(stmt)
+        if name is not None:
+            raise MonitorError(f"{name!r} cannot be written as a script name",
+                               stmt.line, source)
+        statements.append(stmt)
+    return print_program(statements) if statements else ""

@@ -20,7 +20,9 @@ from enum import Enum
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConsistencyError, KindMismatchError, UnknownConceptError
+from .errors import (
+    ConsistencyError, DeclarationError, KindMismatchError, UnknownConceptError,
+)
 
 
 class ConceptKind(Enum):
@@ -171,7 +173,7 @@ class ConceptGraph:
     def declare_disjoint(self, names: Sequence[str]) -> None:
         """Record pairwise disjointness over two or more same-kind concepts."""
         if len(names) < 2:
-            raise ValueError("disjointness needs at least two concepts")
+            raise DeclarationError("disjointness needs at least two concepts")
         ids = [self.lookup(n) for n in names]
         kinds = {self.kind_of(i) for i in ids}
         if len(kinds) > 1:

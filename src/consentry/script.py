@@ -367,6 +367,21 @@ def print_program(statements: Iterable[Statement]) -> str:
     return "\n".join(print_statement(s) for s in statements) + "\n"
 
 
+def unprintable_name(stmt: Statement) -> str | None:
+    """The first name or label of an action that would not read back as itself.
+
+    A label may be any word; a name must also be neither a keyword nor a
+    time token such as T3. Declarations are not checked.
+    """
+    if isinstance(stmt, (Grant, Withdraw)) and not _WORD.fullmatch(stmt.label):
+        return stmt.label
+    if isinstance(stmt, (Grant, Collect, Access)):
+        for name in (stmt.data, stmt.subject, stmt.recipient):
+            if not _WORD.fullmatch(name) or name in KEYWORDS or _TIME.match(name):
+                return name
+    return None
+
+
 # -- execution ---------------------------------------------------------------
 
 
@@ -409,12 +424,15 @@ def execute(statements: list[Statement], ledger: Ledger | None = None) -> RunRep
     assumes: list[AssumeResult] = []
     for stmt in statements:
         try:
-            note = _apply(led, stmt, assumes)
+            result = apply(led, stmt)
         except ConsentryError as err:
             if isinstance(err, ExecutionError):
                 raise
             raise ExecutionError(stmt.line, str(err)) from err
-        outcomes.append(StatementOutcome(stmt.line, print_statement(stmt), note))
+        if isinstance(result, AssumeResult):
+            assumes.append(result)
+        outcomes.append(StatementOutcome(stmt.line, print_statement(stmt),
+                                         _note(led, stmt, result)))
     return RunReport(outcomes, assumes, list(led.events), led.now, led)
 
 
@@ -427,40 +445,37 @@ def _ensure_recipient(led: Ledger, name: str) -> None:
         led.declare_recipient(name)
 
 
-def _apply(led: Ledger, stmt: Statement, assumes: list[AssumeResult]) -> str:
+def apply(led: Ledger, stmt: Statement) -> EventRecord | AssumeResult | None:
+    """Apply one statement to the ledger.
+
+    Returns the recorded event for collect and access, the outcome for
+    assume, and None for every other statement.
+    """
     if isinstance(stmt, NewData):
         led.declare_data(stmt.name, stmt.parent)
-        return "declared"
-    if isinstance(stmt, NewRecipient):
+    elif isinstance(stmt, NewRecipient):
         led.declare_recipient(stmt.name)
-        return "declared"
-    if isinstance(stmt, NewDisjoint):
+    elif isinstance(stmt, NewDisjoint):
         led.declare_disjoint(*stmt.names)
-        return "declared disjoint"
-    if isinstance(stmt, NewEquiv):
+    elif isinstance(stmt, NewEquiv):
         led.declare_equivalent(stmt.a, stmt.b)
-        return "declared equivalent"
-    if isinstance(stmt, Grant):
+    elif isinstance(stmt, Grant):
         _ensure_recipient(led, stmt.recipient)
         led.grant(stmt.data, stmt.subject, stmt.recipient,
                   retroactive=stmt.retro, label=stmt.label)
-        return f"granted :{stmt.label} at T{led.now}"
-    if isinstance(stmt, Withdraw):
+    elif isinstance(stmt, Withdraw):
         led.withdraw(stmt.label, retroactive=stmt.retro)
-        return f"withdrew :{stmt.label} at T{led.now}"
-    if isinstance(stmt, Step):
-        return f"advanced to T{led.advance()}"
-    if isinstance(stmt, Collect):
+    elif isinstance(stmt, Step):
+        led.advance()
+    elif isinstance(stmt, Collect):
         _ensure_recipient(led, stmt.recipient)
-        event = led.record_event(ActionType.COLLECT, stmt.data, stmt.subject,
-                                 stmt.recipient)
-        return _event_note(event)
-    if isinstance(stmt, Access):
+        return led.record_event(ActionType.COLLECT, stmt.data, stmt.subject,
+                                stmt.recipient)
+    elif isinstance(stmt, Access):
         _ensure_recipient(led, stmt.recipient)
-        event = led.record_event(ActionType.ACCESS, stmt.data, stmt.subject,
-                                 stmt.recipient, _access_interval(led, stmt))
-        return _event_note(event)
-    if isinstance(stmt, Assume):
+        return led.record_event(ActionType.ACCESS, stmt.data, stmt.subject,
+                                stmt.recipient, _access_interval(stmt))
+    elif isinstance(stmt, Assume):
         inner = stmt.action
         # Subjects spring into existence on first mention, even inside assume.
         led.declare_subject(inner.subject)
@@ -469,15 +484,36 @@ def _apply(led: Ledger, stmt: Statement, assumes: list[AssumeResult]) -> str:
             query = led.collect_query(inner.data, inner.subject, inner.recipient)
         else:
             query = led.access_query(inner.data, inner.subject, inner.recipient,
-                                     _access_interval(led, inner))
-        actual = led.check(query).authorized
-        result = AssumeResult(stmt.line, stmt.expected, actual, print_statement(stmt))
-        assumes.append(result)
+                                     _access_interval(inner))
+        return AssumeResult(stmt.line, stmt.expected, led.check(query).authorized,
+                            print_statement(stmt))
+    else:
+        raise TypeError(f"not a statement: {stmt!r}")
+    return None
+
+
+def _note(led: Ledger, stmt: Statement,
+          result: EventRecord | AssumeResult | None) -> str:
+    if isinstance(result, EventRecord):
+        verdict = "authorized" if result.verdict.authorized else \
+            f"denied ({result.verdict.reason.value})"
+        return f"event {result.id} {verdict}"
+    if isinstance(result, AssumeResult):
         return "PASS" if result.passed else "FAIL"
-    raise TypeError(f"not a statement: {stmt!r}")
+    if isinstance(stmt, NewDisjoint):
+        return "declared disjoint"
+    if isinstance(stmt, NewEquiv):
+        return "declared equivalent"
+    if isinstance(stmt, Grant):
+        return f"granted :{stmt.label} at T{led.now}"
+    if isinstance(stmt, Withdraw):
+        return f"withdrew :{stmt.label} at T{led.now}"
+    if isinstance(stmt, Step):
+        return f"advanced to T{led.now}"
+    return "declared"
 
 
-def _access_interval(led: Ledger, stmt: Access) -> StepInterval | None:
+def _access_interval(stmt: Access) -> StepInterval | None:
     if stmt.start is None:
         return None  # all collected history, [T1, now+1)
     if stmt.end is None:
@@ -485,12 +521,6 @@ def _access_interval(led: Ledger, stmt: Access) -> StepInterval | None:
     if stmt.end <= stmt.start:
         raise ExecutionError(stmt.line, f"empty interval [T{stmt.start}, T{stmt.end})")
     return StepInterval(stmt.start, stmt.end)
-
-
-def _event_note(event: EventRecord) -> str:
-    verdict = "authorized" if event.verdict.authorized else \
-        f"denied ({event.verdict.reason.value})"
-    return f"event {event.id} {verdict}"
 
 
 def run_script(text: str, ledger: Ledger | None = None) -> RunReport:

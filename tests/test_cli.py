@@ -5,6 +5,7 @@ from datetime import timedelta
 
 import pytest
 
+from consentry import monitor
 from consentry.cli import main, parse_duration, STEP_DURATION_ENV
 
 from conftest import golden_path
@@ -189,6 +190,16 @@ class TestMonitor:
         ]
         rc = main(["monitor", *files])
         assert rc == 0
+
+    def test_each_log_is_parsed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("parse_consent_log", "parse_access_log"):
+            def counted(text, _parse=getattr(monitor, name), _name=name):
+                calls.append(_name)
+                return _parse(text)
+            monkeypatch.setattr(monitor, name, counted)
+        assert main(["monitor", *monitor_files(tmp_path)]) == 0
+        assert sorted(calls) == ["parse_access_log", "parse_consent_log"]
 
 
 class TestSimulate:

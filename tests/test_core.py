@@ -19,6 +19,7 @@ from consentry.core import (
 from consentry.errors import (
     AlreadyWithdrawnError,
     ConsistencyError,
+    DeclarationError,
     DuplicateLabelError,
     QueryError,
     UnknownConsentError,
@@ -340,6 +341,11 @@ class TestLedgerValidation:
         led.record_event(ActionType.COLLECT, "WalkingRoute", ALICE, "Partner")
         with pytest.raises(ConsistencyError):
             led.declare_equivalent("WalkingRoute", "DrivingRoute")
+
+    def test_disjointness_of_one_concept_rejected(self):
+        led = fresh_ledger()
+        with pytest.raises(DeclarationError, match="at least two"):
+            led.declare_disjoint("Location")
 
 
 def AuthzQueryWith(query, **overrides):

@@ -2,11 +2,12 @@ import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consentry.core import Reason
 from consentry.errors import LogFormatError, LogOrderError, MonitorError
 from consentry.monitor import (
-    earliest_timestamp,
     map_to_step,
     parse_access_log,
     parse_consent_log,
@@ -201,11 +202,22 @@ class TestManifest:
 
 
 class TestEarliestTimestamp:
+    """With no epoch, step 1 starts at the earliest record of either log."""
+
     def test_minimum_across_both_logs(self):
-        assert earliest_timestamp(CONSENTS, ACCESSES) == EPOCH
+        assert scan(MANIFEST, CONSENTS, ACCESSES, None, DAY) == \
+            scan(MANIFEST, CONSENTS, ACCESSES, EPOCH, DAY)
+        # The earliest record may sit in either log.
+        late_grant = jl(grant(3, "c1", "Telemetry", "alice", "Analytics"))
+        early_collect = jl(collect(2, "Telemetry", "alice", "Analytics"))
+        report = scan(MANIFEST, late_grant, early_collect, None, DAY)
+        assert report.final_step == 2
+        assert [v.step for v in report.violations] == [1]
 
     def test_empty_logs(self):
-        assert earliest_timestamp("", "") is None
+        report = scan(MANIFEST, "", "", None, DAY)
+        assert report.clean and report.events_scanned == 0
+        assert report.final_step == 1
 
 
 class TestScan:
@@ -290,6 +302,14 @@ class TestScan:
             scan(MANIFEST, CONSENTS, ACCESSES, late_epoch, DAY)
         assert "consent log" in str(err.value)
 
+    def test_failing_declaration_reports_manifest_line(self):
+        manifest = MANIFEST + "new data Route Missing\n"
+        with pytest.raises(MonitorError) as err:
+            scan(manifest, CONSENTS, ACCESSES, EPOCH, DAY)
+        assert (err.value.line, err.value.source) == (4, "manifest")
+        assert "manifest line 4" in str(err.value)
+        assert "Missing" in str(err.value)
+
     def test_hourly_grid_spreads_steps(self):
         hourly = scan(MANIFEST, CONSENTS, ACCESSES, EPOCH, timedelta(hours=1))
         assert hourly.final_step == 15 * 24 + 1  # Jan 16 00:00 on 1h steps
@@ -337,3 +357,148 @@ class TestTranslation:
             translate_to_script(MANIFEST, consents, "", EPOCH, DAY)
         # The scanner itself has no such restriction.
         scan(MANIFEST, consents, "", EPOCH, DAY)
+
+        # Nor on subject and recipient names the grammar cannot carry:
+        # keywords, time tokens and non-words. Each bad record is on line 2.
+        ok_grant = grant(1, "c0", "Telemetry", "alice", "Analytics")
+        ok_collect = collect(1, "Telemetry", "alice", "Analytics")
+        for name in ("step", "retro", "T3", "T0", "a-b", "alice smith"):
+            for consents, accesses, source in [
+                (jl(ok_grant, grant(2, "c1", "Telemetry", name, "Analytics")),
+                 "", "consent log"),
+                (jl(ok_grant, grant(2, "c1", "Telemetry", "alice", name)),
+                 "", "consent log"),
+                (jl(ok_grant),
+                 jl(ok_collect, collect(2, "Telemetry", name, "Analytics")),
+                 "access log"),
+                (jl(ok_grant),
+                 jl(ok_collect, access(3, "Telemetry", "alice", name, 1, 2)),
+                 "access log"),
+            ]:
+                with pytest.raises(MonitorError) as err:
+                    translate_to_script(MANIFEST, consents, accesses, EPOCH, DAY)
+                assert (err.value.line, err.value.source) == (2, source)
+                assert repr(name) in str(err.value)
+                scan(MANIFEST, consents, accesses, EPOCH, DAY)
+            # A data name like that cannot be declared, so scan rejects it
+            # as unknown; translation names the record all the same.
+            accesses = jl(ok_collect, collect(2, name, "alice", "Analytics"))
+            with pytest.raises(MonitorError) as err:
+                translate_to_script(MANIFEST, jl(ok_grant), accesses, EPOCH, DAY)
+            assert (err.value.line, err.value.source) == (2, "access log")
+        # A withdrawal names its consent id too.
+        consents = jl(ok_grant, withdraw(2, "c-0"))
+        with pytest.raises(MonitorError) as err:
+            translate_to_script(MANIFEST, consents, "", EPOCH, DAY)
+        assert (err.value.line, err.value.source) == (2, "consent log")
+
+
+# -- one replay, two renderings ----------------------------------------------
+#
+# Names a log may carry. Subjects and recipients spring into existence on
+# first mention, so scan accepts every one of them; data concepts come from
+# the manifest, so the unprintable ones are unknown to scan as well.
+
+PROPERTY_MANIFEST = """\
+new data Telemetry Data
+new data Location Telemetry
+new data Contacts Data
+new recipient Analytics
+"""
+SUBJECTS = ("alice", "bob", "step", "T3", "a-b", "alice smith")
+RECIPIENTS = ("Analytics", "Ads", "grant", "T0", "x.y")
+DATA = ("Telemetry", "Location", "Contacts", "access")
+CONSENT_IDS = ("c1", "c2", "c3", "c4", "retro", "T7", "c-5", "c 6")
+UNPRINTABLE_NAMES = {"step", "T3", "a-b", "alice smith", "grant", "T0", "x.y",
+                     "access"}
+UNPRINTABLE_IDS = {"c-5", "c 6"}
+SLOTS = 32  # six-hour slots after EPOCH, so records often share an instant
+
+
+def _slot(n):
+    return (EPOCH + timedelta(hours=6 * n)).isoformat()
+
+
+@st.composite
+def log_pairs(draw):
+    """A consent log, an access log and an epoch. At most two unprintable
+    names occur in one pair, so each one is often the only one."""
+    unprintable = UNPRINTABLE_NAMES | UNPRINTABLE_IDS
+    allowed = draw(st.sets(st.sampled_from(sorted(unprintable)), max_size=2))
+
+    def usable(pool):
+        return [n for n in pool if n in allowed or n not in unprintable]
+
+    def pick(pool):
+        return draw(st.sampled_from(usable(pool)))
+
+    consents = []
+    ids = draw(st.lists(st.sampled_from(usable(CONSENT_IDS)), unique=True,
+                        max_size=5))
+    for cid in ids:
+        start = draw(st.integers(0, SLOTS))
+        consents.append((start, 0, {
+            "action": "grant", "consent_id": cid,
+            "data_concept": pick(DATA),
+            "subject": pick(SUBJECTS),
+            "recipient_concept": pick(RECIPIENTS),
+            "retroactive": draw(st.booleans())}))
+        if draw(st.booleans()):
+            consents.append((draw(st.integers(start, SLOTS)), 1, {
+                "action": "withdraw", "consent_id": cid,
+                "retroactive": draw(st.booleans())}))
+    accesses = [(draw(st.integers(0, SLOTS)), draw(st.booleans()))
+                for _ in range(draw(st.integers(0, 8)))]
+    stamps = [slot for slot, *_ in consents + accesses]
+    default_epoch = draw(st.booleans())
+    floor = min(stamps) if default_epoch and stamps else 0
+    events = []
+    for slot, windowed in accesses:
+        record = {"action": "access" if windowed or draw(st.booleans())
+                  else "collect",
+                  "data_concept": pick(DATA),
+                  "subject": pick(SUBJECTS),
+                  "recipient_concept": pick(RECIPIENTS)}
+        if windowed:
+            lo = draw(st.integers(floor, slot))
+            record["collected_from"] = _slot(lo)
+            record["collected_to"] = _slot(draw(st.integers(lo, slot)))
+        events.append((slot, record))
+    # Sorting is stable, and a withdrawal never precedes its own grant.
+    consents.sort(key=lambda c: c[:2])
+    events.sort(key=lambda e: e[0])
+    consent_records = [dict(r, timestamp=_slot(slot)) for slot, _, r in consents]
+    access_records = [dict(r, timestamp=_slot(slot)) for slot, r in events]
+    return consent_records, access_records, None if default_epoch else EPOCH
+
+
+def _holds_unprintable_name(record):
+    names = {record.get(k) for k in ("data_concept", "subject", "recipient_concept")}
+    return bool(names & UNPRINTABLE_NAMES) or record.get("consent_id") in UNPRINTABLE_IDS
+
+
+class TestOneReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(log_pairs())
+    def test_translation_replays_to_the_scan(self, pair):
+        consent_records, access_records, epoch = pair
+        consents, accesses = jl(*consent_records), jl(*access_records)
+        try:
+            report = scan(PROPERTY_MANIFEST, consents, accesses, epoch, DAY)
+        except MonitorError:
+            report = None
+        try:
+            text = translate_to_script(PROPERTY_MANIFEST, consents, accesses,
+                                       epoch, DAY)
+        except MonitorError as err:
+            records = (consent_records if err.source == "consent log"
+                       else access_records)
+            assert _holds_unprintable_name(records[err.line - 1]), str(err)
+            return
+        assert report is not None, "translated logs that scan rejects"
+        replay = run_script(text)
+        assert len(replay.events) == report.events_scanned
+        assert replay.final_step == report.final_step
+        assert [(e.occurred_at, e.verdict.reason) for e in replay.events
+                if not e.verdict.authorized] == \
+            [(v.step, v.reason) for v in report.violations]

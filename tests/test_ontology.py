@@ -4,6 +4,7 @@ import pytest
 
 from consentry.errors import (
     ConsistencyError,
+    DeclarationError,
     KindMismatchError,
     UnknownConceptError,
 )
@@ -194,7 +195,7 @@ class TestDisjointness:
 
     def test_needs_two_names(self, graph):
         graph.declare_concept("A", DATA, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(DeclarationError):
             graph.declare_disjoint(("A",))
 
     def test_cross_kind_rejected(self, graph):
