@@ -26,7 +26,6 @@ import sys
 from datetime import timedelta
 
 from . import bench, monitor
-from .core import authorized_region
 from .chronology import format_step
 from .errors import ConsentryError
 from .script import RunReport, run_script
@@ -141,7 +140,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     consent_log = _read(args.consent_log)
     access_log = _read(args.access_log)
     duration = _step_duration(args)
-    epoch = None  # the earliest record
+    epoch = None  # the earliest instant either log mentions
     if args.epoch:
         try:
             epoch = monitor.parse_instant(args.epoch)
@@ -184,8 +183,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -- explain -------------------------------------------------------------------
 
 
-def _render_region(consent, graph, horizon: int) -> str:
-    region = authorized_region(consent, horizon)
+def _render_region(consent, horizon: int) -> str:
     width = max(4, len(str(horizon)) + 2)
     header = " " * width + "".join(f"{format_step(t):>{width}}" for t in
                                    range(1, horizon + 1))
@@ -195,7 +193,7 @@ def _render_region(consent, graph, horizon: int) -> str:
         for t_a in range(1, horizon + 1):
             if t_a < t_c:
                 cell = " "
-            elif (t_c, t_a) in region:
+            elif consent.authorizes_access(t_c, t_a):
                 cell = "#"
             else:
                 cell = "."
@@ -223,7 +221,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print(line)
     print(f"covered (rows: collection step, columns: access step, horizon "
           f"{format_step(horizon)}):")
-    print(_render_region(consent, graph, horizon))
+    print(_render_region(consent, horizon))
     collectable = [format_step(t) for t in range(1, horizon + 1)
                    if consent.authorizes_collection(t)]
     print("collection allowed at: " + (" ".join(collectable) or "(never)"))
@@ -248,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon.add_argument("manifest", help="declarations manifest (new-statements only)")
     p_mon.add_argument("consent_log", help="JSONL grant/withdraw log")
     p_mon.add_argument("access_log", help="JSONL collect/access log")
-    p_mon.add_argument("--epoch", help="ISO-8601 instant of step 1 "
-                                       "(default: earliest log record)")
+    p_mon.add_argument("--epoch", help="ISO-8601 instant of step 1 (default: the "
+                                       "earliest instant either log mentions)")
     p_mon.add_argument("--step-duration",
                        help=f"step length, e.g. 1d or 6h (default: "
                             f"${STEP_DURATION_ENV} or {DEFAULT_STEP_DURATION})")

@@ -5,38 +5,35 @@ consents, and recorded events. Everything is append-only. Withdrawing a
 consent does not delete it; the record gains a withdrawal mark and the
 decision procedure reads both.
 
-Time semantics, shared by every caller:
+Time semantics, written once in `ConsentRecord.reach`: at a fixed access
+step a consent covers one half-open interval [lo, hi) of collection steps.
 
-* A consent authorizes collection at step t when t is at or after the
-  grant and, if withdrawn, strictly before the withdrawal step. The step
-  of withdrawal itself is no longer covered. Retroactivity never affects
-  collection; neither flavor reaches back to void past collections, and
-  both stop future ones.
-* A consent authorizes access at step t_a to data collected at step t_c
-  when t_a is at or after the grant, the collection step is inside the
-  grant's reach (any step for a retroactive grant, otherwise t_c at or
-  after the grant), and the withdrawal, if any, has not cut it off: a
-  retroactive withdrawal at w blocks every access from w on (t_a < w
-  required), a non-retroactive one only blocks access to data collected
-  at w or later (t_c < w required).
+* Collection ignores the access step and retroactivity: [g, w) for a grant
+  at g and a withdrawal at w (hi is None while not withdrawn). The step of
+  withdrawal itself is no longer covered.
+* Access reaches back to lo = T1 once a retroactive grant is in force, and
+  otherwise starts at the grant, lo = g. A non-retroactive withdrawal at w
+  keeps data collected before it readable (hi = w); a retroactive one, once
+  in force, cuts every step (hi = T1). Access also needs the collection
+  step at or before the access step, so nothing is read before its grant.
 
 An access query spans a collection interval. Each step of the interval
 may be covered by a different consent; the query is authorized when no
 step is left uncovered. There is no union reasoning within one step: a
 single consent must cover a given collection step outright.
 
-At a fixed access step every consent covers one half-open interval of
-collection steps (`ConsentRecord.reach`), so a decision stores coverage in
-closed form: the query interval cut into maximal runs of steps, each with
-the ids of the consents that cover all of it. Cost and size depend on the
-number of matching consents, not on how many steps the query spans.
+A decision therefore stores coverage in closed form: the query interval
+cut into maximal runs of steps, each with the ids of the consents that
+cover all of it. Cost and size depend on the number of matching consents,
+not on how many steps the query spans. A denial's cause is read off the
+same intervals: a consent fails an uncovered step at or past its hi because
+it was withdrawn, and below it because the step is outside its grant window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from . import chronology
 from .chronology import StepInterval
@@ -109,39 +106,32 @@ class ConsentRecord:
     withdrawal: Withdrawal | None = None
 
     def authorizes_collection(self, step: int) -> bool:
-        if step < self.granted_at:
-            return False
-        return self.withdrawal is None or step < self.withdrawal.step
+        return _inside(step, self.reach(ActionType.COLLECT, step))
 
     def authorizes_access(self, collected_at: int, accessed_at: int) -> bool:
-        if accessed_at < self.granted_at:
-            return False
-        if not self.grant_retroactive and collected_at < self.granted_at:
-            return False
-        w = self.withdrawal
-        if w is None:
-            return True
-        return accessed_at < w.step if w.retroactive else collected_at < w.step
+        return collected_at <= accessed_at and \
+            _inside(collected_at, self.reach(ActionType.ACCESS, accessed_at))
 
-    def reach(self, action: ActionType, accessed_at: int) -> tuple[int, int | None] | None:
+    def reach(self, action: ActionType, accessed_at: int) -> tuple[int, int | None]:
         """The collection steps [lo, hi) this consent covers at one access step.
 
-        A hi of None leaves the run unbounded; None means no step at all.
-        Collection ignores the access step. Access needs the grant to have
-        happened, reaches back to T1 for a retroactive grant, and is cut at
-        the withdrawal for good (retroactive) or from w on (non-retroactive).
+        A hi of None leaves the interval unbounded; lo >= hi covers nothing.
+        See the module docstring for the rules.
         """
         w = self.withdrawal
+        hi = None if w is None else w.step
         if action is ActionType.COLLECT:
-            return self.granted_at, None if w is None else w.step
-        if accessed_at < self.granted_at:
-            return None
-        lo = 1 if self.grant_retroactive else self.granted_at
-        if w is None:
-            return lo, None
-        if w.retroactive:
-            return (lo, None) if accessed_at < w.step else None
-        return lo, w.step
+            return self.granted_at, hi
+        in_force = accessed_at >= self.granted_at
+        lo = 1 if self.grant_retroactive and in_force else self.granted_at
+        if w is not None and w.retroactive:
+            hi = 1 if accessed_at >= w.step else None
+        return lo, hi
+
+
+def _inside(step: int, reach: tuple[int, int | None]) -> bool:
+    lo, hi = reach
+    return lo <= step and (hi is None or step < hi)
 
 
 @dataclass(frozen=True)
@@ -210,6 +200,7 @@ class Ledger:
         self.events: list[EventRecord] = []
         self._labels: dict[str, int] = {}
         self._subjects: set[str] = set()
+        self._event_concepts: set[int] = set()  # concepts recorded events use
         self._next_event = 1
 
     # -- clock and declarations ------------------------------------------
@@ -236,14 +227,7 @@ class Ledger:
 
     def declare_equivalent(self, a: str, b: str) -> None:
         # Concepts that recorded events classify must stay satisfiable.
-        self.ontology.declare_equivalent(a, b, protected=self._event_concepts())
-
-    def _event_concepts(self) -> set[int]:
-        used: set[int] = set()
-        for ev in self.events:
-            used.add(ev.data_concept)
-            used.add(ev.recipient_concept)
-        return used
+        self.ontology.declare_equivalent(a, b, protected=self._event_concepts)
 
     # -- consents ----------------------------------------------------------
 
@@ -381,19 +365,22 @@ class Ledger:
         Only when no consent even matches the concepts and subject do the
         structural reasons apply.
 
-        Each uncovered run is judged at its two ends, which is exact: a
-        cause either ignores the collection step, holds below the grant
-        (so at the first step if anywhere) or from the withdrawal on (so at
-        the last step if anywhere).
+        Each consent fails an uncovered step for one cause: withdrawal when
+        the step is at or past its reach's hi, the grant window otherwise.
+        Withdrawal holds from hi on and outranks the window, so judging the
+        last uncovered step alone gives each consent its strongest cause.
         """
         if matching:
-            causes: set[Reason] = set()
-            for run, covered in runs:
-                if covered:
-                    continue
-                for c in matching:
-                    causes.update(self._failure_causes(c, query, run.start))
-                    causes.update(self._failure_causes(c, query, run.last))
+            last = next(run.last for run, ids in reversed(runs) if not ids)
+            causes = set()
+            for c in matching:
+                hi = c.reach(query.action, query.access_at)[1]
+                if hi is None or last < hi:
+                    causes.add(Reason.OUTSIDE_GRANT_WINDOW)
+                elif c.withdrawal.retroactive:
+                    causes.add(Reason.WITHDRAWN_RETRO)
+                else:
+                    causes.add(Reason.WITHDRAWN_NON_RETRO)
             return min(causes, key=_DENIAL_RANK.__getitem__)
         if any(
             c.subject != query.subject and self._matches(c, query)
@@ -401,31 +388,6 @@ class Ledger:
         ):
             return Reason.SUBJECT_MISMATCH
         return Reason.NO_MATCHING_CONSENT
-
-    @staticmethod
-    def _failure_causes(consent: ConsentRecord, query: AuthzQuery,
-                        step: int) -> Iterable[Reason]:
-        causes = []
-        w = consent.withdrawal
-        if query.action is ActionType.COLLECT:
-            if step < consent.granted_at:
-                causes.append(Reason.OUTSIDE_GRANT_WINDOW)
-            if w is not None and step >= w.step:
-                causes.append(
-                    Reason.WITHDRAWN_RETRO if w.retroactive else Reason.WITHDRAWN_NON_RETRO
-                )
-        else:
-            if query.access_at < consent.granted_at or (
-                not consent.grant_retroactive and step < consent.granted_at
-            ):
-                causes.append(Reason.OUTSIDE_GRANT_WINDOW)
-            if w is not None:
-                blocked = query.access_at >= w.step if w.retroactive else step >= w.step
-                if blocked:
-                    causes.append(
-                        Reason.WITHDRAWN_RETRO if w.retroactive else Reason.WITHDRAWN_NON_RETRO
-                    )
-        return causes
 
     # -- events --------------------------------------------------------------
 
@@ -462,6 +424,7 @@ class Ledger:
         )
         self._next_event += 1
         self.events.append(event)
+        self._event_concepts.update((query.data_concept, query.recipient_concept))
         return event
 
 
@@ -477,11 +440,9 @@ def _runs(span: StepInterval, consents: list[ConsentRecord], action: ActionType,
     reaches = []
     cuts = {start, end}
     for c in consents:
-        reach = c.reach(action, accessed_at)
-        if reach is None:
-            continue
-        lo = max(reach[0], start)
-        hi = end if reach[1] is None else min(reach[1], end)
+        lo, hi = c.reach(action, accessed_at)
+        lo = max(lo, start)
+        hi = end if hi is None else min(hi, end)
         if lo < hi:
             reaches.append((c.id, lo, hi))
             cuts.add(lo)

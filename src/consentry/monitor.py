@@ -18,7 +18,8 @@ access log carries collect/access records:
 The manifest and the merged records (consent records first at equal
 timestamps) become one stream of script statements. Each wall-clock
 instant maps onto a 1-based step of fixed duration starting at an epoch;
-with no epoch given, the earliest record of either log starts step 1.
+with no epoch given, the earliest instant either log mentions starts step
+1, the start of a collection window included.
 `scan` runs that stream through the script interpreter on a fresh ledger
 and reports every event whose verdict came back denied. Scanning is
 replay: the same logs always yield the same report, and appending new
@@ -38,6 +39,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from heapq import merge as _heap_merge
+from itertools import chain
 from typing import Iterable, Iterator, Union
 
 from .core import Ledger, Reason
@@ -313,15 +315,17 @@ def _statements(manifest: str, consent_log: str, access_log: str,
 
     A statement's line is its line in that source. Before each record come
     the steps that bring the clock to the record's step, carrying the
-    record's line. A None epoch means the earliest record.
+    record's line. A None epoch means the earliest instant either log
+    mentions, collection windows included.
     """
     for stmt in parse_manifest(manifest):
         yield "manifest", stmt
     consents = parse_consent_log(consent_log)
     accesses = parse_access_log(access_log)
     if epoch is None:
-        epoch = min((log[0].timestamp for log in (consents, accesses) if log),
-                    default=None)
+        firsts = (log[0].timestamp for log in (consents, accesses) if log)
+        windows = (r.collected_from for r in accesses if r.collected_from is not None)
+        epoch = min(chain(firsts, windows), default=None)
     now = 1
     for record in _merged(consents, accesses):
         line = record.line
@@ -353,7 +357,8 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | Non
          step_duration: timedelta) -> ViolationReport:
     """Replay the logs and report every event no consent covered.
 
-    `epoch` is the instant step 1 starts; None means the earliest record.
+    `epoch` is the instant step 1 starts; None means the earliest instant
+    either log mentions, collection windows included.
     """
     ledger = Ledger()
     violations = []

@@ -225,17 +225,17 @@ class ConceptGraph:
 
     def is_unsatisfiable(self, cid: int) -> bool:
         """True when cid sits below both sides of some disjoint pair."""
-        anc = self.ancestors(cid)
-        return any(p in anc and q in anc for p, q in self._disjoint)
+        return self._clashes(self.ancestors(cid))
 
     def are_disjoint(self, a: int, b: int) -> bool:
-        """True when no individual can fall under both concepts."""
+        """True when no individual can fall under both concepts.
+
+        That is when the meet of a and b is unsatisfiable: some disjoint pair
+        sits over a, over b, or with one side over each.
+        """
         if self.kind_of(a) is not self.kind_of(b):
             raise KindMismatchError("disjointness never crosses data/recipient kinds")
-        if self.is_unsatisfiable(a) or self.is_unsatisfiable(b):
-            return True
-        anc_a, anc_b = self.ancestors(a), self.ancestors(b)
-        return any(
-            (p in anc_a and q in anc_b) or (p in anc_b and q in anc_a)
-            for p, q in self._disjoint
-        )
+        return self._clashes(self.ancestors(a) | self.ancestors(b))
+
+    def _clashes(self, anc: frozenset[int]) -> bool:
+        return any(p in anc and q in anc for p, q in self._disjoint)

@@ -25,6 +25,7 @@ from consentry.errors import (
     UnknownConsentError,
     UnknownSubjectError,
 )
+from consentry.oracle import ConsentSpec, oracle_collection_steps, oracle_region
 
 ALICE = "alice"
 BOB = "bob"
@@ -98,6 +99,10 @@ class TestConsentRecordAccess:
         c = record(withdrawal=Withdrawal(5, retroactive=False))
         assert c.authorizes_access(4, 9)       # collected before the cut
         assert not c.authorizes_access(5, 9)
+
+    def test_collection_after_the_access_is_never_covered(self):
+        assert not record(granted_at=1).authorizes_access(2, 1)
+        assert not record(granted_at=1, grant_retroactive=True).authorizes_access(3, 2)
 
     def test_retroactive_withdrawal_stops_all_access(self):
         c = record(withdrawal=Withdrawal(5, retroactive=True))
@@ -285,6 +290,22 @@ class TestDenialReasons:
         # Step 1 misses the window and is retro-cut; step 2 is retro-cut.
         assert decision.reason is Reason.WITHDRAWN_RETRO
 
+    def test_retro_withdrawal_cuts_steps_below_a_plain_grant(self):
+        # The reach at T8 is [T5, T1): the cut sits below every step, so
+        # [T1, T3) is withdrawn, not merely outside the grant window.
+        led = fresh_ledger()
+        while led.now < 5:
+            led.advance()
+        cid = led.grant("Location", ALICE, "Partner")              # T5
+        led.advance()
+        led.advance()
+        led.withdraw(cid, retroactive=True)                        # T7
+        led.advance()                                              # T8
+        decision = led.check(led.access_query("Location", ALICE, "Partner",
+                                              StepInterval(1, 3)))
+        assert decision.runs == ((StepInterval(1, 3), frozenset()),)
+        assert decision.reason is Reason.WITHDRAWN_RETRO
+
 
 class TestLedgerValidation:
     def test_unknown_subject_rejected(self):
@@ -470,11 +491,20 @@ DENIAL_ORDER = (Reason.CONCEPT_UNSATISFIABLE, Reason.SUBJECT_MISMATCH,
                 Reason.WITHDRAWN_NON_RETRO, Reason.OUTSIDE_GRANT_WINDOW)
 
 
+def oracle_spec(c):
+    """The oracle's view of a consent's timing; its concepts play no part."""
+    w = c.withdrawal
+    return ConsentSpec("D", c.subject, "R", c.granted_at, c.grant_retroactive,
+                       None if w is None else w.step, w is not None and w.retroactive)
+
+
 def per_step_check(led, query):
     """Reference decision: one covering set per collection step.
 
     This is the procedure `Ledger.check` used before coverage became runs
     of steps; it walks every step of the query and every matching consent.
+    Which steps a consent covers comes from the oracle's cells, so nothing
+    here reads `ConsentRecord.reach`.
     """
     g = led.ontology
     steps = query.collected_interval.steps()
@@ -489,10 +519,14 @@ def per_step_check(led, query):
         return not g.are_disjoint(c.data_concept, query.data_concept) and \
             not g.are_disjoint(c.recipient_concept, query.recipient_concept)
 
-    def covers(c, step):
+    def covered_steps(c):
+        # Uncached: the oracle's cache would keep a region per consent of
+        # every example, up to T400 in the long-history property.
+        t_a = query.access_at
         if query.action is ActionType.COLLECT:
-            return c.authorizes_collection(step)
-        return c.authorizes_access(step, query.access_at)
+            return oracle_collection_steps.__wrapped__(oracle_spec(c), t_a)
+        region = oracle_region.__wrapped__(oracle_spec(c), t_a)
+        return {t_c for t_c, col in region if col == t_a}
 
     def causes(c, step):
         w = c.withdrawal
@@ -512,7 +546,9 @@ def per_step_check(led, query):
 
     matching = [c for c in led.consents
                 if c.subject == query.subject and concepts_match(c)]
-    coverage = {s: frozenset(c.id for c in matching if covers(c, s)) for s in steps}
+    covered = {c.id: covered_steps(c) for c in matching}
+    coverage = {s: frozenset(cid for cid, cells in covered.items() if s in cells)
+                for s in steps}
     if all(coverage.values()):
         return coverage, Reason.OK
     if not matching:
@@ -539,21 +575,24 @@ def assert_runs_tile(decision, interval):
 
 
 class TestClosedFormCoverage:
-    def test_reach_matches_the_per_step_predicates(self):
-        grid = product(range(1, 5), (False, True), (None, *range(1, 6)),
-                       (False, True), range(1, 7), ActionType)
-        for g, gr, w, wr, accessed_at, action in grid:
-            if w is not None and w < g:
-                continue
-            c = record(g, gr, None if w is None else Withdrawal(w, wr))
-            reach = c.reach(action, accessed_at)
-            for step in range(1, 8):
-                inside = reach is not None and reach[0] <= step and \
-                    (reach[1] is None or step < reach[1])
-                if action is ActionType.COLLECT:
-                    assert inside == c.authorizes_collection(step)
-                else:
-                    assert inside == c.authorizes_access(step, accessed_at)
+    def test_reach_matches_the_oracle(self):
+        horizon = 8
+        for g, gr, wr in product(range(1, horizon + 1), (False, True), (False, True)):
+            for w in (None, *range(g, horizon + 1)):
+                c = record(g, gr, None if w is None else Withdrawal(w, wr))
+                spec = oracle_spec(c)
+                region = oracle_region(spec, horizon)
+                for t_a in range(1, horizon + 1):
+                    lo, hi = c.reach(ActionType.ACCESS, t_a)
+                    got = {t_c for t_c in range(1, t_a + 1)
+                           if lo <= t_c and (hi is None or t_c < hi)}
+                    assert got == {t_c for t_c, col in region if col == t_a}, \
+                        (g, gr, w, wr, t_a)
+                    lo, hi = c.reach(ActionType.COLLECT, t_a)
+                    got = {t for t in range(1, horizon + 1)
+                           if lo <= t and (hi is None or t < hi)}
+                    assert got == oracle_collection_steps(spec, horizon), \
+                        (g, gr, w, wr, t_a)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), horizon=st.integers(1, 60))

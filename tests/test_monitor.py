@@ -202,7 +202,7 @@ class TestManifest:
 
 
 class TestEarliestTimestamp:
-    """With no epoch, step 1 starts at the earliest record of either log."""
+    """With no epoch, step 1 starts at the earliest instant either log mentions."""
 
     def test_minimum_across_both_logs(self):
         assert scan(MANIFEST, CONSENTS, ACCESSES, None, DAY) == \
@@ -213,6 +213,21 @@ class TestEarliestTimestamp:
         report = scan(MANIFEST, late_grant, early_collect, None, DAY)
         assert report.final_step == 2
         assert [v.step for v in report.violations] == [1]
+
+    def test_collection_window_may_start_the_clock(self):
+        # The window opens on 2026-01-02, before the only record, so that
+        # instant is step 1 and the window is [T1, T3) of the access at T4.
+        accesses = jl(access(5, "Telemetry", "alice", "Analytics", 2, 3))
+        report = scan(MANIFEST, "", accesses, None, DAY)
+        assert report == scan(MANIFEST, "", accesses, parse_instant(at(2)), DAY)
+        assert report.final_step == 4
+        assert [(v.step, v.collected_steps) for v in report.violations] == \
+            [(4, (1, 3))]
+        text = translate_to_script(MANIFEST, "", accesses, None, DAY)
+        assert text.endswith("access Telemetry alice Analytics T1 T3\n")
+        replay = run_script(text)
+        assert [(e.occurred_at, e.verdict.reason) for e in replay.events] == \
+            [(v.step, v.reason) for v in report.violations]
 
     def test_empty_logs(self):
         report = scan(MANIFEST, "", "", None, DAY)
@@ -449,9 +464,6 @@ def log_pairs(draw):
                 "retroactive": draw(st.booleans())}))
     accesses = [(draw(st.integers(0, SLOTS)), draw(st.booleans()))
                 for _ in range(draw(st.integers(0, 8)))]
-    stamps = [slot for slot, *_ in consents + accesses]
-    default_epoch = draw(st.booleans())
-    floor = min(stamps) if default_epoch and stamps else 0
     events = []
     for slot, windowed in accesses:
         record = {"action": "access" if windowed or draw(st.booleans())
@@ -460,7 +472,7 @@ def log_pairs(draw):
                   "subject": pick(SUBJECTS),
                   "recipient_concept": pick(RECIPIENTS)}
         if windowed:
-            lo = draw(st.integers(floor, slot))
+            lo = draw(st.integers(0, slot))
             record["collected_from"] = _slot(lo)
             record["collected_to"] = _slot(draw(st.integers(lo, slot)))
         events.append((slot, record))
@@ -469,7 +481,8 @@ def log_pairs(draw):
     events.sort(key=lambda e: e[0])
     consent_records = [dict(r, timestamp=_slot(slot)) for slot, _, r in consents]
     access_records = [dict(r, timestamp=_slot(slot)) for slot, r in events]
-    return consent_records, access_records, None if default_epoch else EPOCH
+    epoch = None if draw(st.booleans()) else EPOCH
+    return consent_records, access_records, epoch
 
 
 def _holds_unprintable_name(record):

@@ -63,7 +63,7 @@ class TestRegionShapes:
 
     def test_matches_engine_region_on_every_shape(self):
         # Same cells from two very different formulations: the engine's
-        # pointwise predicate and the oracle's case-by-case shapes.
+        # closed-form reach and the oracle's case-by-case shapes.
         horizon = 5
         for g, gr, w, wr in product((1, 2, 3), (False, True),
                                     (None, 2, 3, 4), (False, True)):
