@@ -31,10 +31,10 @@ def parse_step(token: str) -> int:
     """Parse a textual step token such as 'T4'."""
     m = _STEP_TOKEN.match(token)
     if m is None:
-        raise ValueError(f"not a step token: {token!r}")
+        raise IntervalError(f"not a step token: {token!r}")
     step = int(m.group(1))
     if step < 1:
-        raise ValueError(f"steps are 1-based, got {token!r}")
+        raise IntervalError(f"steps are 1-based, got {token!r}")
     return step
 
 

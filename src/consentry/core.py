@@ -28,12 +28,21 @@ cover all of it. Cost and size depend on the number of matching consents,
 not on how many steps the query spans. A denial's cause is read off the
 same intervals: a consent fails an uncovered step at or past its hi because
 it was withdrawn, and below it because the step is outside its grant window.
+
+`Ledger.check` finds candidate consents through two indexes that `grant`
+fills: the querying subject's own consents, and, only on the denial path,
+the distinct (data, recipient) pairs of all consents, which decide whether
+the denial is a subject mismatch. The query's concepts are validated
+once at entry; after that one concept predicate, built from their ancestor
+sets, judges every candidate. So a check costs in proportion to the
+subject's consents and the distinct concept pairs, not the ledger's size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from . import chronology
 from .chronology import StepInterval
@@ -200,6 +209,10 @@ class Ledger:
         self.events: list[EventRecord] = []
         self._labels: dict[str, int] = {}
         self._subjects: set[str] = set()
+        # Indexes over `consents`, filled in `grant`; withdrawal marks the
+        # shared record objects, so it needs no bookkeeping here.
+        self._by_subject: dict[str, list[ConsentRecord]] = {}  # in id order
+        self._pairs: set[tuple[int, int]] = set()  # distinct (data, recipient)
         self._event_concepts: set[int] = set()  # concepts recorded events use
         self._next_event = 1
 
@@ -250,6 +263,8 @@ class Ledger:
             grant_retroactive=retroactive,
         )
         self.consents.append(record)
+        self._by_subject.setdefault(subject, []).append(record)
+        self._pairs.add((data_id, recipient_id))
         if label is not None:
             self._labels[label] = record.id
         return record.id
@@ -323,13 +338,14 @@ class Ledger:
         ):
             return Decision(False, ((span, frozenset()),), Reason.CONCEPT_UNSATISFIABLE)
 
-        subject = query.subject
-        matching = [c for c in self.consents
-                    if c.subject == subject and self._matches(c, query)]
+        applies = self._concept_match(query)
+        matching = [c for c in self._by_subject.get(query.subject, ())
+                    if applies(c.data_concept, c.recipient_concept)]
         runs = _runs(span, matching, query.action, query.access_at)
         if all(ids for _, ids in runs):
             return Decision(True, runs, Reason.OK)
-        return Decision(False, runs, self._denial_reason(query, matching, runs))
+        return Decision(False, runs,
+                        self._denial_reason(query, applies, matching, runs))
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
         interval = query.collected_interval
@@ -344,26 +360,37 @@ class Ledger:
                 f"{chronology.format_step(query.access_at)}"
             )
 
-    def _matches(self, consent: ConsentRecord, query: AuthzQuery) -> bool:
-        """Concept applicability, before any subject or time reasoning."""
-        graph = self.ontology
-        if query.mode is Mode.GUARANTEED:
-            return graph.subsumes(consent.data_concept, query.data_concept) and \
-                graph.subsumes(consent.recipient_concept, query.recipient_concept)
-        # Possible mode: nothing may rule the overlap out. are_disjoint already
-        # treats an unsatisfiable side as disjoint from everything.
-        return not graph.are_disjoint(consent.data_concept, query.data_concept) and \
-            not graph.are_disjoint(consent.recipient_concept, query.recipient_concept)
+    def _concept_match(self, query: AuthzQuery) -> Callable[[int, int], bool]:
+        """The matching predicate: does a consent's (data, recipient) apply?
 
-    def _denial_reason(self, query: AuthzQuery, matching: list[ConsentRecord],
-                       runs: tuple[Run, ...]) -> Reason:
+        Concept applicability only, before any subject or time reasoning.
+        The query's concepts were validated by `check`, and a consent's were
+        at its grant, so no kind is checked again per candidate.
+        """
+        graph = self.ontology
+        data_up = graph.ancestors(query.data_concept)
+        recipient_up = graph.ancestors(query.recipient_concept)
+        if query.mode is Mode.GUARANTEED:
+            # The consent's concepts subsume the query's.
+            return lambda data, recipient: data in data_up and recipient in recipient_up
+        # Possible mode: nothing may rule the overlap out, i.e. no disjoint
+        # pair sits over the union of either axis's ancestors (this also
+        # treats an unsatisfiable side as disjoint from everything).
+        clashes, up = graph.clashes, graph.ancestors
+        return lambda data, recipient: not clashes(up(data) | data_up) and \
+            not clashes(up(recipient) | recipient_up)
+
+    def _denial_reason(self, query: AuthzQuery, applies: Callable[[int, int], bool],
+                       matching: list[ConsentRecord], runs: tuple[Run, ...]) -> Reason:
         """Pick the most informative explanation for a denial.
 
         When applicable consents exist, the denial is a timing story: report
         the dominant failure cause across uncovered steps (retroactive
         withdrawal over non-retroactive over a plain grant-window miss).
         Only when no consent even matches the concepts and subject do the
-        structural reasons apply.
+        structural reasons apply. Then `applies` is asked once per distinct
+        concept pair in the ledger, not once per consent: the subject's own
+        pairs all failed it, so any pair that passes is another subject's.
 
         Each consent fails an uncovered step for one cause: withdrawal when
         the step is at or past its reach's hi, the grant window otherwise.
@@ -382,10 +409,7 @@ class Ledger:
                 else:
                     causes.add(Reason.WITHDRAWN_NON_RETRO)
             return min(causes, key=_DENIAL_RANK.__getitem__)
-        if any(
-            c.subject != query.subject and self._matches(c, query)
-            for c in self.consents
-        ):
+        if any(applies(data, recipient) for data, recipient in self._pairs):
             return Reason.SUBJECT_MISMATCH
         return Reason.NO_MATCHING_CONSENT
 

@@ -225,7 +225,7 @@ class ConceptGraph:
 
     def is_unsatisfiable(self, cid: int) -> bool:
         """True when cid sits below both sides of some disjoint pair."""
-        return self._clashes(self.ancestors(cid))
+        return self.clashes(self.ancestors(cid))
 
     def are_disjoint(self, a: int, b: int) -> bool:
         """True when no individual can fall under both concepts.
@@ -235,7 +235,12 @@ class ConceptGraph:
         """
         if self.kind_of(a) is not self.kind_of(b):
             raise KindMismatchError("disjointness never crosses data/recipient kinds")
-        return self._clashes(self.ancestors(a) | self.ancestors(b))
+        return self.clashes(self.ancestors(a) | self.ancestors(b))
 
-    def _clashes(self, anc: frozenset[int]) -> bool:
+    def clashes(self, anc: frozenset[int]) -> bool:
+        """True when some disjoint pair sits entirely inside anc.
+
+        No kind check: for callers that validated the concepts behind anc
+        once, as `Ledger.check` does per query.
+        """
         return any(p in anc and q in anc for p, q in self._disjoint)

@@ -97,7 +97,7 @@ class FiniteScenario:
 # -- naive concept reasoning ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _ancestor_set(edges: tuple[tuple[str, str], ...],
                   equivs: tuple[tuple[str, str], ...],
                   name: str) -> frozenset[str]:
@@ -146,7 +146,7 @@ def oracle_disjoint(facts: ConceptFacts, a: str, b: str) -> bool:
 # -- naive time coverage ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def oracle_collection_steps(consent: ConsentSpec, horizon: int) -> frozenset[int]:
     g, w = consent.granted_at, consent.withdrawn_at
     steps = set()
@@ -159,7 +159,9 @@ def oracle_collection_steps(consent: ConsentSpec, horizon: int) -> frozenset[int
     return frozenset(steps)
 
 
-@lru_cache(maxsize=None)
+# A region holds O(horizon**2) cells and is reused only within one scenario
+# (or one subject's reads), so a few dozen are kept, not every one ever built.
+@lru_cache(maxsize=32)
 def oracle_region(consent: ConsentSpec, horizon: int) -> frozenset[tuple[int, int]]:
     g, w = consent.granted_at, consent.withdrawn_at
     cells = set()

@@ -27,7 +27,7 @@ def test_format_parse_identity(step):
 
 @pytest.mark.parametrize("bad", ["T0", "T", "4", "Tx", "T-1", " T4", "T4 "])
 def test_parse_step_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(IntervalError):
         parse_step(bad)
 
 

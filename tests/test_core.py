@@ -29,6 +29,8 @@ from consentry.oracle import ConsentSpec, oracle_collection_steps, oracle_region
 
 ALICE = "alice"
 BOB = "bob"
+CAROL = "carol"
+DAVE = "dave"  # declared in the property below, never granted a consent
 
 steps_st = st.integers(min_value=1, max_value=8)
 
@@ -184,6 +186,17 @@ class TestLedgerCheck:
                                                mode=Mode.POSSIBLE))
         assert not decision.authorized
         assert decision.reason is Reason.NO_MATCHING_CONSENT
+
+    def test_possible_mode_blocks_disjoint_recipients(self):
+        led = fresh_ledger()
+        led.declare_recipient("Insurer")
+        led.declare_disjoint("Advertiser", "Insurer")
+        led.grant("Location", ALICE, "Insurer")
+        decision = led.check(led.collect_query("Location", ALICE, "Advertiser",
+                                               mode=Mode.POSSIBLE))
+        assert decision.reason is Reason.NO_MATCHING_CONSENT
+        assert led.check(led.collect_query("Location", ALICE, "Partner",
+                                           mode=Mode.POSSIBLE)).authorized
 
     def test_per_step_coverage_may_mix_consents(self):
         led = fresh_ledger()
@@ -520,8 +533,8 @@ def per_step_check(led, query):
             not g.are_disjoint(c.recipient_concept, query.recipient_concept)
 
     def covered_steps(c):
-        # Uncached: the oracle's cache would keep a region per consent of
-        # every example, up to T400 in the long-history property.
+        # Uncached: even the oracle's bounded cache would keep dozens of
+        # T400 regions, of 80k cells each, from the long-history property.
         t_a = query.access_at
         if query.action is ActionType.COLLECT:
             return oracle_collection_steps.__wrapped__(oracle_spec(c), t_a)
@@ -599,10 +612,12 @@ class TestClosedFormCoverage:
     def test_matches_per_step_reference(self, data, horizon):
         led = fresh_ledger()
         led.declare_data("Impossible", "WalkingRoute", "DrivingRoute")
+        led.declare_subject(CAROL)
+        led.declare_subject(DAVE)
         # Half the events land on the query's own step, where cuts bite.
         step_st = st.integers(1, horizon) | st.just(horizon)
         grants = data.draw(st.lists(st.tuples(
-            step_st, st.sampled_from(QUERY_DATA), st.sampled_from((ALICE, BOB)),
+            step_st, st.sampled_from(QUERY_DATA), st.sampled_from((ALICE, BOB, CAROL)),
             st.sampled_from(RECIPIENT_CHOICES), st.booleans()), max_size=8))
         withdrawals = data.draw(st.lists(st.tuples(
             step_st, st.integers(0, 7), st.booleans()), max_size=6))
@@ -621,7 +636,9 @@ class TestClosedFormCoverage:
         while led.now < horizon:
             led.advance()
         mode = data.draw(st.sampled_from(Mode))
-        subject = data.draw(st.sampled_from((ALICE, BOB)))
+        # Dave holds no consent: the subject index misses, and every pair
+        # another subject holds is a SUBJECT_MISMATCH candidate.
+        subject = data.draw(st.sampled_from((ALICE, BOB, CAROL, DAVE)))
         query_data = data.draw(st.sampled_from(QUERY_DATA))
         recipient = data.draw(st.sampled_from(RECIPIENT_CHOICES))
         if data.draw(st.booleans()):
@@ -674,3 +691,82 @@ class TestClosedFormCoverage:
         assert_runs_tile(decision, event.collected_interval)
         query = led.access_query("DeviceLocation", ALICE, "Advertiser")
         assert (decision.coverage, decision.reason) == per_step_check(led, query)
+
+
+# -- work per check: flat in the number of subjects ------------------------------
+
+OTHER_PAIRS = list(product(("Location", "Contacts", "WalkingRoute", "DrivingRoute",
+                            "CellLocation"), ("Partner", "Advertiser")))
+
+
+def crowded_ledger(others=1000):
+    """Alice holds three consents; `others` more sit with 100 other subjects
+    on the ten concept pairs of OTHER_PAIRS. Carol is known but holds none."""
+    led = fresh_ledger()
+    led.declare_subject(CAROL)
+    led.grant("Location", ALICE, "Partner")
+    led.grant("Contacts", ALICE, "Advertiser")
+    led.grant("WalkingRoute", ALICE, "Advertiser")
+    for i in range(others):
+        data, recipient = OTHER_PAIRS[i % len(OTHER_PAIRS)]
+        led.grant(data, f"s{i % 100}", recipient)
+    return led
+
+
+def count_work(led, monkeypatch):
+    """Record each call of the check's concept predicate and each kind check."""
+    calls = {"predicate": 0, "kind": 0}
+    build = led._concept_match
+    kind_of = led.ontology.kind_of
+
+    def counted_build(query):
+        applies = build(query)
+
+        def counted(data, recipient):
+            calls["predicate"] += 1
+            return applies(data, recipient)
+        return counted
+
+    def counted_kind_of(cid):
+        calls["kind"] += 1
+        return kind_of(cid)
+
+    monkeypatch.setattr(led, "_concept_match", counted_build)
+    monkeypatch.setattr(led.ontology, "kind_of", counted_kind_of)
+    return calls
+
+
+QUERIES = (  # (data, subject, recipient, expected reason)
+    ("DeviceLocation", ALICE, "Advertiser", Reason.OK),
+    ("DrivingRoute", ALICE, "Partner", Reason.SUBJECT_MISMATCH),
+    ("Data", ALICE, "Partner", Reason.NO_MATCHING_CONSENT),
+    ("Location", CAROL, "Partner", Reason.SUBJECT_MISMATCH),
+    ("Data", CAROL, "Partner", Reason.NO_MATCHING_CONSENT),
+)
+
+
+class TestCheckWork:
+    @pytest.mark.parametrize("data, subject, recipient, reason", QUERIES)
+    def test_predicate_runs_on_own_consents_and_distinct_pairs(
+            self, monkeypatch, data, subject, recipient, reason):
+        led = crowded_ledger()
+        calls = count_work(led, monkeypatch)
+        decision = led.check(led.collect_query(data, subject, recipient))
+        assert decision.reason is reason
+        own = sum(c.subject == subject for c in led.consents)
+        if reason is Reason.OK:
+            assert calls["predicate"] == own
+        else:
+            assert calls["predicate"] <= own + len(OTHER_PAIRS)
+
+    @pytest.mark.parametrize("data, subject, recipient, reason", QUERIES)
+    def test_kinds_are_checked_once_per_query(self, monkeypatch, data, subject,
+                                              recipient, reason):
+        counts = []
+        for others in (0, 1000):
+            led = crowded_ledger(others)
+            query = led.collect_query(data, subject, recipient)
+            calls = count_work(led, monkeypatch)
+            led.check(query)
+            counts.append(calls["kind"])
+        assert counts[0] == counts[1]

@@ -6,6 +6,7 @@ from consentry.core import ConsentRecord, Withdrawal, authorized_region
 from consentry.oracle import (
     ConceptFacts,
     ConsentSpec,
+    _ancestor_set,
     generate_scenario,
     oracle_collection_steps,
     oracle_disjoint,
@@ -75,6 +76,11 @@ class TestRegionShapes:
                 None if w is None else Withdrawal(w, wr))
             assert authorized_region(rec, horizon) == set(oracle_region(s, horizon)), \
                 f"region mismatch for g={g} gr={gr} w={w} wr={wr}"
+
+    def test_memo_caches_are_bounded(self):
+        # Regions hold O(horizon**2) cells; a long process must not keep them all.
+        for memo in (oracle_region, oracle_collection_steps, _ancestor_set):
+            assert memo.cache_info().maxsize is not None
 
 
 class TestConceptOracle:
