@@ -37,6 +37,7 @@ from typing import Callable
 
 from .chronology import StepInterval
 from .core import ActionType, Ledger
+from .errors import InvalidValueError
 
 REPS = 5
 SUBJECT = "datasubject1"
@@ -55,9 +56,9 @@ class BenchScenario:
     def __post_init__(self):
         if self.name not in _SETUPS:
             known = ", ".join(scenario_names())
-            raise ValueError(f"unknown scenario {self.name!r} (known: {known})")
+            raise InvalidValueError(f"unknown scenario {self.name!r} (known: {known})")
         if self.steps < 1:
-            raise ValueError(f"need at least one step, got {self.steps}")
+            raise InvalidValueError(f"need at least one step, got {self.steps}")
 
 
 @dataclass

@@ -27,7 +27,7 @@ from datetime import timedelta
 
 from . import bench, monitor
 from .chronology import format_step
-from .errors import ConsentryError
+from .errors import ConsentryError, InvalidValueError
 from .script import RunReport, run_script
 
 STEP_DURATION_ENV = "CONSENT_STEP_DURATION"
@@ -39,18 +39,21 @@ _DURATION = re.compile(
 
 def parse_duration(text: str) -> timedelta:
     raw = text.strip()
-    if raw.isdigit():
-        value = timedelta(seconds=int(raw))
+    if raw.isdecimal():
+        parts = {"s": int(raw)}
     else:
         m = _DURATION.match(raw)
         if m is None or not any(m.groupdict().values()):
-            raise ValueError(
+            raise InvalidValueError(
                 f"cannot parse duration {text!r} (use forms like 1d, 12h, 90m, 30s)")
         parts = {k: int(v) for k, v in m.groupdict().items() if v}
+    try:
         value = timedelta(days=parts.get("d", 0), hours=parts.get("h", 0),
                           minutes=parts.get("m", 0), seconds=parts.get("s", 0))
+    except OverflowError:
+        raise InvalidValueError(f"duration {text!r} is too long") from None
     if value <= timedelta(0):
-        raise ValueError("step duration must be positive")
+        raise InvalidValueError("step duration must be positive")
     return value
 
 
@@ -129,10 +132,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _step_duration(args: argparse.Namespace) -> timedelta:
     text = args.step_duration or os.environ.get(STEP_DURATION_ENV) \
         or DEFAULT_STEP_DURATION
-    try:
-        return parse_duration(text)
-    except ValueError as err:
-        raise ConsentryError(str(err)) from None
+    return parse_duration(text)
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
@@ -142,10 +142,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     duration = _step_duration(args)
     epoch = None  # the earliest instant either log mentions
     if args.epoch:
-        try:
-            epoch = monitor.parse_instant(args.epoch)
-        except ValueError as err:
-            raise ConsentryError(str(err)) from None
+        epoch = monitor.parse_instant(args.epoch)
     report = monitor.scan(manifest, consent_log, access_log, epoch, duration)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
@@ -158,12 +155,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        if args.reps < 1:
-            raise ValueError(f"need at least one repetition, got {args.reps}")
-        scenario = bench.BenchScenario(args.scenario, args.steps, args.seed)
-    except ValueError as err:
-        raise ConsentryError(str(err)) from None
+    if args.reps < 1:
+        raise InvalidValueError(f"need at least one repetition, got {args.reps}")
+    scenario = bench.BenchScenario(args.scenario, args.steps, args.seed)
     series = bench.run_scenario(scenario, reps=args.reps)
     csv_text = bench.to_csv(series)
     if args.out and args.out != "-":

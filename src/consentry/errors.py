@@ -34,6 +34,14 @@ class DeclarationError(OntologyError):
     """The declaration is malformed on its own, e.g. names too few concepts."""
 
 
+class InvalidValueError(ConsentryError, ValueError):
+    """A value handed in from outside is malformed or out of range: a
+    timestamp, a step duration, a repetition count or a bench scenario.
+
+    It is a ValueError too, so a caller may catch it as one.
+    """
+
+
 class IntervalError(ConsentryError):
     """A step interval was constructed or used with impossible bounds."""
 

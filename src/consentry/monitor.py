@@ -45,6 +45,7 @@ from typing import Iterable, Iterator, Union
 from .core import Ledger, Reason
 from .errors import (
     ConsentryError,
+    InvalidValueError,
     LogFormatError,
     LogOrderError,
     MonitorError,
@@ -62,22 +63,26 @@ ACCESS_ACTIONS = ("collect", "access")
 def parse_instant(value: str) -> datetime:
     """Parse an ISO-8601 instant; naive values are taken as UTC."""
     if not isinstance(value, str):
-        raise ValueError(f"expected an ISO-8601 timestamp, got {value!r}")
+        raise InvalidValueError(f"expected an ISO-8601 timestamp, got {value!r}")
     raw = value.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
-    ts = datetime.fromisoformat(raw)
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        ts = datetime.fromisoformat(raw)
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        return ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError):  # malformed, or outside years 1-9999 in UTC
+        raise InvalidValueError(
+            f"expected an ISO-8601 timestamp in years 1-9999, got {value!r}") from None
 
 
 def map_to_step(epoch: datetime, instant: datetime, step_duration: timedelta) -> int:
     """Place a wall-clock instant onto the 1-based step grid."""
     if step_duration <= timedelta(0):
-        raise ValueError(f"step duration must be positive, got {step_duration}")
+        raise InvalidValueError(f"step duration must be positive, got {step_duration}")
     if instant < epoch:
-        raise ValueError(f"instant {instant.isoformat()} precedes the epoch")
+        raise InvalidValueError(f"instant {instant.isoformat()} precedes the epoch")
     return (instant - epoch) // step_duration + 1
 
 
@@ -131,7 +136,7 @@ def _field(payload: dict, key: str, line: int) -> str:
 def _instant_field(payload: dict, key: str, line: int) -> datetime:
     try:
         return parse_instant(_field(payload, key, line))
-    except ValueError as err:
+    except InvalidValueError as err:
         raise LogFormatError(str(err), line) from None
 
 
@@ -304,7 +309,7 @@ def _step_of(epoch: datetime, instant: datetime, step_duration: timedelta,
     """`map_to_step`, with a failure reported against its log line."""
     try:
         return map_to_step(epoch, instant, step_duration)
-    except ValueError as err:
+    except InvalidValueError as err:
         raise MonitorError(str(err), line, source) from None
 
 

@@ -3,14 +3,28 @@
 One graph holds two hierarchies that never mix: data categories under the
 Data root and recipient roles under the Recipient root. Declarations only
 ever add facts. Nothing is removed or renamed, so any subsumption answer
-that was once provable stays provable, and caches only need flushing when
-an existing concept gains edges.
+that was once provable stays provable, and cached ancestor sets only need
+flushing when an existing concept gains edges.
 
 Reasoning model: a concept's ancestors are everything reachable from it
 over parent edges plus equivalence edges (walked in both directions).
-Subsumption is reachability; two concepts are declared-or-inherited
-disjoint when some recorded disjoint pair sits above both sides; a concept
-is unsatisfiable when one recorded pair sits entirely above it.
+Subsumption is reachability. A set of concepts clashes when both sides of
+some recorded disjoint pair lie inside it: two concepts are disjoint when
+the union of their ancestors clashes, and a concept is unsatisfiable when
+its own ancestors do.
+
+Cost: disjoint pairs live in a partner index, concept -> the concepts
+declared disjoint from it, each pair filed under one of its sides. A clash
+test walks the smaller of the set and the index, with one lookup and one
+set intersection per step, so it costs O(min(|set|, |index|)) steps, not
+O(|disjoint pairs|). Ancestor sets and satisfiability verdicts are cached
+per concept, and `_flush` drops both whenever an ancestor set can change:
+when an existing concept gains a parent, and when an equivalence is
+recorded or rolled back. A disjointness declaration changes no ancestor
+set and drops only the verdicts. The equivalence guard re-judges only the
+protected concepts whose ancestors hold either side, since no other
+ancestor set can change; an equivalence away from the recorded history
+costs no clash test at all.
 """
 
 from __future__ import annotations
@@ -51,8 +65,9 @@ class ConceptGraph:
         self._by_name: dict[str, int] = {}
         self._parents: dict[int, set[int]] = {}
         self._equiv: dict[int, set[int]] = {}
-        self._disjoint: set[tuple[int, int]] = set()
+        self._partners: dict[int, set[int]] = {}
         self._reach: dict[int, frozenset[int]] = {}
+        self._unsat: dict[int, bool] = {}
         self._roots: dict[ConceptKind, int] = {}
         for kind in ConceptKind:
             self._roots[kind] = self._add(_ROOT_NAMES[kind], kind)
@@ -136,7 +151,7 @@ class ConceptGraph:
             fresh = [p for p in parent_ids if p != existing and p not in self._parents[existing]]
             if fresh:
                 self._parents[existing].update(fresh)
-                self._reach.clear()
+                self._flush()
             return existing
 
         cid = self._add(name, kind)
@@ -156,15 +171,19 @@ class ConceptGraph:
             raise KindMismatchError(f"cannot equate {a!r} with {b!r}: different kinds")
         if aid in self.ancestors(bid) and bid in self.ancestors(aid):
             return  # already mutually subsumed, nothing new to record
-        guarded = [p for p in protected if not self.is_unsatisfiable(p)]
+        # Only concepts that already reach a side gain ancestors by the edge.
+        sides = (aid, bid)
+        guarded = [p for p in protected
+                   if not self.ancestors(p).isdisjoint(sides)
+                   and not self.is_unsatisfiable(p)]
         self._equiv[aid].add(bid)
         self._equiv[bid].add(aid)
-        self._reach.clear()
+        self._flush()
         broken = [p for p in guarded if self.is_unsatisfiable(p)]
         if broken:
             self._equiv[aid].discard(bid)
             self._equiv[bid].discard(aid)
-            self._reach.clear()
+            self._flush()
             names = ", ".join(sorted(self.name_of(p) for p in broken))
             raise ConsistencyError(
                 f"equating {a!r} with {b!r} would contradict recorded events on: {names}"
@@ -186,8 +205,17 @@ class ConceptGraph:
                     f"cannot declare {na!r} disjoint from {nb!r}: "
                     "they are related by subsumption"
                 )
-            pairs.append((ia, ib) if ia <= ib else (ib, ia))
-        self._disjoint.update(pairs)  # recorded only once all pairs check out
+            pairs.append((ia, ib))
+        # Recorded only once all pairs check out, each under one side: a
+        # clash needs both sides inside the set, so a walk meets that side.
+        for ia, ib in pairs:
+            self._partners.setdefault(ia, set()).add(ib)
+        self._unsat.clear()
+
+    def _flush(self) -> None:
+        """Forget cached ancestor sets and the verdicts drawn from them."""
+        self._reach.clear()
+        self._unsat.clear()
 
     # -- reasoning -------------------------------------------------------
 
@@ -225,7 +253,10 @@ class ConceptGraph:
 
     def is_unsatisfiable(self, cid: int) -> bool:
         """True when cid sits below both sides of some disjoint pair."""
-        return self.clashes(self.ancestors(cid))
+        verdict = self._unsat.get(cid)
+        if verdict is None:
+            verdict = self._unsat[cid] = self.clashes(self.ancestors(cid))
+        return verdict
 
     def are_disjoint(self, a: int, b: int) -> bool:
         """True when no individual can fall under both concepts.
@@ -243,4 +274,9 @@ class ConceptGraph:
         No kind check: for callers that validated the concepts behind anc
         once, as `Ledger.check` does per query.
         """
-        return any(p in anc and q in anc for p, q in self._disjoint)
+        partners = self._partners
+        for p in anc if len(anc) <= len(partners) else partners:
+            others = partners.get(p)
+            if others is not None and p in anc and not anc.isdisjoint(others):
+                return True
+        return False

@@ -1,15 +1,19 @@
 import json
 import subprocess
 import sys
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from consentry import monitor
+from consentry import cli, monitor
+from consentry.bench import BenchScenario
 from consentry.cli import main, parse_duration, STEP_DURATION_ENV
+from consentry.errors import ConsentryError
 
 from conftest import golden_path
 
+EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
+DAY = timedelta(days=1)
 MANIFEST_TEXT = "new data Telemetry Data\nnew recipient Analytics\n"
 
 
@@ -60,6 +64,32 @@ class TestDurations:
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
             parse_duration(text)
+
+
+@pytest.mark.parametrize("reject", [
+    lambda: BenchScenario("quantum", steps=5),
+    lambda: BenchScenario("steps", steps=0),
+    lambda: monitor.parse_instant("yesterday"),
+    lambda: monitor.parse_instant(20260101),
+    lambda: monitor.parse_instant("0001-01-01T00:00:00+05:00"),
+    lambda: monitor.map_to_step(EPOCH, EPOCH - timedelta(seconds=1), DAY),
+    lambda: monitor.map_to_step(EPOCH, EPOCH, timedelta(0)),
+    lambda: parse_duration("soon"),
+    lambda: parse_duration("0s"),
+    lambda: parse_duration("9999999999d"),
+    lambda: parse_duration("9" * 20),
+    lambda: parse_duration("\u00b2"),  # a digit to str.isdigit, not to int()
+    lambda: cli.cmd_simulate(cli.build_parser().parse_args(
+        ["simulate", "--scenario", "steps", "--steps", "3", "--reps", "0"])),
+], ids=["scenario", "steps", "garbage-instant", "non-text-instant",
+        "instant-out-of-range", "before-epoch", "zero-step", "bad-duration",
+        "zero-duration", "huge-duration", "huge-seconds", "superscript-digit",
+        "reps"])
+def test_rejected_values_are_consentry_errors(reject):
+    # Each is a bad value, so it stays catchable as a ValueError too.
+    with pytest.raises(ConsentryError) as err:
+        reject()
+    assert isinstance(err.value, ValueError)
 
 
 class TestRun:
@@ -179,6 +209,15 @@ class TestMonitor:
 
     def test_bad_duration_exits_two(self, tmp_path, capsys):
         rc = main(["monitor", "--step-duration", "soon", *monitor_files(tmp_path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--step-duration", "9999999999d"],
+        ["--epoch", "0001-01-01T00:00:00+05:00"],
+    ], ids=["duration", "epoch"])
+    def test_out_of_range_value_exits_two(self, tmp_path, capsys, flags):
+        rc = main(["monitor", *flags, *monitor_files(tmp_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 

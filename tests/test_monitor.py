@@ -141,6 +141,7 @@ class TestConsentLogParsing:
         (lambda r: r.pop("timestamp"), "timestamp"),
         (lambda r: r.update(retroactive="yes"), "retroactive"),
         (lambda r: r.update(action="revoke"), "revoke"),
+        (lambda r: r.update(timestamp="0001-01-01T00:00:00+05:00"), "0001-01-01"),
     ])
     def test_bad_records(self, mangle, missing):
         rec = grant(1, "c1", "D", "s", "R")

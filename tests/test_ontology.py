@@ -1,6 +1,9 @@
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from consentry.errors import (
     ConsistencyError,
@@ -271,3 +274,163 @@ class TestRandomizedProperties:
         graph.declare_equivalent(rng.choice(names), rng.choice(names))
         for a, b in before:
             assert graph.subsumes(a, b), "append retracted a subsumption answer"
+
+
+def count_clashes(graph, monkeypatch):
+    """Record every ancestor set `graph.clashes` is asked about."""
+    asked = []
+    real = graph.clashes
+
+    def counted(anc):
+        asked.append(anc)
+        return real(anc)
+
+    monkeypatch.setattr(graph, "clashes", counted)
+    return asked
+
+
+class TestClashWork:
+    """Structural bounds on clash tests left by the memo and the guard scope."""
+
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_unrelated_protected_concepts_cost_nothing(self, graph, monkeypatch, n):
+        graph.declare_concept("A", DATA, [])
+        graph.declare_concept("B", DATA, [])
+        graph.declare_disjoint(("A", "B"))
+        graph.declare_concept("X", DATA, ["A"])
+        graph.declare_concept("Y", DATA, ["B"])
+        protected = [graph.declare_concept(f"P{i}", DATA, []) for i in range(n)]
+        asked = count_clashes(graph, monkeypatch)
+        graph.declare_equivalent("X", "Y", protected=protected)
+        assert asked == []
+
+    def test_protected_concepts_that_reach_a_side_are_judged(self, graph, monkeypatch):
+        # One before and one after the edge, whichever side each reaches.
+        graph.declare_concept("A", DATA, [])
+        graph.declare_concept("B", DATA, [])
+        graph.declare_disjoint(("A", "B"))
+        graph.declare_concept("X", DATA, [])
+        graph.declare_concept("Y", DATA, [])
+        below_x = graph.declare_concept("BelowX", DATA, ["X", "A"])
+        below_y = graph.declare_concept("BelowY", DATA, ["Y"])
+        unrelated = graph.declare_concept("Other", DATA, ["B"])
+        asked = count_clashes(graph, monkeypatch)
+        graph.declare_equivalent("X", "Y", protected=[below_x, below_y, unrelated])
+        assert len(asked) == 4
+
+    def test_repeated_verdicts_are_memoised(self, graph, monkeypatch):
+        ids = declare_chain(graph, "A", "B", "C")
+        graph.declare_concept("D", DATA, [])
+        graph.declare_disjoint(("A", "D"))
+        dead = graph.declare_concept("Dead", DATA, ["C", "D"])
+        ids.append(dead)
+        asked = count_clashes(graph, monkeypatch)
+        for _ in range(3):
+            assert [graph.is_unsatisfiable(c) for c in ids] == \
+                [False, False, False, True]
+        assert len(asked) == len(ids)
+        # A fresh parent flushes: each verdict is worked out once more.
+        graph.declare_concept("B", DATA, ["D"])
+        for _ in range(3):
+            assert [graph.is_unsatisfiable(c) for c in ids] == [False, True, True, True]
+        assert len(asked) == 2 * len(ids)
+
+
+# A diamond to start from (C under A and B, D under C): one disjointness
+# can then make concepts unsatisfiable that were judged before it.
+BASE = {"A": [], "B": [], "C": ["A", "B"], "D": ["C"], "E": []}
+POOL = ["Data", *BASE]
+names_st = st.sampled_from(list(BASE))
+ontology_steps = st.lists(st.one_of(
+    st.tuples(st.just("parents"), names_st, st.lists(names_st, min_size=1, max_size=2)),
+    st.tuples(st.just("equivalent"), names_st, names_st, st.booleans()),
+    st.tuples(st.just("disjoint"), st.lists(names_st, min_size=2, max_size=3)),
+    st.tuples(st.just("query"), names_st),
+), min_size=3, max_size=20)
+
+
+class NaiveGraph:
+    """All-pairs reference: the naive closure, and a scan of every pair."""
+
+    def __init__(self):
+        self.edges = [(n, p) for n, ps in BASE.items() for p in ps or ["Data"]]
+        self.equivs: list[tuple[str, str]] = []
+        self.pairs: list[tuple[str, str]] = []
+
+    def closure(self, equivs=None) -> dict[str, set[str]]:
+        return support.naive_reachability(
+            list(BASE), self.edges, self.equivs if equivs is None else equivs)
+
+    def clashes(self, names: set[str]) -> bool:
+        return any(p in names and q in names for p, q in self.pairs)
+
+
+class TestCachesNeverStale:
+    """Interleaved declarations keep every cached verdict equal to a rescan."""
+
+    @staticmethod
+    def step(graph, naive, op):
+        """Apply op to both graphs; the naive one predicts any rejection."""
+        kind, *args = op
+        up = naive.closure()
+        if kind == "parents":  # re-declaring with a fresh parent flushes
+            name, parents = args
+            graph.declare_concept(name, DATA, parents)
+            naive.edges += [(name, p) for p in parents]
+        elif kind == "equivalent":
+            a, b, guard = args
+            protected = POOL if guard else []
+            after = naive.closure([*naive.equivs, (a, b)])
+            broken = [p for p in protected
+                      if not naive.clashes(up[p]) and naive.clashes(after[p])]
+            noop = a in up[b] and b in up[a]
+            ids = [graph.lookup(p) for p in protected]
+            if broken and not noop:
+                with pytest.raises(ConsistencyError):
+                    graph.declare_equivalent(a, b, protected=ids)
+            else:
+                graph.declare_equivalent(a, b, protected=ids)
+                naive.equivs.append((a, b))
+        elif kind == "disjoint":
+            names, = args
+            refused = any(
+                (x in up[y] or y in up[x])
+                and not (naive.clashes(up[x]) or naive.clashes(up[y]))
+                for x, y in combinations(names, 2))
+            if refused:
+                with pytest.raises(ConsistencyError):
+                    graph.declare_disjoint(names)
+            else:
+                graph.declare_disjoint(names)
+                naive.pairs.extend(combinations(names, 2))
+        else:
+            name, = args
+            assert graph.is_unsatisfiable(graph.lookup(name)) == naive.clashes(up[name])
+
+    @staticmethod
+    def agree(graph, naive):
+        """Every verdict the graph gives, cached or not, equals the rescan."""
+        up = naive.closure()
+        ids = {n: graph.lookup(n) for n in POOL}
+        for n in POOL:
+            assert graph.is_unsatisfiable(ids[n]) == naive.clashes(up[n]), n
+        for x, y in product(POOL, repeat=2):
+            both = up[x] | up[y]
+            expected = naive.clashes(both)
+            assert graph.are_disjoint(ids[x], ids[y]) == expected, (x, y)
+            assert graph.clashes(frozenset(ids[n] for n in both)) == expected, (x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ontology_steps)
+    # C is dead once A and B are disjoint; equating it with E must be
+    # refused for E's sake, although E does not reach C.
+    @example([("disjoint", ["A", "B"]), ("equivalent", "C", "E", True),
+              ("query", "E")])
+    def test_verdicts_match_a_rescan_after_every_step(self, ops):
+        graph, naive = ConceptGraph(), NaiveGraph()
+        for name, parents in BASE.items():
+            graph.declare_concept(name, DATA, parents)
+        self.agree(graph, naive)  # fills the caches the first step may stale
+        for op in ops:
+            self.step(graph, naive, op)
+            self.agree(graph, naive)
