@@ -19,7 +19,6 @@ from .core import (
     Reason,
     Withdrawal,
     authorized_region,
-    purpose_compatible,
 )
 from .errors import ConsentryError
 from .monitor import ViolationReport, scan, translate_to_script
@@ -51,7 +50,6 @@ __all__ = [
     "parse_script",
     "parse_step",
     "print_program",
-    "purpose_compatible",
     "run_script",
     "scan",
     "translate_to_script",

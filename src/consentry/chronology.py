@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import IntervalError
 
-_STEP_TOKEN = re.compile(r"T([0-9]+)\Z")
+# A step token is 'T' and decimal digits, nothing else: 'T1x' is not one.
+STEP_TOKEN = re.compile(r"T([0-9]+)\Z")
 
 
 def advance(step: int) -> int:
@@ -29,12 +30,15 @@ def format_step(step: int) -> str:
 
 def parse_step(token: str) -> int:
     """Parse a textual step token such as 'T4'."""
-    m = _STEP_TOKEN.match(token)
+    m = STEP_TOKEN.match(token)
     if m is None:
         raise IntervalError(f"not a step token: {token!r}")
-    step = int(m.group(1))
+    try:
+        step = int(m.group(1))
+    except ValueError:  # more digits than int() converts (sys.set_int_max_str_digits)
+        raise IntervalError(f"step token has too many digits ({len(token) - 1})") from None
     if step < 1:
-        raise IntervalError(f"steps are 1-based, got {token!r}")
+        raise IntervalError(f"time steps start at T1, found {token!r}")
     return step
 
 

@@ -33,24 +33,23 @@ from .script import RunReport, run_script
 STEP_DURATION_ENV = "CONSENT_STEP_DURATION"
 DEFAULT_STEP_DURATION = "1d"
 
-_DURATION = re.compile(
-    r"(?:(?P<d>\d+)d)?(?:(?P<h>\d+)h)?(?:(?P<m>\d+)m)?(?:(?P<s>\d+)s)?\Z")
+_DURATION = re.compile(r"(?:(?P<days>\d+)d)?(?:(?P<hours>\d+)h)?"
+                       r"(?:(?P<minutes>\d+)m)?(?:(?P<seconds>\d+)s)?\Z")
 
 
 def parse_duration(text: str) -> timedelta:
     raw = text.strip()
     if raw.isdecimal():
-        parts = {"s": int(raw)}
+        parts = {"seconds": raw}
     else:
         m = _DURATION.match(raw)
         if m is None or not any(m.groupdict().values()):
             raise InvalidValueError(
                 f"cannot parse duration {text!r} (use forms like 1d, 12h, 90m, 30s)")
-        parts = {k: int(v) for k, v in m.groupdict().items() if v}
+        parts = m.groupdict()
     try:
-        value = timedelta(days=parts.get("d", 0), hours=parts.get("h", 0),
-                          minutes=parts.get("m", 0), seconds=parts.get("s", 0))
-    except OverflowError:
+        value = timedelta(**{unit: int(n) for unit, n in parts.items() if n})
+    except (OverflowError, ValueError):  # ValueError: more digits than int() converts
         raise InvalidValueError(f"duration {text!r} is too long") from None
     if value <= timedelta(0):
         raise InvalidValueError("step duration must be positive")

@@ -171,11 +171,6 @@ class Decision:
     runs: tuple[Run, ...]
     reason: Reason
 
-    @property
-    def coverage(self) -> dict[int, frozenset[int]]:
-        """Per-step view of `runs`: each collection step to its covering ids."""
-        return {step: ids for run, ids in self.runs for step in run.steps()}
-
 
 @dataclass(frozen=True)
 class EventRecord:
@@ -487,10 +482,3 @@ def authorized_region(consent: ConsentRecord, horizon: int) -> set[tuple[int, in
         for t_c in range(1, t_a + 1)
         if consent.authorizes_access(t_c, t_a)
     }
-
-
-def purpose_compatible(graph: ConceptGraph, existing_data: int, existing_recipient: int,
-                       new_data: int, new_recipient: int) -> bool:
-    """True when a new purpose stays within an existing one on both axes."""
-    return graph.subsumes(existing_data, new_data) and \
-        graph.subsumes(existing_recipient, new_recipient)

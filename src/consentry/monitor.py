@@ -42,6 +42,7 @@ from heapq import merge as _heap_merge
 from itertools import chain
 from typing import Iterable, Iterator, Union
 
+from .chronology import StepInterval, format_step
 from .core import Ledger, Reason
 from .errors import (
     ConsentryError,
@@ -121,6 +122,10 @@ def _record_lines(text: str) -> Iterable[tuple[int, dict]]:
             payload = json.loads(line)
         except json.JSONDecodeError as err:
             raise LogFormatError(f"not valid JSON: {err.msg}", line_no) from None
+        except ValueError:  # more digits than int() converts
+            raise LogFormatError("not valid JSON: an integer is too long", line_no) from None
+        except RecursionError:
+            raise LogFormatError("not valid JSON: nested too deeply", line_no) from None
         if not isinstance(payload, dict):
             raise LogFormatError("each record must be a JSON object", line_no)
         yield line_no, payload
@@ -236,10 +241,9 @@ class Violation:
     reason: Reason
 
     def describe(self) -> str:
-        where = f"T{self.step}"
+        where = format_step(self.step)
         if self.collected_steps is not None:
-            lo, hi = self.collected_steps
-            where += f" of data collected in [T{lo}, T{hi})"
+            where += f" of data collected in {StepInterval(*self.collected_steps)}"
         return (f"line {self.log_line}: {self.action} {self.data_concept} "
                 f"subject={self.subject} recipient={self.recipient_concept} "
                 f"at {where}: {self.reason.value}")

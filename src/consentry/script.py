@@ -34,11 +34,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Union
 
-from .chronology import StepInterval
+from .chronology import STEP_TOKEN, StepInterval, format_step, parse_step
 from .core import ActionType, EventRecord, Ledger, Mode
-from .errors import ConsentryError, ExecutionError, LexError, ParseError
+from .errors import ConsentryError, ExecutionError, IntervalError, LexError, ParseError
 
 KEYWORDS = frozenset({
     "new", "data", "recipient", "disjoint", "equiv",
@@ -48,7 +51,10 @@ KEYWORDS = frozenset({
 })
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TIME = re.compile(r"T[0-9]+\Z")
+# Blanks, then one lexeme: a word (a label if ':' leads it), a comment, the
+# end of the line, or a character that starts no token. Every position
+# matches, so `finditer` walks a line without skipping anything.
+_LEXEME = re.compile(rf"[ \t]*(?:(:?)({_WORD.pattern})|#|\Z|(.))")
 
 
 class TokenKind(Enum):
@@ -66,37 +72,31 @@ class Token:
     column: int
 
 
+@lru_cache(maxsize=4096)  # scripts repeat their names, so most words are judged once
+def _word_kind(word: str) -> TokenKind:
+    """What a bare word means: a keyword, a time step such as T3, or a name."""
+    if word in KEYWORDS:
+        return TokenKind.KEYWORD
+    if STEP_TOKEN.match(word):
+        return TokenKind.TIME
+    return TokenKind.NAME
+
+
 def tokenize(text: str) -> list[Token]:
     """Split source text into tokens. Comments and blank lines vanish."""
     tokens: list[Token] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch in " \t\r":
-                pos += 1
-                continue
-            if ch == "#":
-                break
-            if ch == ":":
-                m = _WORD.match(line, pos + 1)
-                if m is None:
-                    raise LexError(line_no, pos + 1, "expected a label name after ':'")
-                tokens.append(Token(TokenKind.LABEL, m.group(), line_no, pos + 1))
-                pos = m.end()
-                continue
-            m = _WORD.match(line, pos)
-            if m is None:
-                raise LexError(line_no, pos + 1, f"illegal character {ch!r}")
-            word = m.group()
-            if word in KEYWORDS:
-                kind = TokenKind.KEYWORD
-            elif _TIME.match(word):
-                kind = TokenKind.TIME
+        for m in _LEXEME.finditer(line):
+            colon, word, bad = m.groups()
+            if word is not None:
+                kind = TokenKind.LABEL if colon else _word_kind(word)
+                tokens.append(Token(kind, word, line_no, m.start(1) + 1))
+            elif bad is None:
+                break  # a comment or the end of the line
+            elif bad == ":":
+                raise LexError(line_no, m.start(3) + 1, "expected a label name after ':'")
             else:
-                kind = TokenKind.NAME
-            tokens.append(Token(kind, word, line_no, pos + 1))
-            pos = m.end()
+                raise LexError(line_no, m.start(3) + 1, f"illegal character {bad!r}")
     return tokens
 
 
@@ -201,29 +201,25 @@ class _Cursor:
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, what: str) -> Token:
+    def expect(self, kind: TokenKind, what: str) -> Token:
         tok = self.peek()
         if tok is None:
             raise ParseError(self.line, f"expected {what}, found end of line")
+        if tok.kind is not kind:
+            raise ParseError(self.line, f"expected {what}, found {tok.text!r}")
         self.pos += 1
         return tok
 
     def name(self, what: str) -> str:
-        tok = self.take(what)
-        if tok.kind is not TokenKind.NAME:
-            raise ParseError(self.line, f"expected {what}, found {tok.text!r}")
-        return tok.text
+        return self.expect(TokenKind.NAME, what).text
 
     def label(self, what: str) -> str:
-        tok = self.take(what)
-        if tok.kind is not TokenKind.LABEL:
-            raise ParseError(self.line, f"expected {what}, found {tok.text!r}")
-        return tok.text
+        return self.expect(TokenKind.LABEL, what).text
 
     def keyword(self, *options: str) -> str:
         what = " or ".join(f"'{o}'" for o in options)
-        tok = self.take(what)
-        if tok.kind is not TokenKind.KEYWORD or tok.text not in options:
+        tok = self.expect(TokenKind.KEYWORD, what)
+        if tok.text not in options:
             raise ParseError(self.line, f"expected {what}, found {tok.text!r}")
         return tok.text
 
@@ -235,13 +231,11 @@ class _Cursor:
         return False
 
     def time(self) -> int:
-        tok = self.take("a time step like T3")
-        if tok.kind is not TokenKind.TIME:
-            raise ParseError(self.line, f"expected a time step like T3, found {tok.text!r}")
-        value = int(tok.text[1:])
-        if value < 1:
-            raise ParseError(self.line, f"time steps start at T1, found {tok.text!r}")
-        return value
+        tok = self.expect(TokenKind.TIME, "a time step like T3")
+        try:
+            return parse_step(tok.text)
+        except IntervalError as err:
+            raise ParseError(self.line, str(err)) from None
 
     def finish(self) -> None:
         tok = self.peek()
@@ -250,14 +244,9 @@ class _Cursor:
 
 
 def parse(tokens: list[Token]) -> list[Statement]:
-    """Group tokens by line and parse each line as one statement."""
-    statements: list[Statement] = []
-    by_line: dict[int, list[Token]] = {}
-    for tok in tokens:
-        by_line.setdefault(tok.line, []).append(tok)
-    for line in sorted(by_line):
-        statements.append(_parse_statement(_Cursor(by_line[line], line)))
-    return statements
+    """Parse each line's tokens, in order, as one statement."""
+    return [_parse_statement(_Cursor(list(line_tokens), line))
+            for line, line_tokens in groupby(tokens, key=attrgetter("line"))]
 
 
 def parse_script(text: str) -> list[Statement]:
@@ -351,9 +340,9 @@ def print_statement(stmt: Statement) -> str:
     if isinstance(stmt, Access):
         parts = [f"access {stmt.data} {stmt.subject} {stmt.recipient}"]
         if stmt.start is not None:
-            parts.append(f"T{stmt.start}")
+            parts.append(format_step(stmt.start))
             if stmt.end is not None:
-                parts.append(f"T{stmt.end}")
+                parts.append(format_step(stmt.end))
         return " ".join(parts)
     if isinstance(stmt, Step):
         return "step"
@@ -377,7 +366,7 @@ def unprintable_name(stmt: Statement) -> str | None:
         return stmt.label
     if isinstance(stmt, (Grant, Collect, Access)):
         for name in (stmt.data, stmt.subject, stmt.recipient):
-            if not _WORD.fullmatch(name) or name in KEYWORDS or _TIME.match(name):
+            if not _WORD.fullmatch(name) or _word_kind(name) is not TokenKind.NAME:
                 return name
     return None
 
@@ -505,11 +494,11 @@ def _note(led: Ledger, stmt: Statement,
     if isinstance(stmt, NewEquiv):
         return "declared equivalent"
     if isinstance(stmt, Grant):
-        return f"granted :{stmt.label} at T{led.now}"
+        return f"granted :{stmt.label} at {format_step(led.now)}"
     if isinstance(stmt, Withdraw):
-        return f"withdrew :{stmt.label} at T{led.now}"
+        return f"withdrew :{stmt.label} at {format_step(led.now)}"
     if isinstance(stmt, Step):
-        return f"advanced to T{led.now}"
+        return f"advanced to {format_step(led.now)}"
     return "declared"
 
 
@@ -519,7 +508,8 @@ def _access_interval(stmt: Access) -> StepInterval | None:
     if stmt.end is None:
         return StepInterval.single(stmt.start)
     if stmt.end <= stmt.start:
-        raise ExecutionError(stmt.line, f"empty interval [T{stmt.start}, T{stmt.end})")
+        raise ExecutionError(stmt.line, f"empty interval [{format_step(stmt.start)}, "
+                                        f"{format_step(stmt.end)})")
     return StepInterval(stmt.start, stmt.end)
 
 

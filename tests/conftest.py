@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from support import digit_limit
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # The five canonical scripts with their expected assume counts.
@@ -27,3 +29,11 @@ def golden_path(name: str) -> Path:
 
 def golden_text(name: str) -> str:
     return golden_path(name).read_text(encoding="utf-8")
+
+
+@pytest.fixture(params=[4300, 0], ids=["digit-limit", "no-digit-limit"])
+def int_digit_limit(request) -> int:
+    """Run the test under CPython's default cap on int-string digits, then
+    with the cap off (0), whatever the interpreter was started with."""
+    with digit_limit(request.param):
+        yield request.param

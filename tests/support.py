@@ -10,12 +10,16 @@ its own naive code path; the two must agree.
 from __future__ import annotations
 
 import random
+import re
+import sys
+from contextlib import contextmanager
 
 from consentry.chronology import StepInterval
 from consentry.core import ActionType, AuthzQuery, Ledger, Mode
-from consentry.errors import ConsistencyError
+from consentry.errors import ConsistencyError, LexError
 from consentry.ontology import ConceptGraph, ConceptKind
 from consentry.oracle import FiniteScenario
+from consentry.script import KEYWORDS, Token, TokenKind
 
 _MODES = {"guaranteed": Mode.GUARANTEED, "possible": Mode.POSSIBLE}
 _ACTIONS = {"collect": ActionType.COLLECT, "access": ActionType.ACCESS}
@@ -133,3 +137,53 @@ def naive_reachability(names: list[str], edges: list[tuple[str, str]],
                     frontier.append(nxt)
         closure[start] = seen
     return closure
+
+
+@contextmanager
+def digit_limit(limit: int):
+    """Set CPython's cap on int-string digits (0 means none) for the block."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+_REF_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_TIME = re.compile(r"T[0-9]+\Z")
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The script lexer as a per-character loop, kept as the reference that
+    `script.tokenize` must agree with, token for token and error for error."""
+    tokens: list[Token] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        pos = 0
+        while pos < len(line):
+            ch = line[pos]
+            if ch in " \t\r":
+                pos += 1
+                continue
+            if ch == "#":
+                break
+            if ch == ":":
+                m = _REF_WORD.match(line, pos + 1)
+                if m is None:
+                    raise LexError(line_no, pos + 1, "expected a label name after ':'")
+                tokens.append(Token(TokenKind.LABEL, m.group(), line_no, pos + 1))
+                pos = m.end()
+                continue
+            m = _REF_WORD.match(line, pos)
+            if m is None:
+                raise LexError(line_no, pos + 1, f"illegal character {ch!r}")
+            word = m.group()
+            if word in KEYWORDS:
+                kind = TokenKind.KEYWORD
+            elif _REF_TIME.match(word):
+                kind = TokenKind.TIME
+            else:
+                kind = TokenKind.NAME
+            tokens.append(Token(kind, word, line_no, pos + 1))
+            pos = m.end()
+    return tokens

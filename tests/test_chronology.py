@@ -87,3 +87,12 @@ def test_membership_agrees_with_enumeration(start, extra):
     enumerated = set(interval.steps())
     for step in range(1, 70):
         assert (step in interval) == (step in enumerated)
+
+
+def test_parse_step_beyond_the_int_digit_limit(int_digit_limit):
+    token = "T" + "9" * 5000
+    if int_digit_limit:
+        with pytest.raises(IntervalError):
+            parse_step(token)
+    else:
+        assert parse_step(token) == 10**5000 - 1

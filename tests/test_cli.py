@@ -79,12 +79,14 @@ class TestDurations:
     lambda: parse_duration("9999999999d"),
     lambda: parse_duration("9" * 20),
     lambda: parse_duration("\u00b2"),  # a digit to str.isdigit, not to int()
+    lambda: parse_duration("9" * 5000),  # past CPython's int-string digit cap
+    lambda: parse_duration("9" * 5000 + "s"),
     lambda: cli.cmd_simulate(cli.build_parser().parse_args(
         ["simulate", "--scenario", "steps", "--steps", "3", "--reps", "0"])),
 ], ids=["scenario", "steps", "garbage-instant", "non-text-instant",
         "instant-out-of-range", "before-epoch", "zero-step", "bad-duration",
         "zero-duration", "huge-duration", "huge-seconds", "superscript-digit",
-        "reps"])
+        "digits-bare", "digits-unit", "reps"])
 def test_rejected_values_are_consentry_errors(reject):
     # Each is a bad value, so it stays catchable as a ValueError too.
     with pytest.raises(ConsentryError) as err:
@@ -215,7 +217,8 @@ class TestMonitor:
     @pytest.mark.parametrize("flags", [
         ["--step-duration", "9999999999d"],
         ["--epoch", "0001-01-01T00:00:00+05:00"],
-    ], ids=["duration", "epoch"])
+        ["--step-duration", "9" * 5000],
+    ], ids=["duration", "epoch", "duration-digits"])
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, flags):
         rc = main(["monitor", *flags, *monitor_files(tmp_path)])
         assert rc == 2

@@ -14,7 +14,6 @@ from consentry.core import (
     Reason,
     Withdrawal,
     authorized_region,
-    purpose_compatible,
 )
 from consentry.errors import (
     AlreadyWithdrawnError,
@@ -165,7 +164,7 @@ class TestLedgerCheck:
         decision = led.check(led.collect_query("DeviceLocation", ALICE, "Advertiser"))
         assert decision.authorized
         assert decision.reason is Reason.OK
-        assert decision.coverage == {1: frozenset({0})}
+        assert per_step_coverage(decision) == {1: frozenset({0})}
 
     def test_guaranteed_needs_subsumption_not_union(self):
         # Children together span the parent, but no single consent subsumes
@@ -209,7 +208,7 @@ class TestLedgerCheck:
         decision = led.check(led.access_query("Location", ALICE, "Partner",
                                               StepInterval(1, 4)))
         assert decision.authorized
-        assert decision.coverage == {
+        assert per_step_coverage(decision) == {
             1: frozenset({c_old, c_retro}),
             2: frozenset({c_old, c_retro}),
             3: frozenset({c_retro}),
@@ -223,8 +222,9 @@ class TestLedgerCheck:
         decision = led.check(led.access_query("Location", ALICE, "Partner",
                                               StepInterval(1, 4)))
         assert not decision.authorized
-        assert decision.coverage[1] == frozenset()
-        assert decision.coverage[2] and decision.coverage[3]
+        coverage = per_step_coverage(decision)
+        assert coverage[1] == frozenset()
+        assert coverage[2] and coverage[3]
         assert decision.reason is Reason.OUTSIDE_GRANT_WINDOW
 
     def test_default_access_interval_spans_history(self):
@@ -251,7 +251,7 @@ class TestDenialReasons:
         led.grant("Location", ALICE, "Partner")
         decision = led.check(led.collect_query("Impossible", ALICE, "Partner"))
         assert decision.reason is Reason.CONCEPT_UNSATISFIABLE
-        assert decision.coverage == {1: frozenset()}
+        assert per_step_coverage(decision) == {1: frozenset()}
 
     def test_subject_mismatch_when_only_other_subjects_match(self):
         led = fresh_ledger()
@@ -429,29 +429,6 @@ class TestEquivalenceInQueries:
         assert via_new.authorized and via_old.authorized
 
 
-class TestPurposeCompatibility:
-    def test_narrower_purpose_is_compatible(self):
-        led = fresh_ledger()
-        g = led.ontology
-        assert purpose_compatible(
-            g, g.lookup("Location"), g.lookup("Partner"),
-            g.lookup("DeviceLocation"), g.lookup("Advertiser"))
-
-    def test_broader_purpose_is_not(self):
-        led = fresh_ledger()
-        g = led.ontology
-        assert not purpose_compatible(
-            g, g.lookup("DeviceLocation"), g.lookup("Advertiser"),
-            g.lookup("Location"), g.lookup("Partner"))
-
-    def test_both_axes_must_narrow(self):
-        led = fresh_ledger()
-        g = led.ontology
-        assert not purpose_compatible(
-            g, g.lookup("Location"), g.lookup("Advertiser"),
-            g.lookup("DeviceLocation"), g.lookup("Partner"))
-
-
 DATA_CHOICES = ("Location", "DeviceLocation", "CellLocation", "WalkingRoute")
 RECIPIENT_CHOICES = ("Partner", "Advertiser")
 
@@ -577,6 +554,11 @@ def per_step_check(led, query):
     return coverage, min(found, key=DENIAL_ORDER.index)
 
 
+def per_step_coverage(decision):
+    """`decision.runs` as one entry per collection step: step -> covering ids."""
+    return {step: ids for run, ids in decision.runs for step in run.steps()}
+
+
 def assert_runs_tile(decision, interval):
     """Runs are in order, contiguous, span the query, and are maximal."""
     runs = decision.runs
@@ -652,7 +634,7 @@ class TestClosedFormCoverage:
             query = replace(query, access_at=data.draw(st.integers(hi, led.now)))
         decision = led.check(query)
         coverage, reason = per_step_check(led, query)
-        assert decision.coverage == coverage
+        assert per_step_coverage(decision) == coverage
         assert decision.reason is reason
         assert decision.authorized == (reason is Reason.OK)
         assert_runs_tile(decision, query.collected_interval)
@@ -690,7 +672,7 @@ class TestClosedFormCoverage:
         assert len(decision.runs) <= 2 * len(consents) + 1
         assert_runs_tile(decision, event.collected_interval)
         query = led.access_query("DeviceLocation", ALICE, "Advertiser")
-        assert (decision.coverage, decision.reason) == per_step_check(led, query)
+        assert (per_step_coverage(decision), decision.reason) == per_step_check(led, query)
 
 
 # -- work per check: flat in the number of subjects ------------------------------

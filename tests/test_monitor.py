@@ -159,6 +159,23 @@ class TestConsentLogParsing:
             parse_consent_log(jl(withdraw(1, "c1")) + "{oops\n")
         assert err.value.line == 2
 
+    def test_long_integer_in_an_ignored_field(self, int_digit_limit):
+        record = json.dumps(withdraw(1, "c1"))[:-1] + ', "note": ' + "9" * 5000 + "}"
+        text = jl(withdraw(1, "c0")) + record + "\n"
+        if not int_digit_limit:
+            assert len(parse_consent_log(text)) == 2
+            return
+        with pytest.raises(LogFormatError) as err:
+            parse_consent_log(text)
+        assert err.value.line == 2
+
+    def test_deep_nesting_in_an_ignored_field(self):
+        nested = "[" * 100_000 + "]" * 100_000
+        record = json.dumps(withdraw(1, "c1"))[:-1] + f', "note": {nested}}}'
+        with pytest.raises(LogFormatError) as err:
+            parse_consent_log(jl(withdraw(1, "c0")) + record + "\n")
+        assert err.value.line == 2
+
     def test_backwards_timestamps(self):
         with pytest.raises(LogOrderError) as err:
             parse_consent_log(jl(withdraw(5, "c1"), withdraw(4, "c2")))

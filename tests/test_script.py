@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from consentry.core import Ledger
-from consentry.errors import ExecutionError, LexError, ParseError
+from consentry.errors import ConsentryError, ExecutionError, LexError, ParseError
 from consentry.script import (
     Access,
     Assume,
@@ -27,6 +29,7 @@ from consentry.script import (
 )
 
 from conftest import GOLDEN_SCRIPTS, golden_text
+from support import reference_tokenize
 
 
 class TestTokenize:
@@ -66,6 +69,33 @@ class TestTokenize:
     def test_dangling_colon(self):
         with pytest.raises(LexError):
             tokenize("withdraw :")
+
+
+# Word characters plus every character the lexer treats specially: blanks,
+# splitlines() separators (\r, \x0c, \x85, \n), a label colon, a comment
+# mark, and two characters no token may hold.
+LEXER_ALPHABET = st.sampled_from(
+    list("aTz_Z09") + [":", "#", " ", "\t", "\r", "\x0c", "\x85", "\xe9", "@", "\n"])
+
+
+def _lex_outcome(lex, text):
+    try:
+        return lex(text)
+    except LexError as err:
+        return (err.line, err.column, err.message)
+
+
+class TestTokenizeAgainstReference:
+    @settings(max_examples=500)
+    @given(st.text(LEXER_ALPHABET, max_size=40)
+           | st.lists(st.sampled_from(["new", "T", "T1", "7", "x", ":c1", ": ", "#",
+                                       "\n", " ", "\t", "\r\n", "@", "a:b", "step"]),
+                      max_size=12).map("".join))
+    @example("grant retro A s R :c1 # note\n\n  access A s R T1 T120\n")
+    @example("step\x85collect A@b C")
+    @example("ok\x0c  :\n")
+    def test_same_tokens_or_same_error(self, text):
+        assert _lex_outcome(tokenize, text) == _lex_outcome(reference_tokenize, text)
 
 
 class TestParse:
@@ -169,6 +199,17 @@ def random_program(rng: random.Random) -> list:
                        rng.choice((Collect(name(), name(), name()), access()))),
     ]
     return [rng.choice(makers)() for _ in range(rng.randint(1, 30))]
+
+
+class TestTimeTokenDigits:
+    def test_too_many_digits_is_an_error_on_its_line(self, int_digit_limit):
+        # With CPython's cap on int-string digits the parser refuses the
+        # token; without it the step lies in the future and execution does.
+        with pytest.raises(ConsentryError) as err:
+            run_script("new data A Data\naccess A b C T" + "9" * 5000)
+        assert err.value.line == 2
+        if int_digit_limit:
+            assert isinstance(err.value, ParseError)
 
 
 class TestRoundTrip:
@@ -316,6 +357,26 @@ class TestExecutionErrors:
         with pytest.raises(ExecutionError) as err:
             run_script("new data X Data\ngrant X s R :c1\ngrant X s R :c1\n")
         assert err.value.line == 3
+
+
+class TestEquivalenceGuardScope:
+    BASE = """\
+new data B Data
+new data C Data
+new disjoint B C
+new data A B
+grant A s R :c1
+collect A s R
+"""
+
+    def test_the_guard_covers_equivalences_only(self):
+        # As docs/language.md says: a fresh parent that makes A unsatisfiable
+        # is accepted, the equivalence with the same effect is refused.
+        report = run_script(self.BASE + "new data A C\nassume true collect A s R\n")
+        assert [a.actual for a in report.assumes] == [False]
+        with pytest.raises(ExecutionError) as err:
+            run_script(self.BASE + "new equiv A C\n")
+        assert err.value.line == 7
 
 
 class TestGoldenScripts:
