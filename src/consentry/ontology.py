@@ -18,13 +18,13 @@ declared disjoint from it, each pair filed under one of its sides. A clash
 test walks the smaller of the set and the index, with one lookup and one
 set intersection per step, so it costs O(min(|set|, |index|)) steps, not
 O(|disjoint pairs|). Ancestor sets and satisfiability verdicts are cached
-per concept, and `_flush` drops both whenever an ancestor set can change:
-when an existing concept gains a parent, and when an equivalence is
-recorded or rolled back. A disjointness declaration changes no ancestor
-set and drops only the verdicts. The equivalence guard re-judges only the
-protected concepts whose ancestors hold either side, since no other
-ancestor set can change; an equivalence away from the recorded history
-costs no clash test at all.
+per concept. A fresh parent of an existing concept, or an equivalence
+recorded or rolled back, changes only the ancestor sets that hold that
+concept or a side, so `_flush` drops just those entries and their
+verdicts. A disjointness declaration changes no ancestor set and drops
+only the verdicts. The equivalence guard re-judges only the protected
+concepts whose ancestors hold either side, for the same reason; an
+equivalence away from the recorded history costs no clash test at all.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class ConceptGraph:
             fresh = [p for p in parent_ids if p != existing and p not in self._parents[existing]]
             if fresh:
                 self._parents[existing].update(fresh)
-                self._flush()
+                self._flush((existing,))
             return existing
 
         cid = self._add(name, kind)
@@ -178,12 +178,12 @@ class ConceptGraph:
                    and not self.is_unsatisfiable(p)]
         self._equiv[aid].add(bid)
         self._equiv[bid].add(aid)
-        self._flush()
+        self._flush(sides)
         broken = [p for p in guarded if self.is_unsatisfiable(p)]
         if broken:
             self._equiv[aid].discard(bid)
             self._equiv[bid].discard(aid)
-            self._flush()
+            self._flush(sides)
             names = ", ".join(sorted(self.name_of(p) for p in broken))
             raise ConsistencyError(
                 f"equating {a!r} with {b!r} would contradict recorded events on: {names}"
@@ -212,10 +212,11 @@ class ConceptGraph:
             self._partners.setdefault(ia, set()).add(ib)
         self._unsat.clear()
 
-    def _flush(self) -> None:
-        """Forget cached ancestor sets and the verdicts drawn from them."""
-        self._reach.clear()
-        self._unsat.clear()
+    def _flush(self, changed: tuple[int, ...]) -> None:
+        """Forget the cached ancestor sets holding a changed concept, and their verdicts."""
+        for cid in [c for c, anc in self._reach.items() if not anc.isdisjoint(changed)]:
+            del self._reach[cid]
+            self._unsat.pop(cid, None)
 
     # -- reasoning -------------------------------------------------------
 

@@ -27,6 +27,11 @@ Assume statements evaluate their inner action without recording an
 event. A failed assume does not stop the run; it flips the report's
 overall verdict. Semantic errors (unknown names, impossible intervals)
 abort execution with the offending line.
+
+Front end cost: one pass over the lines, and no token objects. Each line
+is split into its words once, each distinct word is classified once (the
+classifier is memoised), and the statement is built straight from the
+words by its head keyword. `tokenize` is a view over the same line lexer.
 """
 
 from __future__ import annotations
@@ -35,12 +40,10 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import groupby
-from operator import attrgetter
 from typing import Iterable, Union
 
 from .chronology import STEP_TOKEN, StepInterval, format_step, parse_step
-from .core import ActionType, EventRecord, Ledger, Mode
+from .core import ActionType, EventRecord, Ledger
 from .errors import ConsentryError, ExecutionError, IntervalError, LexError, ParseError
 
 KEYWORDS = frozenset({
@@ -51,10 +54,8 @@ KEYWORDS = frozenset({
 })
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# Blanks, then one lexeme: a word (a label if ':' leads it), a comment, the
-# end of the line, or a character that starts no token. Every position
-# matches, so `finditer` walks a line without skipping anything.
-_LEXEME = re.compile(rf"[ \t]*(?:(:?)({_WORD.pattern})|#|\Z|(.))")
+# Blanks, then a word, a label (':' and a word) or one character that starts neither.
+_LEXEME = re.compile(rf"[ \t]*(:?{_WORD.pattern}|[^ \t])")
 
 
 class TokenKind(Enum):
@@ -72,31 +73,48 @@ class Token:
     column: int
 
 
-@lru_cache(maxsize=4096)  # scripts repeat their names, so most words are judged once
-def _word_kind(word: str) -> TokenKind:
-    """What a bare word means: a keyword, a time step such as T3, or a name."""
+@lru_cache(maxsize=4096)  # scripts repeat their words, so most are judged once
+def _word_kind(word: str) -> TokenKind | None:
+    """What one lexeme means: a keyword, a label such as :c1, a time step
+    such as T3, or a name; None for anything that is not one lexeme."""
     if word in KEYWORDS:
         return TokenKind.KEYWORD
-    if STEP_TOKEN.match(word):
-        return TokenKind.TIME
-    return TokenKind.NAME
+    if _WORD.fullmatch(word):
+        return TokenKind.TIME if STEP_TOKEN.match(word) else TokenKind.NAME
+    if word[:1] == ":" and _WORD.fullmatch(word, 1):
+        return TokenKind.LABEL
+    return None
+
+
+def _lex(line: str, line_no: int) -> tuple[list[str], list[TokenKind]]:
+    """One line's lexemes, labels with their ':', and the kind of each."""
+    words = _LEXEME.findall(line.partition("#")[0])
+    kinds = list(map(_word_kind, words))
+    if None in kinds:
+        bad = kinds.index(None)
+        message = "expected a label name after ':'" if words[bad] == ":" else \
+            f"illegal character {words[bad]!r}"
+        raise LexError(line_no, _columns(line, words[:bad + 1])[bad], message)
+    return words, kinds
+
+
+def _columns(line: str, words: list[str]) -> list[int]:
+    """Where each of a line's lexemes starts (1-based); only blanks lie between."""
+    columns, pos = [], 0
+    for word in words:
+        pos = line.index(word, pos)
+        columns.append(pos + 1)
+        pos += len(word)
+    return columns
 
 
 def tokenize(text: str) -> list[Token]:
     """Split source text into tokens. Comments and blank lines vanish."""
     tokens: list[Token] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        for m in _LEXEME.finditer(line):
-            colon, word, bad = m.groups()
-            if word is not None:
-                kind = TokenKind.LABEL if colon else _word_kind(word)
-                tokens.append(Token(kind, word, line_no, m.start(1) + 1))
-            elif bad is None:
-                break  # a comment or the end of the line
-            elif bad == ":":
-                raise LexError(line_no, m.start(3) + 1, "expected a label name after ':'")
-            else:
-                raise LexError(line_no, m.start(3) + 1, f"illegal character {bad!r}")
+        words, kinds = _lex(line, line_no)
+        for word, kind, column in zip(words, kinds, _columns(line, words)):
+            tokens.append(Token(kind, word.lstrip(":"), line_no, column))
     return tokens
 
 
@@ -187,134 +205,111 @@ Statement = Union[
 ]
 
 
-class _Cursor:
-    """One statement's worth of tokens with expectation-style consumption."""
-
-    def __init__(self, tokens: list[Token], line: int):
-        self.tokens = tokens
-        self.line = line
-        self.pos = 0
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(self.line, f"expected {what}, found end of line")
-        if tok.kind is not kind:
-            raise ParseError(self.line, f"expected {what}, found {tok.text!r}")
-        self.pos += 1
-        return tok
-
-    def name(self, what: str) -> str:
-        return self.expect(TokenKind.NAME, what).text
-
-    def label(self, what: str) -> str:
-        return self.expect(TokenKind.LABEL, what).text
-
-    def keyword(self, *options: str) -> str:
-        what = " or ".join(f"'{o}'" for o in options)
-        tok = self.expect(TokenKind.KEYWORD, what)
-        if tok.text not in options:
-            raise ParseError(self.line, f"expected {what}, found {tok.text!r}")
-        return tok.text
-
-    def match_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == word:
-            self.pos += 1
-            return True
-        return False
-
-    def time(self) -> int:
-        tok = self.expect(TokenKind.TIME, "a time step like T3")
-        try:
-            return parse_step(tok.text)
-        except IntervalError as err:
-            raise ParseError(self.line, str(err)) from None
-
-    def finish(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(self.line, f"unexpected trailing {tok.text!r}")
-
-
-def parse(tokens: list[Token]) -> list[Statement]:
-    """Parse each line's tokens, in order, as one statement."""
-    return [_parse_statement(_Cursor(list(line_tokens), line))
-            for line, line_tokens in groupby(tokens, key=attrgetter("line"))]
+def parse(text: str) -> list[Statement]:
+    """Parse each line that holds a token, in order, as one statement."""
+    statements = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        words, kinds = _lex(line, line_no)
+        if words:
+            try:
+                statements.append(_statement(words, kinds, line_no))
+            except ParseError:
+                tokenize(text)  # a lex error on any line outranks a parse error
+                raise
+    return statements
 
 
 def parse_script(text: str) -> list[Statement]:
-    return parse(tokenize(text))
+    return parse(text)
 
 
-def _parse_statement(cur: _Cursor) -> Statement:
-    head = cur.keyword("new", "grant", "withdraw", "collect", "access", "step", "assume")
-    if head == "new":
-        stmt = _parse_new(cur)
-    elif head == "grant":
-        retro = cur.match_keyword("retro")
-        data = cur.name("a data concept")
-        subject = cur.name("a data subject")
-        recipient = cur.name("a recipient")
-        label = cur.label("a consent label like :consent1")
-        stmt = Grant(data, subject, recipient, label, retro, line=cur.line)
-    elif head == "withdraw":
-        retro = cur.match_keyword("retro")
-        stmt = Withdraw(cur.label("a consent label"), retro, line=cur.line)
-    elif head == "collect":
-        stmt = _parse_collect(cur)
-    elif head == "access":
-        stmt = _parse_access(cur)
+# The kinds a run of words must have, and how errors describe each word.
+_ACTION = ([TokenKind.NAME] * 3, ("a data concept", "a data subject", "a recipient"))
+_GRANT = (_ACTION[0] + [TokenKind.LABEL], _ACTION[1] + ("a consent label like :consent1",))
+_WITHDRAW = ([TokenKind.LABEL], ("a consent label",))
+_NEW_DATA = ([TokenKind.NAME] * 2, ("a concept name", "a parent concept"))
+_NEW_RECIPIENT = ([TokenKind.NAME], ("a recipient name",))
+_HEADS = ("new", "grant", "withdraw", "collect", "access", "step", "assume")
+
+
+def _statement(words: list[str], kinds: list[TokenKind], line: int) -> Statement:
+    """Build one line's statement straight from its words, by its head keyword."""
+    head = _keyword(words, 0, _HEADS, line)
+    if head == "assume":
+        expected = _keyword(words, 1, ("true", "false"), line)
+        _keyword(words, 2, ("collect", "access"), line)
+        action, end = _action(words, kinds, 2, line)
+        stmt = Assume(expected == "true", action, line)
+    elif head == "collect" or head == "access":
+        stmt, end = _action(words, kinds, 0, line)
+    elif head == "new":
+        what = _keyword(words, 1, ("data", "recipient", "disjoint", "equiv"), line)
+        if what == "data":
+            stmt, end = NewData(*_take(words, kinds, 2, _NEW_DATA, line), line), 4
+        elif what == "recipient":
+            stmt, end = NewRecipient(*_take(words, kinds, 2, _NEW_RECIPIENT, line), line), 3
+        else:
+            end = 4 if what == "equiv" else max(len(words), 4)
+            names = _take(words, kinds, 2, ([TokenKind.NAME] * (end - 2),
+                                             ("a concept name",) * (end - 2)), line)
+            stmt = NewEquiv(*names, line) if what == "equiv" else NewDisjoint(tuple(names), line)
     elif head == "step":
-        stmt = Step(line=cur.line)
+        stmt, end = Step(line), 1
     else:
-        expected = cur.keyword("true", "false")
-        inner_head = cur.keyword("collect", "access")
-        inner = _parse_collect(cur) if inner_head == "collect" else _parse_access(cur)
-        stmt = Assume(expected == "true", inner, line=cur.line)
-    cur.finish()
+        retro = words[1:2] == ["retro"]
+        end = 2 if retro else 1
+        if head == "grant":
+            *names, label = _take(words, kinds, end, _GRANT, line)
+            stmt, end = Grant(*names, label[1:], retro, line), end + 4
+        else:
+            label, = _take(words, kinds, end, _WITHDRAW, line)
+            stmt, end = Withdraw(label[1:], retro, line), end + 1
+    if end < len(words):
+        raise ParseError(line, f"unexpected trailing {words[end].lstrip(':')!r}")
     return stmt
 
 
-def _parse_new(cur: _Cursor) -> Statement:
-    what = cur.keyword("data", "recipient", "disjoint", "equiv")
-    if what == "data":
-        return NewData(cur.name("a concept name"), cur.name("a parent concept"),
-                       line=cur.line)
-    if what == "recipient":
-        return NewRecipient(cur.name("a recipient name"), line=cur.line)
-    if what == "equiv":
-        return NewEquiv(cur.name("a concept name"), cur.name("a concept name"),
-                        line=cur.line)
-    names = [cur.name("a concept name"), cur.name("a concept name")]
-    while not cur.done():
-        names.append(cur.name("a concept name"))
-    return NewDisjoint(tuple(names), line=cur.line)
+def _action(words: list[str], kinds: list[TokenKind], at: int,
+            line: int) -> tuple[Collect | Access, int]:
+    """The collect or access whose keyword is words[at], and where it ends."""
+    names = _take(words, kinds, at + 1, _ACTION, line)
+    end = at + 4
+    if words[at] == "collect":
+        return Collect(*names, line), end
+    steps = [None, None]
+    try:
+        for i in (0, 1):
+            if end == len(words) or kinds[end] is not TokenKind.TIME:
+                break
+            steps[i] = parse_step(words[end])
+            end += 1
+    except IntervalError as err:
+        raise ParseError(line, str(err)) from None
+    return Access(*names, *steps, line), end
 
 
-def _parse_collect(cur: _Cursor) -> Collect:
-    return Collect(cur.name("a data concept"), cur.name("a data subject"),
-                   cur.name("a recipient"), line=cur.line)
+def _keyword(words: list[str], at: int, options: tuple[str, ...], line: int) -> str:
+    """words[at], which must be one of the keywords in options."""
+    if at < len(words) and words[at] in options:  # a label keeps its ':'
+        return words[at]
+    raise _expected(" or ".join(f"'{o}'" for o in options), words, at, line)
 
 
-def _parse_access(cur: _Cursor) -> Access:
-    data = cur.name("a data concept")
-    subject = cur.name("a data subject")
-    recipient = cur.name("a recipient")
-    start = end = None
-    tok = cur.peek()
-    if tok is not None and tok.kind is TokenKind.TIME:
-        start = cur.time()
-        tok = cur.peek()
-        if tok is not None and tok.kind is TokenKind.TIME:
-            end = cur.time()
-    return Access(data, subject, recipient, start, end, line=cur.line)
+def _take(words: list[str], kinds: list[TokenKind], at: int,
+          slots: tuple[list[TokenKind], tuple[str, ...]], line: int) -> list[str]:
+    """The words from at on, which must have the kinds that slots lists."""
+    want, whats = slots
+    end = at + len(want)
+    if kinds[at:end] != want:
+        bad = next(i for i, kind in enumerate(want, at)
+                   if i >= len(kinds) or kinds[i] is not kind)
+        raise _expected(whats[bad - at], words, bad, line)
+    return words[at:end]
+
+
+def _expected(what: str, words: list[str], at: int, line: int) -> ParseError:
+    found = repr(words[at].lstrip(":")) if at < len(words) else "end of line"
+    return ParseError(line, f"expected {what}, found {found}")
 
 
 # -- canonical rendering -----------------------------------------------------
@@ -362,11 +357,11 @@ def unprintable_name(stmt: Statement) -> str | None:
     A label may be any word; a name must also be neither a keyword nor a
     time token such as T3. Declarations are not checked.
     """
-    if isinstance(stmt, (Grant, Withdraw)) and not _WORD.fullmatch(stmt.label):
+    if isinstance(stmt, (Grant, Withdraw)) and _word_kind(":" + stmt.label) is None:
         return stmt.label
     if isinstance(stmt, (Grant, Collect, Access)):
         for name in (stmt.data, stmt.subject, stmt.recipient):
-            if not _WORD.fullmatch(name) or _word_kind(name) is not TokenKind.NAME:
+            if _word_kind(name) is not TokenKind.NAME:
                 return name
     return None
 
@@ -420,8 +415,8 @@ def execute(statements: list[Statement], ledger: Ledger | None = None) -> RunRep
             raise ExecutionError(stmt.line, str(err)) from err
         if isinstance(result, AssumeResult):
             assumes.append(result)
-        outcomes.append(StatementOutcome(stmt.line, print_statement(stmt),
-                                         _note(led, stmt, result)))
+        text = result.statement if isinstance(result, AssumeResult) else print_statement(stmt)
+        outcomes.append(StatementOutcome(stmt.line, text, _note(led, stmt, result)))
     return RunReport(outcomes, assumes, list(led.events), led.now, led)
 
 

@@ -13,13 +13,18 @@ import random
 import re
 import sys
 from contextlib import contextmanager
+from itertools import groupby
+from operator import attrgetter
 
-from consentry.chronology import StepInterval
+from consentry.chronology import StepInterval, parse_step
 from consentry.core import ActionType, AuthzQuery, Ledger, Mode
-from consentry.errors import ConsistencyError, LexError
+from consentry.errors import ConsistencyError, IntervalError, LexError, ParseError
 from consentry.ontology import ConceptGraph, ConceptKind
 from consentry.oracle import FiniteScenario
-from consentry.script import KEYWORDS, Token, TokenKind
+from consentry.script import (
+    KEYWORDS, Access, Assume, Collect, Grant, NewData, NewDisjoint, NewEquiv,
+    NewRecipient, Statement, Step, Token, TokenKind, Withdraw,
+)
 
 _MODES = {"guaranteed": Mode.GUARANTEED, "possible": Mode.POSSIBLE}
 _ACTIONS = {"collect": ActionType.COLLECT, "access": ActionType.ACCESS}
@@ -187,3 +192,130 @@ def reference_tokenize(text: str) -> list[Token]:
             tokens.append(Token(kind, word, line_no, pos + 1))
             pos = m.end()
     return tokens
+
+
+def reference_parse(text: str) -> list[Statement]:
+    """The script parser as a token cursor over `reference_tokenize`, kept as
+    the reference that `script.parse_script` must agree with, statement for
+    statement and error for error. The whole text is lexed before any line
+    is parsed, so a lex error on any line comes before a parse error."""
+    tokens = reference_tokenize(text)
+    return [_RefCursor(list(line_tokens), line).statement()
+            for line, line_tokens in groupby(tokens, key=attrgetter("line"))]
+
+
+class _RefCursor:
+    """One statement's worth of tokens with expectation-style consumption."""
+
+    def __init__(self, tokens: list[Token], line: int):
+        self.tokens = tokens
+        self.line = line
+        self.pos = 0
+
+    def done(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def expect(self, kind: TokenKind, what: str) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(self.line, f"expected {what}, found end of line")
+        if tok.kind is not kind:
+            raise ParseError(self.line, f"expected {what}, found {tok.text!r}")
+        self.pos += 1
+        return tok
+
+    def name(self, what: str) -> str:
+        return self.expect(TokenKind.NAME, what).text
+
+    def label(self, what: str) -> str:
+        return self.expect(TokenKind.LABEL, what).text
+
+    def keyword(self, *options: str) -> str:
+        what = " or ".join(f"'{o}'" for o in options)
+        tok = self.expect(TokenKind.KEYWORD, what)
+        if tok.text not in options:
+            raise ParseError(self.line, f"expected {what}, found {tok.text!r}")
+        return tok.text
+
+    def match_keyword(self, word: str) -> bool:
+        tok = self.peek()
+        if tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == word:
+            self.pos += 1
+            return True
+        return False
+
+    def time(self) -> int:
+        tok = self.expect(TokenKind.TIME, "a time step like T3")
+        try:
+            return parse_step(tok.text)
+        except IntervalError as err:
+            raise ParseError(self.line, str(err)) from None
+
+    def finish(self) -> None:
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(self.line, f"unexpected trailing {tok.text!r}")
+
+    def statement(self) -> Statement:
+        head = self.keyword("new", "grant", "withdraw", "collect", "access", "step",
+                            "assume")
+        if head == "new":
+            stmt = self.new()
+        elif head == "grant":
+            retro = self.match_keyword("retro")
+            data = self.name("a data concept")
+            subject = self.name("a data subject")
+            recipient = self.name("a recipient")
+            label = self.label("a consent label like :consent1")
+            stmt = Grant(data, subject, recipient, label, retro, line=self.line)
+        elif head == "withdraw":
+            retro = self.match_keyword("retro")
+            stmt = Withdraw(self.label("a consent label"), retro, line=self.line)
+        elif head == "collect":
+            stmt = self.collect()
+        elif head == "access":
+            stmt = self.access()
+        elif head == "step":
+            stmt = Step(line=self.line)
+        else:
+            expected = self.keyword("true", "false")
+            inner_head = self.keyword("collect", "access")
+            inner = self.collect() if inner_head == "collect" else self.access()
+            stmt = Assume(expected == "true", inner, line=self.line)
+        self.finish()
+        return stmt
+
+    def new(self) -> Statement:
+        what = self.keyword("data", "recipient", "disjoint", "equiv")
+        if what == "data":
+            return NewData(self.name("a concept name"), self.name("a parent concept"),
+                           line=self.line)
+        if what == "recipient":
+            return NewRecipient(self.name("a recipient name"), line=self.line)
+        if what == "equiv":
+            return NewEquiv(self.name("a concept name"), self.name("a concept name"),
+                            line=self.line)
+        names = [self.name("a concept name"), self.name("a concept name")]
+        while not self.done():
+            names.append(self.name("a concept name"))
+        return NewDisjoint(tuple(names), line=self.line)
+
+    def collect(self) -> Collect:
+        return Collect(self.name("a data concept"), self.name("a data subject"),
+                       self.name("a recipient"), line=self.line)
+
+    def access(self) -> Access:
+        data = self.name("a data concept")
+        subject = self.name("a data subject")
+        recipient = self.name("a recipient")
+        start = end = None
+        tok = self.peek()
+        if tok is not None and tok.kind is TokenKind.TIME:
+            start = self.time()
+            tok = self.peek()
+            if tok is not None and tok.kind is TokenKind.TIME:
+                end = self.time()
+        return Access(data, subject, recipient, start, end, line=self.line)

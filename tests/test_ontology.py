@@ -329,11 +329,13 @@ class TestClashWork:
             assert [graph.is_unsatisfiable(c) for c in ids] == \
                 [False, False, False, True]
         assert len(asked) == len(ids)
-        # A fresh parent flushes: each verdict is worked out once more.
+        # A fresh parent for B re-judges only the 3 concepts that reach B,
+        # once each; A's verdict stays cached.
         graph.declare_concept("B", DATA, ["D"])
         for _ in range(3):
             assert [graph.is_unsatisfiable(c) for c in ids] == [False, True, True, True]
-        assert len(asked) == 2 * len(ids)
+        assert len(asked) == len(ids) + 3
+        assert asked[len(ids):] == [graph.ancestors(c) for c in ids[1:]]
 
 
 # A diamond to start from (C under A and B, D under C): one disjointness
@@ -413,6 +415,7 @@ class TestCachesNeverStale:
         up = naive.closure()
         ids = {n: graph.lookup(n) for n in POOL}
         for n in POOL:
+            assert {graph.name_of(c) for c in graph.ancestors(ids[n])} == up[n], n
             assert graph.is_unsatisfiable(ids[n]) == naive.clashes(up[n]), n
         for x, y in product(POOL, repeat=2):
             both = up[x] | up[y]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from consentry.core import Ledger
 from consentry.errors import ConsentryError, ExecutionError, LexError, ParseError
 from consentry.script import (
+    KEYWORDS,
     Access,
     Assume,
     Collect,
@@ -29,7 +30,7 @@ from consentry.script import (
 )
 
 from conftest import GOLDEN_SCRIPTS, golden_text
-from support import reference_tokenize
+from support import reference_parse, reference_tokenize
 
 
 class TestTokenize:
@@ -96,6 +97,61 @@ class TestTokenizeAgainstReference:
     @example("ok\x0c  :\n")
     def test_same_tokens_or_same_error(self, text):
         assert _lex_outcome(tokenize, text) == _lex_outcome(reference_tokenize, text)
+
+
+# Statement templates: N is a name, L a label, T a time step; other words
+# are kept as written. Mutations then insert, replace or drop words.
+TEMPLATES = [
+    "new data N N", "new recipient N", "new disjoint N N N", "new equiv N N",
+    "grant N N N L", "grant retro N N N L", "withdraw L", "withdraw retro L",
+    "collect N N N", "access N N N", "access N N N T", "access N N N T T", "step",
+    "assume true collect N N N", "assume false access N N N T T", "", "# comment",
+]
+SLOTS = {
+    "N": st.sampled_from(["A", "Beta", "s1", "_r", "T1x", "Tx", "Trans"]),
+    "L": st.sampled_from([":c1", ":new", ":T3", ":x_2"]),
+    "T": st.sampled_from(["T0", "T1", "T3", "T12", "T007"]),
+}
+WORDS = st.one_of(
+    *SLOTS.values(), st.sampled_from(sorted(KEYWORDS)),
+    st.sampled_from(["#", "# note", "@", "\xe9", ":", "::a", "1a", "a:b", "A\xa0B", "\x1f"]))
+
+
+@st.composite
+def script_lines(draw):
+    words = [draw(SLOTS[w]) if w in SLOTS else w
+             for w in draw(st.sampled_from(TEMPLATES)).split()]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(words)))
+        change = draw(st.sampled_from(["insert", "replace", "drop"]))
+        if change == "insert" or at == len(words):
+            words.insert(at, draw(WORDS))
+        elif change == "replace":
+            words[at] = draw(WORDS)
+        else:
+            del words[at]
+    blank = draw(st.sampled_from([" ", " ", " ", "  ", "\t", " \t"]))
+    return draw(st.sampled_from(["", " ", "\t"])) + blank.join(words)
+
+
+def _parse_outcome(parse_text, text):
+    try:
+        return [(stmt, stmt.line) for stmt in parse_text(text)]
+    except (LexError, ParseError) as err:
+        return (type(err).__name__, err.line, getattr(err, "column", None), err.message)
+
+
+class TestParseAgainstReference:
+    @settings(max_examples=600)
+    @given(st.lists(script_lines(), min_size=1, max_size=6),
+           st.sampled_from(["\n", "\r\n"]))
+    @example(["step", "frobnicate A", "collect A@b C"], "\n")  # lex error comes first
+    @example(["access A b C T0"], "\n")
+    @example(["access A b C T3 T5 T7", ":orphan"], "\n")
+    @example(["grant retro A s R :c1 # note", "", "withdraw  retro\t:c1"], "\r\n")
+    def test_same_statements_or_same_error(self, lines, newline):
+        text = newline.join(lines)
+        assert _parse_outcome(parse_script, text) == _parse_outcome(reference_parse, text)
 
 
 class TestParse:
