@@ -112,7 +112,7 @@ def _run_report_json(path: str, report: RunReport) -> dict:
 def cmd_run(args: argparse.Namespace) -> int:
     report = run_script(_read(args.script))
     if args.json:
-        print(json.dumps(_run_report_json(args.script, report), indent=2))
+        print(json.dumps(_run_report_json(args.script, report)))
     else:
         for a in report.assumes:
             mark = "PASS" if a.passed else "FAIL"
@@ -144,7 +144,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         epoch = monitor.parse_instant(args.epoch)
     report = monitor.scan(manifest, consent_log, access_log, epoch, duration)
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json()))
     else:
         print(report.render_text())
     return 0 if report.clean else 1

@@ -36,12 +36,26 @@ the denial is a subject mismatch. The query's concepts are validated
 once at entry; after that one concept predicate, built from their ancestor
 sets, judges every candidate. So a check costs in proportion to the
 subject's consents and the distinct concept pairs, not the ledger's size.
+`record_event` builds its query through the resolving builders and checks
+the interval itself, so it skips `check`'s entry validation and goes
+straight to the decision.
+
+The subject-mismatch verdict ("does any distinct pair pass the predicate?")
+does not depend on the subject, so it is memoised per (data, recipient,
+mode) together with how many pairs it has judged. The pairs are kept in
+first-grant order and never removed (a withdrawal keeps its record), so a
+True verdict is final and a False one re-tests only the pairs granted
+since. The predicate reads only ancestor sets and disjoint pairs, and
+`ConceptGraph.generation` moves whenever either may change: a fresh
+parent, an equivalence or its rollback, a disjointness. The memo is
+dropped whole when the generation it was built under has moved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable
 
 from . import chronology
@@ -207,7 +221,12 @@ class Ledger:
         # Indexes over `consents`, filled in `grant`; withdrawal marks the
         # shared record objects, so it needs no bookkeeping here.
         self._by_subject: dict[str, list[ConsentRecord]] = {}  # in id order
-        self._pairs: set[tuple[int, int]] = set()  # distinct (data, recipient)
+        # Distinct (data, recipient) pairs, as keys in first-grant order.
+        self._pairs: dict[tuple[int, int], None] = {}
+        # (data, recipient, mode) -> (some pair applies, pairs judged), valid
+        # while the ontology stays at `_mismatch_generation`.
+        self._mismatch: dict[tuple[int, int, Mode], tuple[bool, int]] = {}
+        self._mismatch_generation = self.ontology.generation
         self._event_concepts: set[int] = set()  # concepts recorded events use
         self._next_event = 1
 
@@ -259,7 +278,7 @@ class Ledger:
         )
         self.consents.append(record)
         self._by_subject.setdefault(subject, []).append(record)
-        self._pairs.add((data_id, recipient_id))
+        self._pairs.setdefault((data_id, recipient_id))
         if label is not None:
             self._labels[label] = record.id
         return record.id
@@ -319,14 +338,22 @@ class Ledger:
         )
 
     def check(self, query: AuthzQuery) -> Decision:
-        """Decide a query against the current ledger. Pure: no state changes."""
+        """Decide a query against the current ledger.
+
+        Pure: the only state it changes is the mismatch memo, which no
+        reader sees.
+        """
         graph = self.ontology
         graph.resolve(query.data_concept, ConceptKind.DATA)
         graph.resolve(query.recipient_concept, ConceptKind.RECIPIENT)
         if not self.knows_subject(query.subject):
             raise UnknownSubjectError(query.subject)
         self._validate_query_shape(query)
+        return self._decide(query)
 
+    def _decide(self, query: AuthzQuery) -> Decision:
+        """Decide a query whose concepts, subject and interval are valid."""
+        graph = self.ontology
         span = query.collected_interval
         if graph.is_unsatisfiable(query.data_concept) or graph.is_unsatisfiable(
             query.recipient_concept
@@ -359,8 +386,9 @@ class Ledger:
         """The matching predicate: does a consent's (data, recipient) apply?
 
         Concept applicability only, before any subject or time reasoning.
-        The query's concepts were validated by `check`, and a consent's were
-        at its grant, so no kind is checked again per candidate.
+        The query's concepts were validated on entry, by `check` or by the
+        query builders `record_event` uses, and a consent's were at its
+        grant, so no kind is checked again per candidate.
         """
         graph = self.ontology
         data_up = graph.ancestors(query.data_concept)
@@ -383,9 +411,11 @@ class Ledger:
         the dominant failure cause across uncovered steps (retroactive
         withdrawal over non-retroactive over a plain grant-window miss).
         Only when no consent even matches the concepts and subject do the
-        structural reasons apply. Then `applies` is asked once per distinct
-        concept pair in the ledger, not once per consent: the subject's own
-        pairs all failed it, so any pair that passes is another subject's.
+        structural reasons apply. Then `applies` is asked of the distinct
+        concept pairs in the ledger, not of each consent, and at most once
+        per pair between ontology changes (`_some_pair_applies`): the
+        subject's own pairs all failed it, so any pair that passes is
+        another subject's.
 
         Each consent fails an uncovered step for one cause: withdrawal when
         the step is at or past its reach's hi, the grant window otherwise.
@@ -404,9 +434,28 @@ class Ledger:
                 else:
                     causes.add(Reason.WITHDRAWN_NON_RETRO)
             return min(causes, key=_DENIAL_RANK.__getitem__)
-        if any(applies(data, recipient) for data, recipient in self._pairs):
-            return Reason.SUBJECT_MISMATCH
-        return Reason.NO_MATCHING_CONSENT
+        return Reason.SUBJECT_MISMATCH if self._some_pair_applies(query, applies) \
+            else Reason.NO_MATCHING_CONSENT
+
+    def _some_pair_applies(self, query: AuthzQuery,
+                           applies: Callable[[int, int], bool]) -> bool:
+        """Does `applies` pass any distinct concept pair of the ledger?
+
+        Memoised per (data, recipient, mode) until the ontology's generation
+        moves. A True verdict is final; a False one re-tests only the pairs
+        granted since, as `_pairs` only grows.
+        """
+        if self._mismatch_generation != self.ontology.generation:
+            self._mismatch.clear()
+            self._mismatch_generation = self.ontology.generation
+        key = (query.data_concept, query.recipient_concept, query.mode)
+        found, seen = self._mismatch.get(key, (False, 0))
+        pairs = self._pairs
+        if not found and seen < len(pairs):
+            found = any(applies(data, recipient)
+                        for data, recipient in islice(pairs, seen, None))
+            self._mismatch[key] = (found, len(pairs))
+        return found
 
     # -- events --------------------------------------------------------------
 
@@ -430,7 +479,9 @@ class Ledger:
             query = self.access_query(data, subject, recipient, collected_interval)
             interval = query.collected_interval
         self.declare_subject(subject)
-        verdict = self.check(query)
+        # The builders resolved the concepts and built a valid interval or
+        # kept the one checked above, so nothing is validated again.
+        verdict = self._decide(query)
         event = EventRecord(
             id=self._next_event,
             action=action,
@@ -469,7 +520,7 @@ def _runs(span: StepInterval, consents: list[ConsentRecord], action: ActionType,
     bounds = sorted(cuts)
     return tuple(
         (StepInterval(a, b),
-         frozenset(cid for cid, lo, hi in reaches if lo <= a and b <= hi))
+         frozenset([cid for cid, lo, hi in reaches if lo <= a and b <= hi]))
         for a, b in zip(bounds, bounds[1:])
     )
 

@@ -1,8 +1,9 @@
 """Ex-post compliance scanning of consent and access logs.
 
 Logs are line-delimited JSON, one record per line, ordered by timestamp
-within each file. The consent log carries grant/withdraw records, the
-access log carries collect/access records:
+within each file. Lines end at "\n" only, so a string value may hold any
+character JSON allows raw, U+2028 included. The consent log carries
+grant/withdraw records, the access log carries collect/access records:
 
     {"timestamp": "2024-03-01T00:00:00Z", "action": "grant",
      "consent_id": "c1", "data_concept": "Location",
@@ -115,7 +116,11 @@ LogRecord = Union[ConsentLogRecord, AccessLogRecord]
 
 
 def _record_lines(text: str) -> Iterable[tuple[int, dict]]:
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # Records end at "\n" only: str.splitlines() also breaks at U+2028,
+    # U+2029 and U+0085, which JSON strings may hold raw, and at control
+    # characters, which JSON rejects on their own line. A "\r" left before
+    # the "\n" is JSON whitespace.
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -145,6 +150,18 @@ def _instant_field(payload: dict, key: str, line: int) -> datetime:
         raise LogFormatError(str(err), line) from None
 
 
+def _names(payload: dict, line: int) -> tuple[str, str, str]:
+    """The three name fields, each a non-empty string, checked in that order."""
+    data = payload.get("data_concept")
+    subject = payload.get("subject")
+    recipient = payload.get("recipient_concept")
+    if not (isinstance(data, str) and isinstance(subject, str)
+            and isinstance(recipient, str) and data and subject and recipient):
+        for key in ("data_concept", "subject", "recipient_concept"):
+            _field(payload, key, line)  # raises for the first bad field
+    return data, subject, recipient
+
+
 def parse_consent_log(text: str) -> list[ConsentLogRecord]:
     records = []
     for line_no, payload in _record_lines(text):
@@ -157,9 +174,7 @@ def parse_consent_log(text: str) -> list[ConsentLogRecord]:
         if not isinstance(retroactive, bool):
             raise LogFormatError("field 'retroactive' must be a boolean", line_no)
         if action == "grant":
-            data = _field(payload, "data_concept", line_no)
-            subject = _field(payload, "subject", line_no)
-            recipient = _field(payload, "recipient_concept", line_no)
+            data, subject, recipient = _names(payload, line_no)
         else:
             data = subject = recipient = None
         records.append(ConsentLogRecord(
@@ -172,14 +187,23 @@ def parse_consent_log(text: str) -> list[ConsentLogRecord]:
 
 def parse_access_log(text: str) -> list[AccessLogRecord]:
     records = []
+    # Collection-window stamps repeat across records; record stamps do not.
+    windows: dict[str, datetime] = {}
+
+    def window_end(payload: dict, key: str, line_no: int) -> datetime:
+        raw = payload[key]
+        instant = windows.get(raw) if isinstance(raw, str) else None
+        if instant is None:
+            instant = windows[raw] = _instant_field(payload, key, line_no)
+        return instant
+
     for line_no, payload in _record_lines(text):
-        action = _field(payload, "action", line_no)
+        action = payload.get("action")
         if action not in ACCESS_ACTIONS:
+            _field(payload, "action", line_no)  # raises if missing or not a name
             raise LogFormatError(f"unknown event action {action!r}", line_no)
         timestamp = _instant_field(payload, "timestamp", line_no)
-        data = _field(payload, "data_concept", line_no)
-        subject = _field(payload, "subject", line_no)
-        recipient = _field(payload, "recipient_concept", line_no)
+        data, subject, recipient = _names(payload, line_no)
         collected_from = collected_to = None
         if action == "access":
             has_from = "collected_from" in payload
@@ -188,8 +212,8 @@ def parse_access_log(text: str) -> list[AccessLogRecord]:
                 raise LogFormatError(
                     "'collected_from' and 'collected_to' must appear together", line_no)
             if has_from:
-                collected_from = _instant_field(payload, "collected_from", line_no)
-                collected_to = _instant_field(payload, "collected_to", line_no)
+                collected_from = window_end(payload, "collected_from", line_no)
+                collected_to = window_end(payload, "collected_to", line_no)
                 if collected_to < collected_from:
                     raise LogFormatError(
                         "'collected_to' precedes 'collected_from'", line_no)
@@ -335,6 +359,15 @@ def _statements(manifest: str, consent_log: str, access_log: str,
         firsts = (log[0].timestamp for log in (consents, accesses) if log)
         windows = (r.collected_from for r in accesses if r.collected_from is not None)
         epoch = min(chain(firsts, windows), default=None)
+    window_steps: dict[datetime, int] = {}  # window stamps repeat, record stamps not
+
+    def window_step(instant: datetime, line: int, source: str) -> int:
+        step = window_steps.get(instant)
+        if step is None:
+            step = window_steps[instant] = _step_of(epoch, instant, step_duration,
+                                                    line, source)
+        return step
+
     now = 1
     for record in _merged(consents, accesses):
         line = record.line
@@ -355,8 +388,8 @@ def _statements(manifest: str, consent_log: str, access_log: str,
             stmt = Access(record.data_concept, record.subject,
                           record.recipient_concept, line=line)
         else:
-            lo = _step_of(epoch, record.collected_from, step_duration, line, source)
-            hi = _step_of(epoch, record.collected_to, step_duration, line, source)
+            lo = window_step(record.collected_from, line, source)
+            hi = window_step(record.collected_to, line, source)
             stmt = Access(record.data_concept, record.subject,
                           record.recipient_concept, lo, hi + 1, line=line)
         yield source, stmt

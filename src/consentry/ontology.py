@@ -22,9 +22,11 @@ per concept. A fresh parent of an existing concept, or an equivalence
 recorded or rolled back, changes only the ancestor sets that hold that
 concept or a side, so `_flush` drops just those entries and their
 verdicts. A disjointness declaration changes no ancestor set and drops
-only the verdicts. The equivalence guard re-judges only the protected
-concepts whose ancestors hold either side, for the same reason; an
-equivalence away from the recorded history costs no clash test at all.
+only the verdicts. Both bump `generation`, which callers that memoise
+answers built on ancestor sets and clash tests compare to their own. The
+equivalence guard re-judges only the protected concepts whose ancestors
+hold either side, for the same reason; an equivalence away from the
+recorded history costs no clash test at all.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ class ConceptGraph:
         self._reach: dict[int, frozenset[int]] = {}
         self._unsat: dict[int, bool] = {}
         self._roots: dict[ConceptKind, int] = {}
+        # Goes up whenever an ancestor set or a clash verdict may change, so
+        # callers that memoise answers built on them know when to drop them.
+        self.generation = 0
         for kind in ConceptKind:
             self._roots[kind] = self._add(_ROOT_NAMES[kind], kind)
 
@@ -105,13 +110,14 @@ class ConceptGraph:
 
     def resolve(self, ref: int | str, kind: ConceptKind | None = None) -> int:
         """Map a name or id to an id, optionally insisting on a kind."""
-        cid = self.lookup(ref) if isinstance(ref, str) else self.concept(ref).id
-        if kind is not None and self.kind_of(cid) is not kind:
+        concept = self._concepts[self.lookup(ref)] if isinstance(ref, str) \
+            else self.concept(ref)
+        if kind is not None and concept.kind is not kind:
             raise KindMismatchError(
-                f"{self.name_of(cid)!r} is a {self.kind_of(cid).value} concept, "
+                f"{concept.name!r} is a {concept.kind.value} concept, "
                 f"expected {kind.value}"
             )
-        return cid
+        return concept.id
 
     # -- declarations ----------------------------------------------------
 
@@ -211,9 +217,11 @@ class ConceptGraph:
         for ia, ib in pairs:
             self._partners.setdefault(ia, set()).add(ib)
         self._unsat.clear()
+        self.generation += 1
 
     def _flush(self, changed: tuple[int, ...]) -> None:
         """Forget the cached ancestor sets holding a changed concept, and their verdicts."""
+        self.generation += 1
         for cid in [c for c, anc in self._reach.items() if not anc.isdisjoint(changed)]:
             del self._reach[cid]
             self._unsat.pop(cid, None)

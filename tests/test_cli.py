@@ -9,8 +9,9 @@ from consentry import cli, monitor
 from consentry.bench import BenchScenario
 from consentry.cli import main, parse_duration, STEP_DURATION_ENV
 from consentry.errors import ConsentryError
+from consentry.script import run_script
 
-from conftest import golden_path
+from conftest import FIXTURES, GOLDEN_SCRIPTS, golden_path, golden_text
 
 EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 DAY = timedelta(days=1)
@@ -242,6 +243,55 @@ class TestMonitor:
             monkeypatch.setattr(monitor, name, counted)
         assert main(["monitor", *monitor_files(tmp_path)]) == 0
         assert sorted(calls) == ["parse_access_log", "parse_consent_log"]
+
+
+MONITOR_FIXTURE = [str(FIXTURES / "monitor" / name)
+                   for name in ("manifest.consent", "consents.jsonl", "accesses.jsonl")]
+
+
+class TestReportFormat:
+    """`--json` prints one line of compact JSON; text output is unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCRIPTS))
+    def test_run_json_is_one_line(self, capsys, name):
+        path = str(golden_path(name))
+        assert main(["run", "--json", path]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        report = run_script(golden_text(name))
+        assert json.loads(out) == cli._run_report_json(path, report)
+
+    @pytest.mark.parametrize("accesses", [None, BAD_ACCESSES],
+                             ids=["fixture", "violation"])
+    def test_monitor_json_is_one_line(self, tmp_path, capsys, accesses):
+        files = MONITOR_FIXTURE if accesses is None else monitor_files(tmp_path, accesses)
+        main(["monitor", "--json", *files])
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        texts = [open(f, encoding="utf-8").read() for f in files]
+        report = monitor.scan(*texts, None, DAY)
+        assert json.loads(out) == report.to_json()
+
+    def test_run_text_is_unchanged(self, capsys):
+        assert main(["run", str(golden_path("overlapping_authorizations"))]) == 0
+        assert capsys.readouterr().out == """\
+line 13: assume false collect WalkingRoute datasubject1 Advertiser -> PASS
+line 14: assume true collect DrivingRoute datasubject1 Advertiser -> PASS
+line 15: assume true access DrivingRoute datasubject1 Advertiser T1 -> PASS
+line 20: assume false collect DrivingRoute datasubject1 Advertiser -> PASS
+line 21: assume false access DrivingRoute datasubject1 Advertiser T4 T5 -> PASS
+line 22: assume true access DrivingRoute datasubject1 Advertiser T1 -> PASS
+passed: 6/6 assumes hold, 3 event(s), final step T5
+"""
+
+    def test_monitor_text_is_unchanged(self, tmp_path, capsys):
+        assert main(["monitor", *MONITOR_FIXTURE]) == 0
+        assert capsys.readouterr().out == "clean: no violations in 5 event(s)\n"
+        assert main(["monitor", *monitor_files(tmp_path, BAD_ACCESSES)]) == 1
+        assert capsys.readouterr().out == (
+            "line 1: collect Telemetry subject=bob recipient=Analytics at T2: "
+            "SubjectMismatch\n"
+            "1 violation(s) in 1 event(s) (SubjectMismatch: 1)\n")
 
 
 class TestSimulate:

@@ -20,10 +20,12 @@ from consentry.errors import (
     ConsistencyError,
     DeclarationError,
     DuplicateLabelError,
+    KindMismatchError,
     QueryError,
     UnknownConsentError,
     UnknownSubjectError,
 )
+from consentry.ontology import ConceptKind
 from consentry.oracle import ConsentSpec, oracle_collection_steps, oracle_region
 
 ALICE = "alice"
@@ -752,3 +754,137 @@ class TestCheckWork:
             led.check(query)
             counts.append(calls["kind"])
         assert counts[0] == counts[1]
+
+    def test_repeated_denial_tests_no_pair_again(self, monkeypatch):
+        led = crowded_ledger()
+        calls = count_work(led, monkeypatch)
+        for data, subject, recipient, reason in QUERIES:
+            if reason is Reason.OK:
+                continue
+            own = sum(c.subject == subject for c in led.consents)
+            query = led.collect_query(data, subject, recipient)
+            assert led.check(query).reason is reason
+            calls["predicate"] = 0
+            assert led.check(query).reason is reason
+            assert calls["predicate"] == own  # the subject's own consents only
+
+    def test_a_grant_adds_one_pair_to_test(self, monkeypatch):
+        led = crowded_ledger()
+        led.declare_data("Email")
+        calls = count_work(led, monkeypatch)
+        query = led.collect_query("Data", CAROL, "Partner")
+        assert led.check(query).reason is Reason.NO_MATCHING_CONSENT
+        led.grant("Contacts", "s1", "Partner")  # a pair already judged
+        calls["predicate"] = 0
+        assert led.check(query).reason is Reason.NO_MATCHING_CONSENT
+        assert calls["predicate"] == 0
+        led.grant("Email", "s1", "Partner")  # one new pair, which fails
+        calls["predicate"] = 0
+        assert led.check(query).reason is Reason.NO_MATCHING_CONSENT
+        assert calls["predicate"] == 1
+        led.grant("Data", "s1", "Partner")  # one new pair, which passes
+        calls["predicate"] = 0
+        assert led.check(query).reason is Reason.SUBJECT_MISMATCH
+        assert calls["predicate"] == 1
+        led.grant("Email", "s2", "Advertiser")  # a True verdict is final
+        calls["predicate"] = 0
+        assert led.check(query).reason is Reason.SUBJECT_MISMATCH
+        assert calls["predicate"] == 0
+
+    def test_resolve_runs_twice_per_recorded_event(self, monkeypatch):
+        led = crowded_ledger()
+        resolve = led.ontology.resolve
+        calls = []
+
+        def counted(ref, kind=None):
+            calls.append(ref)
+            return resolve(ref, kind)
+
+        monkeypatch.setattr(led.ontology, "resolve", counted)
+        led.advance()
+        for data, subject, recipient, _ in QUERIES:
+            for action in ActionType:
+                del calls[:]
+                led.record_event(action, data, subject, recipient)
+                assert calls == [data, recipient]
+        # `check` still validates its query at entry.
+        query = led.collect_query("Location", ALICE, "Partner")
+        del calls[:]
+        led.check(query)
+        assert calls == [query.data_concept, query.recipient_concept]
+        with pytest.raises(KindMismatchError):
+            led.check(replace(query, recipient_concept=query.data_concept))
+        with pytest.raises(UnknownSubjectError):
+            led.check(replace(query, subject="nobody"))
+        with pytest.raises(QueryError):
+            led.check(replace(query, collected_interval=StepInterval(1, 3)))
+
+
+# -- the mismatch memo against a full rescan ---------------------------------------
+
+MEMO_DATA = ["A", "B", "C", "D", "E"]
+MEMO_RECIPIENTS = ["Partner", "Advertiser"]
+MEMO_SUBJECTS = [ALICE, BOB]
+memo_data_st = st.sampled_from(MEMO_DATA)
+memo_steps = st.lists(st.one_of(
+    st.tuples(st.just("grant"), memo_data_st, st.sampled_from(MEMO_SUBJECTS),
+              st.sampled_from(MEMO_RECIPIENTS)),
+    st.tuples(st.just("concept"), memo_data_st),
+    st.tuples(st.just("parents"), memo_data_st,
+              st.lists(memo_data_st, min_size=1, max_size=2)),
+    st.tuples(st.just("equivalent"), memo_data_st, memo_data_st),
+    st.tuples(st.just("disjoint"), st.lists(memo_data_st, min_size=2, max_size=3)),
+    st.tuples(st.just("event"), memo_data_st, st.sampled_from(MEMO_SUBJECTS)),
+    st.tuples(st.just("withdraw"), st.integers(0, 20)),
+), min_size=3, max_size=15)
+
+
+class TestMismatchMemo:
+    """The memoised denial reason always equals a fresh full scan."""
+
+    @staticmethod
+    def step(led, op, fresh):
+        kind, *args = op
+        try:
+            if kind == "grant":
+                led.grant(*args)
+            elif kind == "concept":  # a new concept, under an existing one
+                led.declare_data(f"N{next(fresh)}", args[0])
+            elif kind == "parents":  # fresh parents flush the ancestor caches
+                name, parents = args
+                led.declare_data(name, *parents)
+            elif kind == "equivalent":  # may be refused for recorded events
+                led.declare_equivalent(*args)
+            elif kind == "disjoint":
+                led.declare_disjoint(*args[0])
+            elif kind == "event":
+                led.record_event(ActionType.COLLECT, args[0], args[1], "Partner")
+            elif args[0] < len(led.consents):
+                led.withdraw(args[0])
+        except (ConsistencyError, AlreadyWithdrawnError):
+            pass
+
+    @staticmethod
+    def agree(led):
+        names = [c.name for c in led.ontology.concepts()
+                 if c.kind is ConceptKind.DATA]
+        for data, recipient, mode, subject in product(
+                names, MEMO_RECIPIENTS, Mode, (ALICE, CAROL)):
+            query = led.collect_query(data, subject, recipient, mode)
+            expected = per_step_check(led, query)[1]
+            assert led.check(query).reason is expected, (data, recipient, mode, subject)
+
+    @settings(max_examples=60, deadline=None)
+    @given(memo_steps)
+    def test_reasons_match_a_rescan_after_every_step(self, ops):
+        led = fresh_ledger()
+        led.declare_subject(CAROL)
+        for name in MEMO_DATA:
+            led.declare_data(name)
+        led.declare_data("C", "A", "B")
+        led.declare_data("D", "C")
+        fresh = iter(range(len(ops)))
+        self.agree(led)  # fills the memo the first step may stale
+        for op in ops:
+            self.step(led, op, fresh)
+            self.agree(led)

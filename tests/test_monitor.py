@@ -208,6 +208,94 @@ class TestAccessLogParsing:
         assert records[0].collected_from is None
 
 
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda r: r.pop("action"), "missing or invalid field 'action'"),
+        (lambda r: r.update(action=["access"], timestamp=None),
+         "missing or invalid field 'action'"),
+        (lambda r: r.update(action="grant", subject=""), "unknown event action 'grant'"),
+        (lambda r: r.update(timestamp="soon", data_concept=""), "'soon'"),
+        (lambda r: r.update(data_concept="", subject=3),
+         "missing or invalid field 'data_concept'"),
+        (lambda r: r.update(subject=3, recipient_concept=None),
+         "missing or invalid field 'subject'"),
+        (lambda r: r.pop("recipient_concept"),
+         "missing or invalid field 'recipient_concept'"),
+        (lambda r: r.pop("collected_to"), "must appear together"),
+        (lambda r: r.update(collected_from="later", collected_to=5), "'later'"),
+        (lambda r: r.update(collected_from=[at(2)]),
+         "missing or invalid field 'collected_from'"),
+        (lambda r: r.update(collected_to={}), "missing or invalid field 'collected_to'"),
+        (lambda r: r.update(collected_to=at(1)), "'collected_to' precedes"),
+        (lambda r: r.update(collected_to=at(6)), "reaches past the access"),
+    ])
+    def test_bad_records_report_their_first_fault(self, mangle, message):
+        # The first record parses the same window stamps the second one uses.
+        rec = access(5, "D", "s", "R", from_day=2, to_day=2)
+        mangle(rec)
+        with pytest.raises(LogFormatError) as err:
+            parse_access_log(jl(access(5, "D", "s", "R", from_day=2, to_day=2), rec))
+        assert err.value.line == 2
+        assert message in str(err.value)
+
+    def test_repeated_window_stamps_parse_alike(self):
+        records = parse_access_log(jl(access(3, "D", "s", "R", from_day=1, to_day=2),
+                                      access(4, "D", "t", "R", from_day=2, to_day=2),
+                                      access(5, "D", "u", "R", from_day=1, to_day=2)))
+        assert [(r.collected_from, r.collected_to) for r in records] == [
+            (parse_instant(at(1)), parse_instant(at(2, 12))),
+            (parse_instant(at(2)), parse_instant(at(2, 12))),
+            (parse_instant(at(1)), parse_instant(at(2, 12))),
+        ]
+
+
+# Characters str.splitlines() breaks at that JSON allows raw inside a string.
+RAW_IN_STRINGS = ["\u2028", "\u2029", "\x85"]
+
+
+class TestRecordLines:
+    """A record ends at "\\n" only, so line numbers count newlines."""
+
+    @pytest.mark.parametrize("char", RAW_IN_STRINGS)
+    @pytest.mark.parametrize("parse,first,second", [
+        (parse_consent_log, grant(1, "c1", "D", "al{}ice", "R"), withdraw(2, "c1")),
+        (parse_access_log, collect(1, "D", "al{}ice", "R"), collect(2, "D", "bob", "R")),
+    ], ids=["consent-log", "access-log"])
+    def test_raw_separators_stay_inside_their_record(self, char, parse, first, second):
+        first = dict(first, subject=first["subject"].format(char))
+        text = json.dumps(first, ensure_ascii=False) + "\n" + json.dumps(second) + "\n"
+        records = parse(text)
+        assert [r.line for r in records] == [1, 2]
+        assert records[0].subject == f"al{char}ice"
+        with pytest.raises(LogFormatError) as err:
+            parse(text + "{oops\n")
+        assert err.value.line == 3
+
+    def test_scan_matches_a_subject_with_a_raw_separator(self):
+        subject = "al\u2028ice"
+        consents = json.dumps(grant(1, "c1", "Telemetry", subject, "Analytics"),
+                              ensure_ascii=False) + "\n"
+        accesses = json.dumps(collect(2, "Telemetry", subject, "Analytics"),
+                              ensure_ascii=False) + "\n"
+        report = scan(MANIFEST, consents, accesses, None, DAY)
+        assert report.clean and report.events_scanned == 1
+
+    def test_crlf_line_ends(self):
+        text = jl(withdraw(1, "c0"), withdraw(2, "c1")).replace("\n", "\r\n")
+        assert [r.line for r in parse_consent_log(text)] == [1, 2]
+        with pytest.raises(LogFormatError) as err:
+            parse_consent_log(text + "{oops\r\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_raw_control_characters_fail_on_their_own_line(self, char):
+        # JSON forbids these raw in a string, so the record itself is bad.
+        record = json.dumps(withdraw(2, "c1"))[:-1] + f', "note": "a{char}b"}}'
+        with pytest.raises(LogFormatError) as err:
+            parse_consent_log(jl(withdraw(1, "c0")) + record + "\n")
+        assert err.value.line == 2
+        assert "control character" in str(err.value)
+
+
 class TestManifest:
     def test_declarations_only(self):
         stmts = parse_manifest(MANIFEST)
