@@ -65,7 +65,7 @@ class BenchScenario:
 class TimingSeries:
     scenario: BenchScenario
     micros: list[list[int]]  # [rep][step], microseconds
-    verdicts: list[list[tuple]] = field(default_factory=list)  # when recorded
+    verdicts: list[list[tuple]] = field(default_factory=list)  # [rep][step]
 
     @property
     def reps(self) -> int:
@@ -240,9 +240,11 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(_SETUPS)
 
 
-def run_scenario(scenario: BenchScenario, reps: int = REPS,
-                 record_verdicts: bool = False) -> TimingSeries:
-    """Run a scenario `reps` times on fresh state, timing every step."""
+def run_scenario(scenario: BenchScenario, reps: int = REPS) -> TimingSeries:
+    """Run a scenario `reps` times on fresh state, timing every step.
+
+    Each step's verdict is kept too, appended outside the timed window.
+    """
     series = TimingSeries(scenario, [])
     for _ in range(reps):
         step_fn = _SETUPS[scenario.name](scenario)
@@ -256,14 +258,12 @@ def run_scenario(scenario: BenchScenario, reps: int = REPS,
                 started = perf_counter_ns()
                 verdict = step_fn(i)
                 row.append((perf_counter_ns() - started) // 1000)
-                if record_verdicts:
-                    verdicts.append(verdict)
+                verdicts.append(verdict)
         finally:
             if was_enabled:
                 gc.enable()
         series.micros.append(row)
-        if record_verdicts:
-            series.verdicts.append(verdicts)
+        series.verdicts.append(verdicts)
     return series
 
 

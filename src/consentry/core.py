@@ -244,10 +244,12 @@ class Ledger:
         return subject in self._subjects
 
     def declare_data(self, name: str, *parents: str) -> int:
-        return self.ontology.declare_concept(name, ConceptKind.DATA, parents)
+        return self.ontology.declare_concept(name, ConceptKind.DATA, parents,
+                                             protected=self._event_concepts)
 
     def declare_recipient(self, name: str, *parents: str) -> int:
-        return self.ontology.declare_concept(name, ConceptKind.RECIPIENT, parents)
+        return self.ontology.declare_concept(name, ConceptKind.RECIPIENT, parents,
+                                             protected=self._event_concepts)
 
     def declare_disjoint(self, *names: str) -> None:
         self.ontology.declare_disjoint(names)

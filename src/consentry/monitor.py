@@ -16,11 +16,17 @@ grant/withdraw records, the access log carries collect/access records:
      "collected_from": "2024-03-05T00:00:00Z",
      "collected_to": "2024-03-05T23:00:00Z"}
 
-The manifest and the merged records (consent records first at equal
-timestamps) become one stream of script statements. Each wall-clock
-instant maps onto a 1-based step of fixed duration starting at an epoch;
-with no epoch given, the earliest instant either log mentions starts step
-1, the start of a collection window included.
+Each parser turns a record straight into a row: its timestamp, the script
+statement it stands for (a Grant, Withdraw, Collect or Access carrying the
+record's line), and the collection window's two instants for an access
+that has one, else None. The manifest's statements, then both logs' rows
+merged by timestamp (consent rows first at equal timestamps), become one
+stream of script statements. Each wall-clock instant maps onto a 1-based
+step of fixed duration starting at an epoch; with no epoch given, the
+earliest instant either log mentions starts step 1, the start of a
+collection window included. A windowed access is the one statement that
+waits for the epoch: it is rebuilt with its window's steps as it is
+merged.
 `scan` runs that stream through the script interpreter on a fresh ledger
 and reports every event whose verdict came back denied. Scanning is
 replay: the same logs always yield the same report, and appending new
@@ -41,7 +47,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from heapq import merge as _heap_merge
 from itertools import chain
-from typing import Iterable, Iterator, Union
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .chronology import StepInterval, format_step
 from .core import Ledger, Reason
@@ -60,6 +67,9 @@ from .script import (
 
 CONSENT_ACTIONS = ("grant", "withdraw")
 ACCESS_ACTIONS = ("collect", "access")
+
+# (timestamp, statement, collection window or None); see the module docstring.
+Row = tuple[datetime, Statement, tuple[datetime, datetime] | None]
 
 
 def parse_instant(value: str) -> datetime:
@@ -86,33 +96,6 @@ def map_to_step(epoch: datetime, instant: datetime, step_duration: timedelta) ->
     if instant < epoch:
         raise InvalidValueError(f"instant {instant.isoformat()} precedes the epoch")
     return (instant - epoch) // step_duration + 1
-
-
-@dataclass(frozen=True)
-class ConsentLogRecord:
-    line: int
-    timestamp: datetime
-    action: str  # "grant" | "withdraw"
-    consent_id: str
-    data_concept: str | None
-    subject: str | None
-    recipient_concept: str | None
-    retroactive: bool
-
-
-@dataclass(frozen=True)
-class AccessLogRecord:
-    line: int
-    timestamp: datetime
-    action: str  # "collect" | "access"
-    data_concept: str
-    subject: str
-    recipient_concept: str
-    collected_from: datetime | None
-    collected_to: datetime | None
-
-
-LogRecord = Union[ConsentLogRecord, AccessLogRecord]
 
 
 def _record_lines(text: str) -> Iterable[tuple[int, dict]]:
@@ -162,8 +145,9 @@ def _names(payload: dict, line: int) -> tuple[str, str, str]:
     return data, subject, recipient
 
 
-def parse_consent_log(text: str) -> list[ConsentLogRecord]:
-    records = []
+def parse_consent_log(text: str) -> list[Row]:
+    """The consent log's rows: a Grant or Withdraw each, with no window."""
+    rows = []
     for line_no, payload in _record_lines(text):
         action = _field(payload, "action", line_no)
         if action not in CONSENT_ACTIONS:
@@ -174,19 +158,17 @@ def parse_consent_log(text: str) -> list[ConsentLogRecord]:
         if not isinstance(retroactive, bool):
             raise LogFormatError("field 'retroactive' must be a boolean", line_no)
         if action == "grant":
-            data, subject, recipient = _names(payload, line_no)
+            stmt = Grant(*_names(payload, line_no), consent_id, retroactive, line_no)
         else:
-            data = subject = recipient = None
-        records.append(ConsentLogRecord(
-            line_no, timestamp, action, consent_id, data, subject, recipient,
-            retroactive,
-        ))
-    _check_order(records, "consent log")
-    return records
+            stmt = Withdraw(consent_id, retroactive, line_no)
+        rows.append((timestamp, stmt, None))
+    _check_order(rows, "consent log")
+    return rows
 
 
-def parse_access_log(text: str) -> list[AccessLogRecord]:
-    records = []
+def parse_access_log(text: str) -> list[Row]:
+    """The access log's rows: a Collect or Access each, and an access's window."""
+    rows = []
     # Collection-window stamps repeat across records; record stamps do not.
     windows: dict[str, datetime] = {}
 
@@ -203,8 +185,8 @@ def parse_access_log(text: str) -> list[AccessLogRecord]:
             _field(payload, "action", line_no)  # raises if missing or not a name
             raise LogFormatError(f"unknown event action {action!r}", line_no)
         timestamp = _instant_field(payload, "timestamp", line_no)
-        data, subject, recipient = _names(payload, line_no)
-        collected_from = collected_to = None
+        names = _names(payload, line_no)
+        window = None
         if action == "access":
             has_from = "collected_from" in payload
             has_to = "collected_to" in payload
@@ -212,31 +194,32 @@ def parse_access_log(text: str) -> list[AccessLogRecord]:
                 raise LogFormatError(
                     "'collected_from' and 'collected_to' must appear together", line_no)
             if has_from:
-                collected_from = window_end(payload, "collected_from", line_no)
-                collected_to = window_end(payload, "collected_to", line_no)
-                if collected_to < collected_from:
+                start = window_end(payload, "collected_from", line_no)
+                end = window_end(payload, "collected_to", line_no)
+                if end < start:
                     raise LogFormatError(
                         "'collected_to' precedes 'collected_from'", line_no)
-                if collected_to > timestamp:
+                if end > timestamp:
                     raise LogFormatError(
                         "collection window reaches past the access timestamp", line_no)
+                window = (start, end)
+            stmt = Access(*names, line=line_no)
         elif "collected_from" in payload or "collected_to" in payload:
             raise LogFormatError("collect records do not take a collection window",
                                  line_no)
-        records.append(AccessLogRecord(
-            line_no, timestamp, action, data, subject, recipient,
-            collected_from, collected_to,
-        ))
-    _check_order(records, "access log")
-    return records
+        else:
+            stmt = Collect(*names, line_no)
+        rows.append((timestamp, stmt, window))
+    _check_order(rows, "access log")
+    return rows
 
 
-def _check_order(records: list, source: str) -> None:
-    for prev, cur in zip(records, records[1:]):
-        if cur.timestamp < prev.timestamp:
+def _check_order(rows: list[Row], source: str) -> None:
+    for (prev, _, _), (cur, stmt, _) in zip(rows, rows[1:]):
+        if cur < prev:
             raise LogOrderError(
-                f"timestamp goes backwards (previous record at "
-                f"{prev.timestamp.isoformat()})", cur.line, source)
+                f"timestamp goes backwards (previous record at {prev.isoformat()})",
+                stmt.line, source)
 
 
 def parse_manifest(text: str) -> list[Statement]:
@@ -324,14 +307,6 @@ class ViolationReport:
         return "\n".join(lines)
 
 
-def _merged(consents: list[ConsentLogRecord],
-            accesses: list[AccessLogRecord]) -> Iterable[LogRecord]:
-    # Both inputs are timestamp-sorted; consent records must win ties so a
-    # same-instant grant already counts for the event next to it. heapq.merge
-    # is stable and prefers the first iterable on equal keys.
-    return _heap_merge(consents, accesses, key=lambda r: r.timestamp)
-
-
 def _step_of(epoch: datetime, instant: datetime, step_duration: timedelta,
              line: int, source: str) -> int:
     """`map_to_step`, with a failure reported against its log line."""
@@ -344,54 +319,45 @@ def _step_of(epoch: datetime, instant: datetime, step_duration: timedelta,
 def _statements(manifest: str, consent_log: str, access_log: str,
                 epoch: datetime | None, step_duration: timedelta
                 ) -> Iterator[tuple[str, Statement]]:
-    """The manifest, then the merged log records, as (source, statement) pairs.
+    """The manifest, then the merged log rows, as (source, statement) pairs.
 
-    A statement's line is its line in that source. Before each record come
-    the steps that bring the clock to the record's step, carrying the
-    record's line. A None epoch means the earliest instant either log
-    mentions, collection windows included.
+    A statement's line is its line in that source. Before each row come the
+    steps that bring the clock to the row's step, carrying the row's line.
+    A None epoch means the earliest instant either log mentions, collection
+    windows included.
     """
     for stmt in parse_manifest(manifest):
         yield "manifest", stmt
     consents = parse_consent_log(consent_log)
     accesses = parse_access_log(access_log)
     if epoch is None:
-        firsts = (log[0].timestamp for log in (consents, accesses) if log)
-        windows = (r.collected_from for r in accesses if r.collected_from is not None)
+        firsts = (log[0][0] for log in (consents, accesses) if log)
+        windows = (window[0] for _, _, window in accesses if window is not None)
         epoch = min(chain(firsts, windows), default=None)
     window_steps: dict[datetime, int] = {}  # window stamps repeat, record stamps not
 
-    def window_step(instant: datetime, line: int, source: str) -> int:
+    def window_step(instant: datetime, line: int) -> int:
         step = window_steps.get(instant)
         if step is None:
             step = window_steps[instant] = _step_of(epoch, instant, step_duration,
-                                                    line, source)
+                                                    line, "access log")
         return step
 
     now = 1
-    for record in _merged(consents, accesses):
-        line = record.line
-        source = "consent log" if isinstance(record, ConsentLogRecord) else "access log"
-        target = _step_of(epoch, record.timestamp, step_duration, line, source)
+    # Both row lists are timestamp-sorted; consent rows must win ties so a
+    # same-instant grant already counts for the event next to it. heapq.merge
+    # is stable and prefers the first iterable on equal keys.
+    for timestamp, stmt, window in _heap_merge(consents, accesses, key=itemgetter(0)):
+        line = stmt.line
+        source = "consent log" if isinstance(stmt, (Grant, Withdraw)) else "access log"
+        target = _step_of(epoch, timestamp, step_duration, line, source)
         while now < target:
             now += 1
             yield source, Step(line=line)
-        if record.action == "grant":
-            stmt = Grant(record.data_concept, record.subject, record.recipient_concept,
-                         record.consent_id, record.retroactive, line=line)
-        elif record.action == "withdraw":
-            stmt = Withdraw(record.consent_id, record.retroactive, line=line)
-        elif record.action == "collect":
-            stmt = Collect(record.data_concept, record.subject,
-                           record.recipient_concept, line=line)
-        elif record.collected_from is None:
-            stmt = Access(record.data_concept, record.subject,
-                          record.recipient_concept, line=line)
-        else:
-            lo = window_step(record.collected_from, line, source)
-            hi = window_step(record.collected_to, line, source)
-            stmt = Access(record.data_concept, record.subject,
-                          record.recipient_concept, lo, hi + 1, line=line)
+        if window is not None:
+            stmt = Access(stmt.data, stmt.subject, stmt.recipient,
+                          window_step(window[0], line), window_step(window[1], line) + 1,
+                          line=line)
         yield source, stmt
 
 

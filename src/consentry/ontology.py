@@ -24,9 +24,9 @@ concept or a side, so `_flush` drops just those entries and their
 verdicts. A disjointness declaration changes no ancestor set and drops
 only the verdicts. Both bump `generation`, which callers that memoise
 answers built on ancestor sets and clash tests compare to their own. The
-equivalence guard re-judges only the protected concepts whose ancestors
-hold either side, for the same reason; an equivalence away from the
-recorded history costs no clash test at all.
+guard on fresh parents and equivalences re-judges only the protected
+concepts whose ancestors hold the changed concept or a side, for the same
+reason; an edge away from the recorded history costs no clash test at all.
 """
 
 from __future__ import annotations
@@ -130,11 +130,14 @@ class ConceptGraph:
         return cid
 
     def declare_concept(self, name: str, kind: ConceptKind,
-                        parents: Sequence[str] = ()) -> int:
+                        parents: Sequence[str] = (),
+                        protected: Iterable[int] = ()) -> int:
         """Declare a concept under the given parents (kind's root if none).
 
         Redeclaring an existing name adds any new parents to it; nothing is
-        ever replaced.
+        ever replaced. The new parents are rejected when they would turn any
+        protected concept (one that recorded history relies on) from
+        satisfiable to unsatisfiable.
         """
         parent_ids = []
         for pname in parents:
@@ -154,10 +157,11 @@ class ConceptGraph:
                 raise KindMismatchError(
                     f"{name!r} already declared as a {self.kind_of(existing).value} concept"
                 )
-            fresh = [p for p in parent_ids if p != existing and p not in self._parents[existing]]
+            fresh = {p for p in parent_ids if p != existing and p not in self._parents[existing]}
             if fresh:
-                self._parents[existing].update(fresh)
-                self._flush((existing,))
+                under = ", ".join(sorted(repr(self.name_of(p)) for p in fresh))
+                self._add_edges([(self._parents[existing], fresh)], (existing,), protected,
+                                f"placing {name!r} under {under}")
             return existing
 
         cid = self._add(name, kind)
@@ -177,23 +181,30 @@ class ConceptGraph:
             raise KindMismatchError(f"cannot equate {a!r} with {b!r}: different kinds")
         if aid in self.ancestors(bid) and bid in self.ancestors(aid):
             return  # already mutually subsumed, nothing new to record
-        # Only concepts that already reach a side gain ancestors by the edge.
-        sides = (aid, bid)
+        self._add_edges([(self._equiv[aid], {bid}), (self._equiv[bid], {aid})], (aid, bid),
+                        protected, f"equating {a!r} with {b!r}")
+
+    def _add_edges(self, edges: list[tuple[set[int], set[int]]], changed: tuple[int, ...],
+                   protected: Iterable[int], what: str) -> None:
+        """Add each set of new targets to its edge set, then flush the changed
+        concepts; roll back and raise if a protected concept turned unsatisfiable.
+
+        Only concepts whose ancestors already hold a changed concept gain
+        ancestors by the edges, so only those are re-judged.
+        """
         guarded = [p for p in protected
-                   if not self.ancestors(p).isdisjoint(sides)
+                   if not self.ancestors(p).isdisjoint(changed)
                    and not self.is_unsatisfiable(p)]
-        self._equiv[aid].add(bid)
-        self._equiv[bid].add(aid)
-        self._flush(sides)
+        for targets, new in edges:
+            targets |= new
+        self._flush(changed)
         broken = [p for p in guarded if self.is_unsatisfiable(p)]
         if broken:
-            self._equiv[aid].discard(bid)
-            self._equiv[bid].discard(aid)
-            self._flush(sides)
+            for targets, new in edges:
+                targets -= new
+            self._flush(changed)
             names = ", ".join(sorted(self.name_of(p) for p in broken))
-            raise ConsistencyError(
-                f"equating {a!r} with {b!r} would contradict recorded events on: {names}"
-            )
+            raise ConsistencyError(f"{what} would contradict recorded events on: {names}")
 
     def declare_disjoint(self, names: Sequence[str]) -> None:
         """Record pairwise disjointness over two or more same-kind concepts."""

@@ -1,7 +1,7 @@
 """Lexer, parser, and interpreter for the consent scenario language.
 
-A script is line-oriented: one statement per line, '#' starts a comment,
-blank lines are ignored. Example:
+A script is line-oriented: one statement per line, lines end at "\n",
+"\r\n" or a lone "\r", '#' starts a comment, blank lines are ignored. Example:
 
     new data RealTimeLocation Data
     new data DrivingRoute RealTimeLocation
@@ -108,10 +108,21 @@ def _columns(line: str, words: list[str]) -> list[int]:
     return columns
 
 
+def _lines(text: str) -> list[str]:
+    """The script's lines, ended by "\n", "\r\n" or a lone "\r" only.
+
+    str.splitlines() would also break at U+2028, U+2029, U+0085 and the
+    control characters \x0b, \x0c and \x1c-\x1e, splitting a comment
+    holding one; here they stay in their line, an illegal character unless
+    a comment holds them.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def tokenize(text: str) -> list[Token]:
     """Split source text into tokens. Comments and blank lines vanish."""
     tokens: list[Token] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(text), start=1):
         words, kinds = _lex(line, line_no)
         for word, kind, column in zip(words, kinds, _columns(line, words)):
             tokens.append(Token(kind, word.lstrip(":"), line_no, column))
@@ -208,7 +219,7 @@ Statement = Union[
 def parse(text: str) -> list[Statement]:
     """Parse each line that holds a token, in order, as one statement."""
     statements = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(text), start=1):
         words, kinds = _lex(line, line_no)
         if words:
             try:

@@ -163,11 +163,11 @@ def reference_tokenize(text: str) -> list[Token]:
     """The script lexer as a per-character loop, kept as the reference that
     `script.tokenize` must agree with, token for token and error for error."""
     tokens: list[Token] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         pos = 0
         while pos < len(line):
             ch = line[pos]
-            if ch in " \t\r":
+            if ch in " \t":
                 pos += 1
                 continue
             if ch == "#":

@@ -38,27 +38,20 @@ class TestRunShape:
         for row in series.micros:
             assert all(isinstance(m, int) and m >= 0 for m in row)
 
-    def test_verdicts_off_by_default(self):
-        series = run_scenario(BenchScenario("query-access", steps=3), reps=1)
-        assert series.verdicts == []
-
     def test_verdicts_identical_across_reps(self):
         # Reruns start from fresh state, so recorded verdicts must agree.
-        series = run_scenario(BenchScenario("realistic", steps=30, seed=7),
-                              reps=3, record_verdicts=True)
+        series = run_scenario(BenchScenario("realistic", steps=30, seed=7), reps=3)
         assert series.verdicts[0] == series.verdicts[1] == series.verdicts[2]
 
     def test_query_scenarios_decide_every_step(self):
-        series = run_scenario(BenchScenario("query-collection", steps=6),
-                              reps=1, record_verdicts=True)
+        series = run_scenario(BenchScenario("query-collection", steps=6), reps=1)
         assert series.verdicts[0] == [(True,)] * 6
 
 
 class TestRealistic:
     def test_consent_churn_cadence(self):
         # One baseline grant, plus one renewal per churn boundary crossed.
-        series = run_scenario(BenchScenario("realistic", steps=185, seed=1),
-                              reps=1, record_verdicts=True)
+        series = run_scenario(BenchScenario("realistic", steps=185, seed=1), reps=1)
         first_rep = series.verdicts[0]
         assert len(first_rep) == 185
         # Every step records one collect and one access event; all four
@@ -68,18 +61,15 @@ class TestRealistic:
     def test_seed_changes_the_run(self):
         runs = {}
         for seed in (0, 1, 2, 3):
-            series = run_scenario(BenchScenario("realistic", steps=185, seed=seed),
-                                  reps=1, record_verdicts=True)
+            series = run_scenario(BenchScenario("realistic", steps=185, seed=seed), reps=1)
             runs[seed] = tuple(series.verdicts[0])
         # Retroactivity coin flips differ across seeds; at least two of
         # these four runs must disagree somewhere.
         assert len(set(runs.values())) > 1
 
     def test_same_seed_reproduces(self):
-        a = run_scenario(BenchScenario("realistic", steps=95, seed=5),
-                         reps=1, record_verdicts=True)
-        b = run_scenario(BenchScenario("realistic", steps=95, seed=5),
-                         reps=1, record_verdicts=True)
+        a = run_scenario(BenchScenario("realistic", steps=95, seed=5), reps=1)
+        b = run_scenario(BenchScenario("realistic", steps=95, seed=5), reps=1)
         assert a.verdicts == b.verdicts
 
 

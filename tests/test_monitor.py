@@ -16,7 +16,7 @@ from consentry.monitor import (
     scan,
     translate_to_script,
 )
-from consentry.script import run_script
+from consentry.script import Access, Grant, Withdraw, run_script
 
 EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 DAY = timedelta(days=1)
@@ -119,21 +119,25 @@ class TestStepGrid:
 
 class TestConsentLogParsing:
     def test_round_trip_fields(self):
-        records = parse_consent_log(CONSENTS)
-        assert [r.action for r in records] == ["grant", "grant",
-                                               "withdraw", "withdraw"]
-        assert records[1].retroactive and records[3].retroactive
-        assert records[2].data_concept is None
-        assert records[0].line == 1
+        rows = parse_consent_log(CONSENTS)
+        assert [stmt for _, stmt, _ in rows] == [
+            Grant("Telemetry", "alice", "Analytics", "c1"),
+            Grant("Contacts", "alice", "Analytics", "c2", retro=True),
+            Withdraw("c1"),
+            Withdraw("c2", retro=True),
+        ]
+        assert [stmt.line for _, stmt, _ in rows] == [1, 2, 3, 4]
+        assert [(ts, window) for ts, _, window in rows] == [
+            (parse_instant(at(day)), None) for day in (1, 3, 10, 15)]
 
     def test_unknown_fields_ignored(self):
         rec = dict(grant(1, "c1", "D", "s", "R"), service="geo-api")
-        assert parse_consent_log(jl(rec))[0].consent_id == "c1"
+        assert parse_consent_log(jl(rec))[0][1] == Grant("D", "s", "R", "c1")
 
     def test_blank_lines_skipped(self):
         text = "\n" + jl(grant(1, "c1", "D", "s", "R")) + "\n\n"
-        records = parse_consent_log(text)
-        assert len(records) == 1 and records[0].line == 2
+        rows = parse_consent_log(text)
+        assert len(rows) == 1 and rows[0][1].line == 2
 
     @pytest.mark.parametrize("mangle,missing", [
         (lambda r: r.pop("consent_id"), "consent_id"),
@@ -204,8 +208,8 @@ class TestAccessLogParsing:
             parse_access_log(jl(access(3, "D", "s", "R", from_day=2, to_day=4)))
 
     def test_windowless_access_is_fine(self):
-        records = parse_access_log(jl(access(5, "D", "s", "R")))
-        assert records[0].collected_from is None
+        rows = parse_access_log(jl(access(5, "D", "s", "R")))
+        assert rows == [(parse_instant(at(5)), Access("D", "s", "R"), None)]
 
 
     @pytest.mark.parametrize("mangle,message", [
@@ -238,14 +242,35 @@ class TestAccessLogParsing:
         assert message in str(err.value)
 
     def test_repeated_window_stamps_parse_alike(self):
-        records = parse_access_log(jl(access(3, "D", "s", "R", from_day=1, to_day=2),
-                                      access(4, "D", "t", "R", from_day=2, to_day=2),
-                                      access(5, "D", "u", "R", from_day=1, to_day=2)))
-        assert [(r.collected_from, r.collected_to) for r in records] == [
+        rows = parse_access_log(jl(access(3, "D", "s", "R", from_day=1, to_day=2),
+                                   access(4, "D", "t", "R", from_day=2, to_day=2),
+                                   access(5, "D", "u", "R", from_day=1, to_day=2)))
+        assert [stmt for _, stmt, _ in rows] == [
+            Access("D", "s", "R"), Access("D", "t", "R"), Access("D", "u", "R")]
+        assert [window for _, _, window in rows] == [
             (parse_instant(at(1)), parse_instant(at(2, 12))),
             (parse_instant(at(2)), parse_instant(at(2, 12))),
             (parse_instant(at(1)), parse_instant(at(2, 12))),
         ]
+
+
+class TestOrderCheckRunsLast:
+    """Order is checked once the whole log has parsed, so a malformed record
+    outranks a backwards timestamp that comes before it."""
+
+    @pytest.mark.parametrize("parse,later,earlier", [
+        (parse_consent_log, withdraw(5, "c1"), withdraw(4, "c2")),
+        (parse_access_log, collect(5, "D", "s", "R"), access(4, "D", "s", "R", 1, 2)),
+    ], ids=["consent-log", "access-log"])
+    def test_malformed_record_after_a_backwards_timestamp(self, parse, later, earlier):
+        text = jl(later, earlier)
+        with pytest.raises(LogOrderError) as err:
+            parse(text)
+        assert err.value.line == 2
+        with pytest.raises(MonitorError) as err:
+            parse(text + jl(dict(later, timestamp="soon")))
+        assert type(err.value) is LogFormatError
+        assert err.value.line == 3 and "'soon'" in str(err.value)
 
 
 # Characters str.splitlines() breaks at that JSON allows raw inside a string.
@@ -263,9 +288,9 @@ class TestRecordLines:
     def test_raw_separators_stay_inside_their_record(self, char, parse, first, second):
         first = dict(first, subject=first["subject"].format(char))
         text = json.dumps(first, ensure_ascii=False) + "\n" + json.dumps(second) + "\n"
-        records = parse(text)
-        assert [r.line for r in records] == [1, 2]
-        assert records[0].subject == f"al{char}ice"
+        rows = parse(text)
+        assert [stmt.line for _, stmt, _ in rows] == [1, 2]
+        assert rows[0][1].subject == f"al{char}ice"
         with pytest.raises(LogFormatError) as err:
             parse(text + "{oops\n")
         assert err.value.line == 3
@@ -281,7 +306,7 @@ class TestRecordLines:
 
     def test_crlf_line_ends(self):
         text = jl(withdraw(1, "c0"), withdraw(2, "c1")).replace("\n", "\r\n")
-        assert [r.line for r in parse_consent_log(text)] == [1, 2]
+        assert [stmt.line for _, stmt, _ in parse_consent_log(text)] == [1, 2]
         with pytest.raises(LogFormatError) as err:
             parse_consent_log(text + "{oops\r\n")
         assert err.value.line == 3

@@ -1,4 +1,5 @@
 import random
+from contextlib import nullcontext
 from itertools import combinations, product
 
 import pytest
@@ -344,7 +345,8 @@ BASE = {"A": [], "B": [], "C": ["A", "B"], "D": ["C"], "E": []}
 POOL = ["Data", *BASE]
 names_st = st.sampled_from(list(BASE))
 ontology_steps = st.lists(st.one_of(
-    st.tuples(st.just("parents"), names_st, st.lists(names_st, min_size=1, max_size=2)),
+    st.tuples(st.just("parents"), names_st, st.lists(names_st, min_size=1, max_size=2),
+              st.booleans()),
     st.tuples(st.just("equivalent"), names_st, names_st, st.booleans()),
     st.tuples(st.just("disjoint"), st.lists(names_st, min_size=2, max_size=3)),
     st.tuples(st.just("query"), names_st),
@@ -359,9 +361,10 @@ class NaiveGraph:
         self.equivs: list[tuple[str, str]] = []
         self.pairs: list[tuple[str, str]] = []
 
-    def closure(self, equivs=None) -> dict[str, set[str]]:
+    def closure(self, edges=None, equivs=None) -> dict[str, set[str]]:
         return support.naive_reachability(
-            list(BASE), self.edges, self.equivs if equivs is None else equivs)
+            list(BASE), self.edges if edges is None else edges,
+            self.equivs if equivs is None else equivs)
 
     def clashes(self, names: set[str]) -> bool:
         return any(p in names and q in names for p, q in self.pairs)
@@ -375,24 +378,27 @@ class TestCachesNeverStale:
         """Apply op to both graphs; the naive one predicts any rejection."""
         kind, *args = op
         up = naive.closure()
-        if kind == "parents":  # re-declaring with a fresh parent flushes
-            name, parents = args
-            graph.declare_concept(name, DATA, parents)
-            naive.edges += [(name, p) for p in parents]
-        elif kind == "equivalent":
-            a, b, guard = args
+        if kind in ("parents", "equivalent"):  # fresh edges flush, and are guarded
+            *sides, guard = args
             protected = POOL if guard else []
-            after = naive.closure([*naive.equivs, (a, b)])
-            broken = [p for p in protected
-                      if not naive.clashes(up[p]) and naive.clashes(after[p])]
-            noop = a in up[b] and b in up[a]
             ids = [graph.lookup(p) for p in protected]
-            if broken and not noop:
-                with pytest.raises(ConsistencyError):
-                    graph.declare_equivalent(a, b, protected=ids)
+            edges, equivs = naive.edges, naive.equivs
+            if kind == "parents":
+                name, parents = sides
+                edges = edges + [(name, p) for p in parents]
             else:
-                graph.declare_equivalent(a, b, protected=ids)
-                naive.equivs.append((a, b))
+                equivs = equivs + [tuple(sides)]
+            # Refused when a protected concept dies; a no-op changes no closure.
+            after = naive.closure(edges, equivs)
+            refused = any(not naive.clashes(up[p]) and naive.clashes(after[p])
+                          for p in protected)
+            with pytest.raises(ConsistencyError) if refused else nullcontext():
+                if kind == "parents":
+                    graph.declare_concept(name, DATA, parents, protected=ids)
+                else:
+                    graph.declare_equivalent(*sides, protected=ids)
+            if not refused:
+                naive.edges, naive.equivs = edges, equivs
         elif kind == "disjoint":
             names, = args
             refused = any(
@@ -429,6 +435,9 @@ class TestCachesNeverStale:
     # refused for E's sake, although E does not reach C.
     @example([("disjoint", ["A", "B"]), ("equivalent", "C", "E", True),
               ("query", "E")])
+    # A fresh parent E for D kills D and must be refused; unguarded it is kept.
+    @example([("disjoint", ["A", "E"]), ("parents", "D", ["E"], True),
+              ("parents", "D", ["E"], False), ("query", "D")])
     def test_verdicts_match_a_rescan_after_every_step(self, ops):
         graph, naive = ConceptGraph(), NaiveGraph()
         for name, parents in BASE.items():

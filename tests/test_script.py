@@ -73,10 +73,12 @@ class TestTokenize:
 
 
 # Word characters plus every character the lexer treats specially: blanks,
-# splitlines() separators (\r, \x0c, \x85, \n), a label colon, a comment
-# mark, and two characters no token may hold.
+# line ends (\r, \n), characters str.splitlines() also breaks at but a line
+# keeps (\x0c, \x85, U+2028), a label colon, a comment mark, and two
+# characters no token may hold.
 LEXER_ALPHABET = st.sampled_from(
-    list("aTz_Z09") + [":", "#", " ", "\t", "\r", "\x0c", "\x85", "\xe9", "@", "\n"])
+    list("aTz_Z09") + [":", "#", " ", "\t", "\r", "\x0c", "\x85", "\u2028", "\xe9", "@",
+                       "\n"])
 
 
 def _lex_outcome(lex, text):
@@ -114,7 +116,8 @@ SLOTS = {
 }
 WORDS = st.one_of(
     *SLOTS.values(), st.sampled_from(sorted(KEYWORDS)),
-    st.sampled_from(["#", "# note", "@", "\xe9", ":", "::a", "1a", "a:b", "A\xa0B", "\x1f"]))
+    st.sampled_from(["#", "# note", "@", "\xe9", ":", "::a", "1a", "a:b", "A\xa0B", "\x1f",
+                     "\u2028", "\x0c"]))
 
 
 @st.composite
@@ -141,10 +144,31 @@ def _parse_outcome(parse_text, text):
         return (type(err).__name__, err.line, getattr(err, "column", None), err.message)
 
 
+# Characters str.splitlines() breaks at that end no script line.
+NOT_LINE_ENDS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_comment_keeps_its_line(self, char):
+        text = f"new data X Data # note{char}grant\nassume false collect X s R\n"
+        assert [s.line for s in parse(text)] == [1, 2]
+        report = run_script(text)
+        assert report.passed and len(report.assumes) == 1
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_illegal_outside_a_comment(self, char):
+        for lex in (parse, tokenize):
+            with pytest.raises(LexError) as err:
+                lex(f"step\nstep {char}step\n")
+            assert (err.value.line, err.value.column) == (2, 6)
+            assert repr(char) in err.value.message
+
+
 class TestParseAgainstReference:
     @settings(max_examples=600)
     @given(st.lists(script_lines(), min_size=1, max_size=6),
-           st.sampled_from(["\n", "\r\n"]))
+           st.sampled_from(["\n", "\r\n", "\r"]))
     @example(["step", "frobnicate A", "collect A@b C"], "\n")  # lex error comes first
     @example(["access A b C T0"], "\n")
     @example(["access A b C T3 T5 T7", ":orphan"], "\n")
@@ -415,7 +439,7 @@ class TestExecutionErrors:
         assert err.value.line == 3
 
 
-class TestEquivalenceGuardScope:
+class TestDeclarationGuard:
     BASE = """\
 new data B Data
 new data C Data
@@ -425,14 +449,27 @@ grant A s R :c1
 collect A s R
 """
 
-    def test_the_guard_covers_equivalences_only(self):
-        # As docs/language.md says: a fresh parent that makes A unsatisfiable
-        # is accepted, the equivalence with the same effect is refused.
-        report = run_script(self.BASE + "new data A C\nassume true collect A s R\n")
-        assert [a.actual for a in report.assumes] == [False]
+    @pytest.mark.parametrize("declaration", ["new data A C", "new equiv A C"],
+                             ids=["fresh-parent", "equivalence"])
+    def test_fresh_parents_and_equivalences_are_guarded(self, declaration):
+        # As docs/language.md says: a fresh parent that would make A, which a
+        # recorded event uses, unsatisfiable is refused like the equivalence
+        # with the same effect, and the refused edge leaves no trace.
         with pytest.raises(ExecutionError) as err:
-            run_script(self.BASE + "new equiv A C\n")
+            run_script(self.BASE + declaration + "\n")
         assert err.value.line == 7
+        assert "would contradict recorded events on: A" in str(err.value)
+        led = Ledger()
+        execute(parse_script(self.BASE), led)
+        with pytest.raises(ConsentryError):
+            execute(parse_script(declaration), led)
+        assert not led.ontology.is_unsatisfiable(led.ontology.lookup("A"))
+        assert led.ontology.lookup("C") not in led.ontology.ancestors(led.ontology.lookup("A"))
+
+    def test_a_fresh_parent_away_from_the_history_is_accepted(self):
+        report = run_script(self.BASE + "new data D B\nnew data D C\n"
+                            "assume false collect D s R\nassume true collect A s R\n")
+        assert report.passed
 
 
 class TestGoldenScripts:
