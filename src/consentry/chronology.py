@@ -17,11 +17,13 @@ from .errors import IntervalError
 STEP_TOKEN = re.compile(r"T([0-9]+)\Z")
 
 
-def advance(step: int) -> int:
-    """Return the successor step."""
+def advance(step: int, count: int = 1) -> int:
+    """Return the step `count` steps after `step` (its successor by default)."""
     if step < 1:
         raise IntervalError(f"steps are 1-based, got {step}")
-    return step + 1
+    if count < 1:
+        raise IntervalError(f"the clock only moves forward, got {count} steps")
+    return step + count
 
 
 def format_step(step: int) -> str:

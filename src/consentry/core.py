@@ -1,9 +1,9 @@
 """Consent records, authorization queries, and the append-only ledger.
 
-The ledger is the engine's knowledge base: an ontology, a clock, granted
-consents, and recorded events. Everything is append-only. Withdrawing a
-consent does not delete it; the record gains a withdrawal mark and the
-decision procedure reads both.
+The ledger is the engine's knowledge base: an ontology, a clock and granted
+consents. Everything is append-only. Withdrawing a consent does not delete
+it; the record gains a withdrawal mark and the decision procedure reads
+both. Recorded events go back to the caller with their verdicts attached.
 
 Time semantics, written once in `ConsentRecord.reach`: at a fixed access
 step a consent covers one half-open interval [lo, hi) of collection steps.
@@ -38,7 +38,8 @@ sets, judges every candidate. So a check costs in proportion to the
 subject's consents and the distinct concept pairs, not the ledger's size.
 `record_event` builds its query through the resolving builders and checks
 the interval itself, so it skips `check`'s entry validation and goes
-straight to the decision.
+straight to the decision; the script interpreter's `assume` does the same,
+validating only its interval's shape.
 
 The subject-mismatch verdict ("does any distinct pair pass the predicate?")
 does not depend on the subject, so it is memoised per (data, recipient,
@@ -205,17 +206,19 @@ class EventRecord:
 
 
 class Ledger:
-    """Append-only knowledge base: ontology + clock + consents + events.
+    """Append-only knowledge base: ontology + clock + consents.
 
-    Single writer assumed. Readers may snapshot `consents`/`events` freely
-    since records are never removed or reordered.
+    Single writer assumed. Readers may snapshot `consents` freely since
+    records are never removed or reordered. Recorded events are returned
+    to the caller, not kept: the ledger keeps only their count, for the
+    next id, and the concepts they use, which declarations must keep
+    satisfiable. So its size follows the consents, not the history.
     """
 
     def __init__(self, ontology: ConceptGraph | None = None):
         self.ontology = ontology if ontology is not None else ConceptGraph()
         self.now: int = 1
         self.consents: list[ConsentRecord] = []
-        self.events: list[EventRecord] = []
         self._labels: dict[str, int] = {}
         self._subjects: set[str] = set()
         # Indexes over `consents`, filled in `grant`; withdrawal marks the
@@ -232,8 +235,9 @@ class Ledger:
 
     # -- clock and declarations ------------------------------------------
 
-    def advance(self) -> int:
-        self.now = chronology.advance(self.now)
+    def advance(self, count: int = 1) -> int:
+        """Move the clock `count` steps on, in one call however many."""
+        self.now = chronology.advance(self.now, count)
         return self.now
 
     def declare_subject(self, subject: str) -> str:
@@ -252,10 +256,10 @@ class Ledger:
                                              protected=self._event_concepts)
 
     def declare_disjoint(self, *names: str) -> None:
-        self.ontology.declare_disjoint(names)
+        # Concepts that recorded events classify must stay satisfiable.
+        self.ontology.declare_disjoint(names, protected=self._event_concepts)
 
     def declare_equivalent(self, a: str, b: str) -> None:
-        # Concepts that recorded events classify must stay satisfiable.
         self.ontology.declare_equivalent(a, b, protected=self._event_concepts)
 
     # -- consents ----------------------------------------------------------
@@ -464,7 +468,10 @@ class Ledger:
     def record_event(self, action: ActionType, data: int | str, subject: str,
                      recipient: int | str,
                      collected_interval: StepInterval | None = None) -> EventRecord:
-        """Record a collection or access at the current step, verdict attached."""
+        """Record a collection or access at the current step, verdict attached.
+
+        The event is returned, not kept; ids count up from 1 per ledger.
+        """
         if action is ActionType.COLLECT:
             if collected_interval is not None:
                 raise QueryError("collection events do not take a collected interval")
@@ -495,7 +502,6 @@ class Ledger:
             verdict=verdict,
         )
         self._next_event += 1
-        self.events.append(event)
         self._event_concepts.update((query.data_concept, query.recipient_concept))
         return event
 

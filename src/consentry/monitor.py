@@ -26,16 +26,18 @@ step of fixed duration starting at an epoch; with no epoch given, the
 earliest instant either log mentions starts step 1, the start of a
 collection window included. A windowed access is the one statement that
 waits for the epoch: it is rebuilt with its window's steps as it is
-merged.
+merged. Each clock gap between rows is one Step statement however many
+steps it spans, so a scan's cost follows its records, not the step
+duration.
 `scan` runs that stream through the script interpreter on a fresh ledger
 and reports every event whose verdict came back denied. Scanning is
 replay: the same logs always yield the same report, and appending new
 records never changes the verdicts already issued.
 
-`translate_to_script` prints the same stream as a script. It rejects a
-subject, data or recipient name that is a keyword, a time token such as
-T3 or not a word, and a consent id that is not a word, since those would
-not read back; `scan` accepts them.
+`translate_to_script` prints the same stream as a script, a gap as one
+`step` line per step. It rejects a subject, data or recipient name that
+is a keyword, a time token such as T3 or not a word, and a consent id
+that is not a word, since those would not read back; `scan` accepts them.
 
 Unknown JSON fields are ignored so services can log extra context.
 """
@@ -321,8 +323,10 @@ def _statements(manifest: str, consent_log: str, access_log: str,
                 ) -> Iterator[tuple[str, Statement]]:
     """The manifest, then the merged log rows, as (source, statement) pairs.
 
-    A statement's line is its line in that source. Before each row come the
-    steps that bring the clock to the row's step, carrying the row's line.
+    A statement's line is its line in that source. Before each row comes
+    one Step for the whole gap that brings the clock to the row's step,
+    carrying the row's line, so the stream's length follows the records
+    whatever the step duration.
     A None epoch means the earliest instant either log mentions, collection
     windows included.
     """
@@ -351,9 +355,9 @@ def _statements(manifest: str, consent_log: str, access_log: str,
         line = stmt.line
         source = "consent log" if isinstance(stmt, (Grant, Withdraw)) else "access log"
         target = _step_of(epoch, timestamp, step_duration, line, source)
-        while now < target:
-            now += 1
-            yield source, Step(line=line)
+        if now < target:
+            yield source, Step(target - now, line)
+            now = target
         if window is not None:
             stmt = Access(stmt.data, stmt.subject, stmt.recipient,
                           window_step(window[0], line), window_step(window[1], line) + 1,

@@ -21,12 +21,16 @@ O(|disjoint pairs|). Ancestor sets and satisfiability verdicts are cached
 per concept. A fresh parent of an existing concept, or an equivalence
 recorded or rolled back, changes only the ancestor sets that hold that
 concept or a side, so `_flush` drops just those entries and their
-verdicts. A disjointness declaration changes no ancestor set and drops
-only the verdicts. Both bump `generation`, which callers that memoise
-answers built on ancestor sets and clash tests compare to their own. The
-guard on fresh parents and equivalences re-judges only the protected
-concepts whose ancestors hold the changed concept or a side, for the same
-reason; an edge away from the recorded history costs no clash test at all.
+verdicts. A disjointness declaration changes no ancestor set, and it
+turns unsatisfiable exactly the satisfiable concepts with both sides of a
+new pair among their ancestors: one pass over the cached verdicts finds
+and sets those, and the rest stay. Both bump `generation`, which callers
+that memoise answers built on ancestor sets and clash tests compare to
+their own. The guard on fresh parents and equivalences re-judges only the
+protected concepts whose ancestors hold the changed concept or a side, for
+the same reason; an edge away from the recorded history costs no clash
+test at all. The guard on disjointness reads the same pass: each protected
+concept is judged beforehand, so the pass sees it.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ class ConceptGraph:
         self._equiv: dict[int, set[int]] = {}
         self._partners: dict[int, set[int]] = {}
         self._reach: dict[int, frozenset[int]] = {}
+        # A verdict is kept only while its concept's ancestor set is cached.
         self._unsat: dict[int, bool] = {}
         self._roots: dict[ConceptKind, int] = {}
         # Goes up whenever an ancestor set or a clash verdict may change, so
@@ -206,8 +211,13 @@ class ConceptGraph:
             names = ", ".join(sorted(self.name_of(p) for p in broken))
             raise ConsistencyError(f"{what} would contradict recorded events on: {names}")
 
-    def declare_disjoint(self, names: Sequence[str]) -> None:
-        """Record pairwise disjointness over two or more same-kind concepts."""
+    def declare_disjoint(self, names: Sequence[str], protected: Iterable[int] = ()) -> None:
+        """Record pairwise disjointness over two or more same-kind concepts.
+
+        Nothing is recorded when two of them are related by subsumption, or
+        when a protected concept (one that recorded history relies on) would
+        turn unsatisfiable.
+        """
         if len(names) < 2:
             raise DeclarationError("disjointness needs at least two concepts")
         ids = [self.lookup(n) for n in names]
@@ -223,11 +233,29 @@ class ConceptGraph:
                     "they are related by subsumption"
                 )
             pairs.append((ia, ib))
+        # No ancestor set changes and every two of the names form a pair, so
+        # the concepts that die are the satisfiable ones with two of the
+        # names among their ancestors. Every protected concept is judged
+        # first, so that the pass over the verdicts meets it.
+        sides, reach, verdicts = set(ids), self._reach, self._unsat
+        protected = set(protected)
+        for p in protected.difference(verdicts):
+            self.is_unsatisfiable(p)
+        dying = [c for c, dead in verdicts.items()
+                 if not dead and not sides.isdisjoint(reach[c])
+                 and len(sides.intersection(reach[c])) > 1]
+        broken = [p for p in dying if p in protected]
+        if broken:
+            listed = ", ".join(repr(n) for n in names)
+            culprits = ", ".join(sorted(self.name_of(p) for p in broken))
+            raise ConsistencyError(
+                f"declaring {listed} disjoint would contradict recorded events on: "
+                f"{culprits}")
         # Recorded only once all pairs check out, each under one side: a
         # clash needs both sides inside the set, so a walk meets that side.
         for ia, ib in pairs:
             self._partners.setdefault(ia, set()).add(ib)
-        self._unsat.clear()
+        verdicts.update(dict.fromkeys(dying, True))
         self.generation += 1
 
     def _flush(self, changed: tuple[int, ...]) -> None:

@@ -200,6 +200,10 @@ class Access:
 
 @dataclass(frozen=True)
 class Step:
+    """Advance the clock. A script's `step` line is one step; a gap of
+    `count` steps, as the log monitor builds, prints as that many lines."""
+
+    count: int = 1
     line: int = field(default=0, compare=False)
 
 
@@ -265,7 +269,7 @@ def _statement(words: list[str], kinds: list[TokenKind], line: int) -> Statement
                                              ("a concept name",) * (end - 2)), line)
             stmt = NewEquiv(*names, line) if what == "equiv" else NewDisjoint(tuple(names), line)
     elif head == "step":
-        stmt, end = Step(line), 1
+        stmt, end = Step(line=line), 1
     else:
         retro = words[1:2] == ["retro"]
         end = 2 if retro else 1
@@ -351,7 +355,7 @@ def print_statement(stmt: Statement) -> str:
                 parts.append(format_step(stmt.end))
         return " ".join(parts)
     if isinstance(stmt, Step):
-        return "step"
+        return "\n".join(["step"] * stmt.count)
     if isinstance(stmt, Assume):
         word = "true" if stmt.expected else "false"
         return f"assume {word} {print_statement(stmt.action)}"
@@ -417,6 +421,7 @@ def execute(statements: list[Statement], ledger: Ledger | None = None) -> RunRep
     led = ledger if ledger is not None else Ledger()
     outcomes: list[StatementOutcome] = []
     assumes: list[AssumeResult] = []
+    events: list[EventRecord] = []
     for stmt in statements:
         try:
             result = apply(led, stmt)
@@ -426,9 +431,11 @@ def execute(statements: list[Statement], ledger: Ledger | None = None) -> RunRep
             raise ExecutionError(stmt.line, str(err)) from err
         if isinstance(result, AssumeResult):
             assumes.append(result)
+        elif result is not None:
+            events.append(result)
         text = result.statement if isinstance(result, AssumeResult) else print_statement(stmt)
         outcomes.append(StatementOutcome(stmt.line, text, _note(led, stmt, result)))
-    return RunReport(outcomes, assumes, list(led.events), led.now, led)
+    return RunReport(outcomes, assumes, events, led.now, led)
 
 
 def _ensure_recipient(led: Ledger, name: str) -> None:
@@ -461,7 +468,7 @@ def apply(led: Ledger, stmt: Statement) -> EventRecord | AssumeResult | None:
     elif isinstance(stmt, Withdraw):
         led.withdraw(stmt.label, retroactive=stmt.retro)
     elif isinstance(stmt, Step):
-        led.advance()
+        led.advance(stmt.count)
     elif isinstance(stmt, Collect):
         _ensure_recipient(led, stmt.recipient)
         return led.record_event(ActionType.COLLECT, stmt.data, stmt.subject,
@@ -475,12 +482,15 @@ def apply(led: Ledger, stmt: Statement) -> EventRecord | AssumeResult | None:
         # Subjects spring into existence on first mention, even inside assume.
         led.declare_subject(inner.subject)
         _ensure_recipient(led, inner.recipient)
+        # The builders resolve the concepts and the subject is known, so
+        # only an access's own interval is left to validate.
         if isinstance(inner, Collect):
             query = led.collect_query(inner.data, inner.subject, inner.recipient)
         else:
             query = led.access_query(inner.data, inner.subject, inner.recipient,
                                      _access_interval(inner))
-        return AssumeResult(stmt.line, stmt.expected, led.check(query).authorized,
+            led._validate_query_shape(query)
+        return AssumeResult(stmt.line, stmt.expected, led._decide(query).authorized,
                             print_statement(stmt))
     else:
         raise TypeError(f"not a statement: {stmt!r}")

@@ -15,6 +15,17 @@ def test_advance_rejects_nonpositive():
         advance(0)
 
 
+def test_advance_by_a_gap_is_one_call():
+    assert advance(1, 5) == 6
+    assert advance(3, 1) == advance(3)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_advance_never_goes_back(count):
+    with pytest.raises(IntervalError):
+        advance(4, count)
+
+
 def test_step_token_round_trip():
     assert format_step(4) == "T4"
     assert parse_step("T4") == 4

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 from itertools import product
 
@@ -9,6 +10,8 @@ from consentry.chronology import StepInterval
 from consentry.core import (
     ActionType,
     ConsentRecord,
+    Decision,
+    EventRecord,
     Ledger,
     Mode,
     Reason,
@@ -241,9 +244,11 @@ class TestLedgerCheck:
     def test_check_does_not_mutate(self):
         led = fresh_ledger()
         led.grant("Location", ALICE, "Partner")
-        before = (led.now, len(led.consents), len(led.events))
+        before = (led.now, len(led.consents), led._next_event)
         led.check(led.collect_query("Location", ALICE, "Partner"))
-        assert (led.now, len(led.consents), len(led.events)) == before
+        assert (led.now, len(led.consents), led._next_event) == before
+        # No event was numbered: the next one recorded is still the first.
+        assert led.record_event(ActionType.COLLECT, "Location", ALICE, "Partner").id == 1
 
 
 class TestDenialReasons:
@@ -378,6 +383,21 @@ class TestLedgerValidation:
         with pytest.raises(ConsistencyError):
             led.declare_equivalent("WalkingRoute", "DrivingRoute")
 
+    def test_disjointness_cannot_void_recorded_events(self):
+        led = fresh_ledger()
+        led.declare_data("Both", "DeviceLocation", "Contacts")
+        led.grant("Both", ALICE, "Partner")
+        led.record_event(ActionType.COLLECT, "Both", ALICE, "Partner")
+        with pytest.raises(ConsistencyError, match="recorded events on: Both"):
+            led.declare_disjoint("CellLocation", "DeviceLocation", "Contacts")
+        # Refused whole: not even the pair away from Both was recorded.
+        graph = led.ontology
+        assert not graph.are_disjoint(graph.lookup("CellLocation"), graph.lookup("Contacts"))
+        assert led.check(led.collect_query("Both", ALICE, "Partner")).authorized
+        # A disjointness the recorded concepts do not sit under is kept.
+        led.declare_disjoint("CellLocation", "Contacts")
+        assert graph.are_disjoint(graph.lookup("CellLocation"), graph.lookup("Contacts"))
+
     def test_disjointness_of_one_concept_rejected(self):
         led = fresh_ledger()
         with pytest.raises(DeclarationError, match="at least two"):
@@ -393,11 +413,31 @@ class TestEvents:
         led = fresh_ledger()
         ev = led.record_event(ActionType.COLLECT, "Location", ALICE, "Partner")
         assert not ev.verdict.authorized
-        assert led.events == [ev]
+        assert (ev.id, ev.action, ev.subject, ev.occurred_at) == \
+            (1, ActionType.COLLECT, ALICE, 1)
         led.grant("Location", ALICE, "Partner")
         ev2 = led.record_event(ActionType.COLLECT, "Location", ALICE, "Partner")
         assert ev2.verdict.authorized
         assert ev2.id == ev.id + 1
+
+    def test_dropped_events_leave_nothing_behind(self):
+        """The ledger keeps no event: its memory does not grow with history."""
+        def live(kind):
+            gc.collect()
+            return [o for o in gc.get_objects() if isinstance(o, kind)]
+
+        led = fresh_ledger()
+        led.grant("Location", ALICE, "Partner")
+        before = len(live(EventRecord)), len(live(Decision))
+        kept = led.record_event(ActionType.COLLECT, "Location", ALICE, "Partner")
+        assert any(o is kept for o in live(EventRecord))  # the probe sees events
+        del kept
+        for _ in range(200):
+            led.advance()
+            led.record_event(ActionType.COLLECT, "Location", ALICE, "Partner")
+            led.record_event(ActionType.ACCESS, "Location", BOB, "Partner")
+        assert (len(live(EventRecord)), len(live(Decision))) == before
+        assert led.record_event(ActionType.COLLECT, "Location", ALICE, "Partner").id == 402
 
     def test_collect_event_takes_no_interval(self):
         led = fresh_ledger()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consentry.core import Reason
+from consentry.core import Ledger, Reason
 from consentry.errors import LogFormatError, LogOrderError, MonitorError
 from consentry.monitor import (
     map_to_step,
@@ -17,6 +17,7 @@ from consentry.monitor import (
     translate_to_script,
 )
 from consentry.script import Access, Grant, Withdraw, run_script
+from conftest import FIXTURES
 
 EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 DAY = timedelta(days=1)
@@ -459,6 +460,43 @@ class TestScan:
     def test_hourly_grid_spreads_steps(self):
         hourly = scan(MANIFEST, CONSENTS, ACCESSES, EPOCH, timedelta(hours=1))
         assert hourly.final_step == 15 * 24 + 1  # Jan 16 00:00 on 1h steps
+
+
+class TestClockGaps:
+    """A gap between records is one Step, whatever the step duration."""
+
+    SECOND = timedelta(seconds=1)
+
+    @staticmethod
+    def fixture_logs():
+        return [(FIXTURES / "monitor" / name).read_text(encoding="utf-8")
+                for name in ("manifest.consent", "consents.jsonl", "accesses.jsonl")]
+
+    def test_one_advance_per_record_at_most(self, monkeypatch):
+        logs = self.fixture_logs()
+        records = sum(len(log.splitlines()) for log in logs[1:])
+        counts = []
+        advance = Ledger.advance
+
+        def counted(led, *args):
+            counts.append(args)
+            return advance(led, *args)
+        monkeypatch.setattr(Ledger, "advance", counted)
+        report = scan(*logs, None, self.SECOND)
+        assert report.final_step > 400_000  # days apart, on one-second steps
+        assert 0 < len(counts) <= records
+        assert 1 + sum(args[0] if args else 1 for args in counts) == report.final_step
+
+    def test_translation_still_prints_every_step(self):
+        logs = self.fixture_logs()
+        lines = translate_to_script(*logs, None, self.SECOND).splitlines()
+        report = scan(*logs, None, self.SECOND)
+        assert lines.count("step") == report.final_step - 1
+        # Between the steps stand the same statements as on daily steps,
+        # but for the steps of the collection windows.
+        daily = translate_to_script(*logs, None, DAY).splitlines()
+        assert [line.split()[:4] for line in lines if line != "step"] == \
+            [line.split()[:4] for line in daily if line != "step"]
 
 
 class TestTranslation:

@@ -202,6 +202,22 @@ class TestDisjointness:
         with pytest.raises(DeclarationError):
             graph.declare_disjoint(("A",))
 
+    def test_protected_concept_guard(self, graph):
+        # X, never judged before, sits under A and B: declaring A and B (with
+        # a third name) disjoint would make it unsatisfiable, so with X
+        # protected nothing is recorded; the unrelated Y does not block.
+        for name in ("A", "B", "C"):
+            graph.declare_concept(name, DATA, [])
+        x = graph.declare_concept("X", DATA, ["A", "B"])
+        y = graph.declare_concept("Y", DATA, ["C"])
+        with pytest.raises(ConsistencyError, match="recorded events on: X"):
+            graph.declare_disjoint(("A", "B", "C"), protected=[x, y])
+        assert not graph.is_unsatisfiable(x)
+        assert not graph.are_disjoint(graph.lookup("A"), graph.lookup("C"))
+        graph.declare_disjoint(("A", "C"), protected=[x, y])
+        graph.declare_disjoint(("A", "B"))
+        assert graph.is_unsatisfiable(x) and not graph.is_unsatisfiable(y)
+
     def test_cross_kind_rejected(self, graph):
         graph.declare_concept("X", DATA, [])
         graph.declare_concept("R", RECIPIENT, [])
@@ -348,7 +364,8 @@ ontology_steps = st.lists(st.one_of(
     st.tuples(st.just("parents"), names_st, st.lists(names_st, min_size=1, max_size=2),
               st.booleans()),
     st.tuples(st.just("equivalent"), names_st, names_st, st.booleans()),
-    st.tuples(st.just("disjoint"), st.lists(names_st, min_size=2, max_size=3)),
+    st.tuples(st.just("disjoint"), st.lists(names_st, min_size=2, max_size=3),
+              st.booleans()),
     st.tuples(st.just("query"), names_st),
 ), min_size=3, max_size=20)
 
@@ -366,8 +383,9 @@ class NaiveGraph:
             list(BASE), self.edges if edges is None else edges,
             self.equivs if equivs is None else equivs)
 
-    def clashes(self, names: set[str]) -> bool:
-        return any(p in names and q in names for p, q in self.pairs)
+    def clashes(self, names: set[str], pairs=None) -> bool:
+        return any(p in names and q in names
+                   for p, q in (self.pairs if pairs is None else pairs))
 
 
 class TestCachesNeverStale:
@@ -378,10 +396,11 @@ class TestCachesNeverStale:
         """Apply op to both graphs; the naive one predicts any rejection."""
         kind, *args = op
         up = naive.closure()
-        if kind in ("parents", "equivalent"):  # fresh edges flush, and are guarded
+        if kind != "query":  # every declaration is guarded when the flag is set
             *sides, guard = args
             protected = POOL if guard else []
             ids = [graph.lookup(p) for p in protected]
+        if kind in ("parents", "equivalent"):  # fresh edges flush
             edges, equivs = naive.edges, naive.equivs
             if kind == "parents":
                 name, parents = sides
@@ -400,17 +419,18 @@ class TestCachesNeverStale:
             if not refused:
                 naive.edges, naive.equivs = edges, equivs
         elif kind == "disjoint":
-            names, = args
+            names, = sides
+            pairs = naive.pairs + list(combinations(names, 2))
             refused = any(
                 (x in up[y] or y in up[x])
                 and not (naive.clashes(up[x]) or naive.clashes(up[y]))
-                for x, y in combinations(names, 2))
-            if refused:
-                with pytest.raises(ConsistencyError):
-                    graph.declare_disjoint(names)
-            else:
-                graph.declare_disjoint(names)
-                naive.pairs.extend(combinations(names, 2))
+                for x, y in combinations(names, 2)) or any(
+                not naive.clashes(up[p]) and naive.clashes(up[p], pairs)
+                for p in protected)
+            with pytest.raises(ConsistencyError) if refused else nullcontext():
+                graph.declare_disjoint(names, protected=ids)
+            if not refused:
+                naive.pairs = pairs
         else:
             name, = args
             assert graph.is_unsatisfiable(graph.lookup(name)) == naive.clashes(up[name])
@@ -433,11 +453,14 @@ class TestCachesNeverStale:
     @given(ontology_steps)
     # C is dead once A and B are disjoint; equating it with E must be
     # refused for E's sake, although E does not reach C.
-    @example([("disjoint", ["A", "B"]), ("equivalent", "C", "E", True),
+    @example([("disjoint", ["A", "B"], False), ("equivalent", "C", "E", True),
               ("query", "E")])
     # A fresh parent E for D kills D and must be refused; unguarded it is kept.
-    @example([("disjoint", ["A", "E"]), ("parents", "D", ["E"], True),
+    @example([("disjoint", ["A", "E"], False), ("parents", "D", ["E"], True),
               ("parents", "D", ["E"], False), ("query", "D")])
+    # A and B disjoint kill C and D, which sit under both: refused when guarded.
+    @example([("disjoint", ["E", "A", "B"], True), ("query", "C"),
+              ("disjoint", ["E", "A", "B"], False), ("query", "D")])
     def test_verdicts_match_a_rescan_after_every_step(self, ops):
         graph, naive = ConceptGraph(), NaiveGraph()
         for name, parents in BASE.items():

@@ -306,6 +306,19 @@ class TestRoundTrip:
         # Printing is canonical: a second trip changes nothing.
         assert print_program(parse_script(printed)) == printed
 
+    def test_a_gap_prints_one_step_line_per_step(self):
+        # The parser never builds a gap, so parsed programs still round-trip
+        # exactly; a gap reads back as its unit steps, the same clock move.
+        gap = [Step(3, line=5), Collect("X", "s", "R")]
+        printed = print_program(gap)
+        assert printed == "step\nstep\nstep\ncollect X s R\n"
+        assert parse_script(printed) == [Step(), Step(), Step(), Collect("X", "s", "R")]
+        assert print_program(parse_script(printed)) == printed
+        led = Ledger()
+        led.declare_data("X")
+        assert execute(gap, led).final_step == run_script("new data X Data\n" + printed) \
+            .final_step == 4
+
 
 class TestExecute:
     def test_basic_lifecycle(self):
@@ -433,6 +446,13 @@ class TestExecutionErrors:
         with pytest.raises(ExecutionError):
             run_script("new data X Data\naccess X s R T1 T5\n")
 
+    @pytest.mark.parametrize("expected", ["true", "false"])
+    def test_assume_over_a_future_interval(self, expected):
+        with pytest.raises(ExecutionError) as err:
+            run_script(f"new data X Data\nstep\nassume {expected} access X s R T1 T4\n")
+        assert err.value.line == 3
+        assert "reaches past access step T2" in str(err.value)
+
     def test_duplicate_label(self):
         with pytest.raises(ExecutionError) as err:
             run_script("new data X Data\ngrant X s R :c1\ngrant X s R :c1\n")
@@ -465,6 +485,37 @@ collect A s R
             execute(parse_script(declaration), led)
         assert not led.ontology.is_unsatisfiable(led.ontology.lookup("A"))
         assert led.ontology.lookup("C") not in led.ontology.ancestors(led.ontology.lookup("A"))
+
+    def test_disjointness_is_guarded(self):
+        # A sits under B and C with a recorded collect; declaring B and C
+        # disjoint would flip the assume that passed on line 7.
+        script = """\
+new data B Data
+new data C Data
+new data A B
+new data A C
+grant A s R :c1
+collect A s R
+assume true collect A s R
+new disjoint B C
+assume true collect A s R
+"""
+        with pytest.raises(ExecutionError) as err:
+            run_script(script)
+        assert err.value.line == 8
+        assert "would contradict recorded events on: A" in str(err.value)
+        led = Ledger()
+        head, _, _ = script.partition("new disjoint")
+        execute(parse_script(head), led)
+        with pytest.raises(ConsentryError):
+            execute(parse_script("new disjoint B C\n"), led)
+        graph = led.ontology
+        assert not graph.is_unsatisfiable(graph.lookup("A"))
+        assert not graph.are_disjoint(graph.lookup("B"), graph.lookup("C"))
+        # With no event recorded on A, the same declaration is accepted.
+        unrecorded = script.replace("collect A s R\nassume true", "assume true")
+        report = run_script(unrecorded + "assume false collect A s R\n")
+        assert [a.passed for a in report.assumes] == [True, False, True]
 
     def test_a_fresh_parent_away_from_the_history_is_accepted(self):
         report = run_script(self.BASE + "new data D B\nnew data D C\n"
