@@ -18,7 +18,6 @@ from .core import (
     Mode,
     Reason,
     Withdrawal,
-    authorized_region,
 )
 from .errors import ConsentryError
 from .monitor import ViolationReport, scan, translate_to_script
@@ -44,7 +43,6 @@ __all__ = [
     "ViolationReport",
     "Withdrawal",
     "advance",
-    "authorized_region",
     "execute",
     "format_step",
     "parse_script",

@@ -27,6 +27,7 @@ from datetime import timedelta
 
 from . import bench, monitor
 from .chronology import format_step
+from .core import ActionType
 from .errors import ConsentryError, InvalidValueError
 from .script import RunReport, run_script
 
@@ -176,22 +177,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -- explain -------------------------------------------------------------------
 
 
+def _covered(reach: tuple[int, int | None], horizon: int) -> range:
+    """The steps of a reach [lo, hi) from `ConsentRecord.reach`, up to horizon."""
+    lo, hi = reach
+    return range(lo, horizon + 1 if hi is None else min(hi, horizon + 1))
+
+
 def _render_region(consent, horizon: int) -> str:
     width = max(4, len(str(horizon)) + 2)
-    header = " " * width + "".join(f"{format_step(t):>{width}}" for t in
-                                   range(1, horizon + 1))
+    steps = range(1, horizon + 1)
+    header = " " * width + "".join(f"{format_step(t):>{width}}" for t in steps)
+    # Each access step's reach, read once: the collection steps it covers.
+    columns = [_covered(consent.reach(ActionType.ACCESS, t_a), t_a) for t_a in steps]
     lines = [header]
-    for t_c in range(1, horizon + 1):
-        cells = []
-        for t_a in range(1, horizon + 1):
-            if t_a < t_c:
-                cell = " "
-            elif consent.authorizes_access(t_c, t_a):
-                cell = "#"
-            else:
-                cell = "."
-            cells.append(f"{cell:>{width}}")
-        lines.append(f"{format_step(t_c):>{width}}" + "".join(cells))
+    for t_c in steps:
+        cells = (" " if t_a < t_c else "#" if t_c in column else "."
+                 for t_a, column in zip(steps, columns))
+        lines.append(f"{format_step(t_c):>{width}}"
+                     + "".join(f"{cell:>{width}}" for cell in cells))
     return "\n".join(lines)
 
 
@@ -215,8 +218,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print(f"covered (rows: collection step, columns: access step, horizon "
           f"{format_step(horizon)}):")
     print(_render_region(consent, horizon))
-    collectable = [format_step(t) for t in range(1, horizon + 1)
-                   if consent.authorizes_collection(t)]
+    collectable = [format_step(t) for t in
+                   _covered(consent.reach(ActionType.COLLECT, horizon), horizon)]
     print("collection allowed at: " + (" ".join(collectable) or "(never)"))
     return 0
 

@@ -36,10 +36,10 @@ the denial is a subject mismatch. The query's concepts are validated
 once at entry; after that one concept predicate, built from their ancestor
 sets, judges every candidate. So a check costs in proportion to the
 subject's consents and the distinct concept pairs, not the ledger's size.
-`record_event` builds its query through the resolving builders and checks
-the interval itself, so it skips `check`'s entry validation and goes
-straight to the decision; the script interpreter's `assume` does the same,
-validating only its interval's shape.
+`record_event` and the script interpreter's `assume` build their query in
+one place, `_event_query`: the resolving builders validate the concepts and
+an access's interval gets `check`'s shape test, so both skip the rest of
+`check`'s entry validation and report a bad query alike.
 
 The subject-mismatch verdict ("does any distinct pair pass the predicate?")
 does not depend on the subject, so it is memoised per (data, recipient,
@@ -393,7 +393,7 @@ class Ledger:
 
         Concept applicability only, before any subject or time reasoning.
         The query's concepts were validated on entry, by `check` or by the
-        query builders `record_event` uses, and a consent's were at its
+        query builders `_event_query` uses, and a consent's were at its
         grant, so no kind is checked again per candidate.
         """
         graph = self.ontology
@@ -472,25 +472,10 @@ class Ledger:
 
         The event is returned, not kept; ids count up from 1 per ledger.
         """
-        if action is ActionType.COLLECT:
-            if collected_interval is not None:
-                raise QueryError("collection events do not take a collected interval")
-            query = self.collect_query(data, subject, recipient)
-            interval = None
-        else:
-            if collected_interval is not None and (
-                not collected_interval.bounded or collected_interval.last > self.now
-            ):
-                raise QueryError(
-                    f"access event at {chronology.format_step(self.now)} cannot "
-                    f"cover data collected in the future ({collected_interval})"
-                )
-            query = self.access_query(data, subject, recipient, collected_interval)
-            interval = query.collected_interval
+        query = self._event_query(action, data, subject, recipient, collected_interval)
         self.declare_subject(subject)
-        # The builders resolved the concepts and built a valid interval or
-        # kept the one checked above, so nothing is validated again.
         verdict = self._decide(query)
+        interval = query.collected_interval if action is ActionType.ACCESS else None
         event = EventRecord(
             id=self._next_event,
             action=action,
@@ -504,6 +489,23 @@ class Ledger:
         self._next_event += 1
         self._event_concepts.update((query.data_concept, query.recipient_concept))
         return event
+
+    def _event_query(self, action: ActionType, data: int | str, subject: str,
+                     recipient: int | str,
+                     collected_interval: StepInterval | None) -> AuthzQuery:
+        """The query a recorded event or a script's assume asks, ready to decide.
+
+        The builders resolve both concepts, so an unknown one is reported
+        before a bad interval; an access's interval is then checked as
+        `check` checks it. The subject is the caller's to declare.
+        """
+        if action is ActionType.COLLECT:
+            if collected_interval is not None:
+                raise QueryError("collection events do not take a collected interval")
+            return self.collect_query(data, subject, recipient)
+        query = self.access_query(data, subject, recipient, collected_interval)
+        self._validate_query_shape(query)
+        return query
 
 
 def _runs(span: StepInterval, consents: list[ConsentRecord], action: ActionType,
@@ -532,12 +534,3 @@ def _runs(span: StepInterval, consents: list[ConsentRecord], action: ActionType,
         for a, b in zip(bounds, bounds[1:])
     )
 
-
-def authorized_region(consent: ConsentRecord, horizon: int) -> set[tuple[int, int]]:
-    """All (collection step, access step) pairs the consent covers up to horizon."""
-    return {
-        (t_c, t_a)
-        for t_a in range(1, horizon + 1)
-        for t_c in range(1, t_a + 1)
-        if consent.authorizes_access(t_c, t_a)
-    }

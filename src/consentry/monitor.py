@@ -328,8 +328,11 @@ def _statements(manifest: str, consent_log: str, access_log: str,
     carrying the row's line, so the stream's length follows the records
     whatever the step duration.
     A None epoch means the earliest instant either log mentions, collection
-    windows included.
+    windows included. A step duration that is not positive is refused
+    first, with no line: no record is at fault.
     """
+    if step_duration <= timedelta(0):
+        raise InvalidValueError(f"step duration must be positive, got {step_duration}")
     for stmt in parse_manifest(manifest):
         yield "manifest", stmt
     consents = parse_consent_log(consent_log)

@@ -223,13 +223,17 @@ Statement = Union[
 def parse(text: str) -> list[Statement]:
     """Parse each line that holds a token, in order, as one statement."""
     statements = []
-    for line_no, line in enumerate(_lines(text), start=1):
+    lines = _lines(text)
+    for line_no, line in enumerate(lines, start=1):
         words, kinds = _lex(line, line_no)
         if words:
             try:
                 statements.append(_statement(words, kinds, line_no))
             except ParseError:
-                tokenize(text)  # a lex error on any line outranks a parse error
+                # A lex error on any line outranks a parse error; the lines
+                # up to this one have lexed already.
+                for later_no, later in enumerate(lines[line_no:], start=line_no + 1):
+                    _lex(later, later_no)
                 raise
     return statements
 
@@ -438,6 +442,9 @@ def execute(statements: list[Statement], ledger: Ledger | None = None) -> RunRep
     return RunReport(outcomes, assumes, events, led.now, led)
 
 
+_ACTIONS = {Collect: ActionType.COLLECT, Access: ActionType.ACCESS}
+
+
 def _ensure_recipient(led: Ledger, name: str) -> None:
     # Recipient roles spring into existence on first mention, like subjects:
     # an undeclared one lands directly under the Recipient root, exactly what
@@ -469,27 +476,18 @@ def apply(led: Ledger, stmt: Statement) -> EventRecord | AssumeResult | None:
         led.withdraw(stmt.label, retroactive=stmt.retro)
     elif isinstance(stmt, Step):
         led.advance(stmt.count)
-    elif isinstance(stmt, Collect):
+    elif isinstance(stmt, (Collect, Access)):
         _ensure_recipient(led, stmt.recipient)
-        return led.record_event(ActionType.COLLECT, stmt.data, stmt.subject,
-                                stmt.recipient)
-    elif isinstance(stmt, Access):
-        _ensure_recipient(led, stmt.recipient)
-        return led.record_event(ActionType.ACCESS, stmt.data, stmt.subject,
+        return led.record_event(_ACTIONS[type(stmt)], stmt.data, stmt.subject,
                                 stmt.recipient, _access_interval(stmt))
     elif isinstance(stmt, Assume):
         inner = stmt.action
         # Subjects spring into existence on first mention, even inside assume.
         led.declare_subject(inner.subject)
         _ensure_recipient(led, inner.recipient)
-        # The builders resolve the concepts and the subject is known, so
-        # only an access's own interval is left to validate.
-        if isinstance(inner, Collect):
-            query = led.collect_query(inner.data, inner.subject, inner.recipient)
-        else:
-            query = led.access_query(inner.data, inner.subject, inner.recipient,
-                                     _access_interval(inner))
-            led._validate_query_shape(query)
+        # The same query an event would record, decided without recording it.
+        query = led._event_query(_ACTIONS[type(inner)], inner.data, inner.subject,
+                                 inner.recipient, _access_interval(inner))
         return AssumeResult(stmt.line, stmt.expected, led._decide(query).authorized,
                             print_statement(stmt))
     else:
@@ -518,9 +516,9 @@ def _note(led: Ledger, stmt: Statement,
     return "declared"
 
 
-def _access_interval(stmt: Access) -> StepInterval | None:
-    if stmt.start is None:
-        return None  # all collected history, [T1, now+1)
+def _access_interval(stmt: Collect | Access) -> StepInterval | None:
+    if isinstance(stmt, Collect) or stmt.start is None:
+        return None  # a collect's own step, or all collected history [T1, now+1)
     if stmt.end is None:
         return StepInterval.single(stmt.start)
     if stmt.end <= stmt.start:

@@ -17,7 +17,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from consentry.chronology import StepInterval, parse_step
-from consentry.core import ActionType, AuthzQuery, Ledger, Mode
+from consentry.core import ActionType, AuthzQuery, ConsentRecord, Ledger, Mode
 from consentry.errors import ConsistencyError, IntervalError, LexError, ParseError
 from consentry.ontology import ConceptGraph, ConceptKind
 from consentry.oracle import FiniteScenario
@@ -45,6 +45,16 @@ def build_ledger(scenario: FiniteScenario) -> Ledger:
     for subject in scenario.subjects:
         ledger.declare_subject(subject)
     return ledger
+
+
+def authorized_region(consent: ConsentRecord, horizon: int) -> set[tuple[int, int]]:
+    """All (collection step, access step) pairs the consent covers up to horizon."""
+    return {
+        (t_c, t_a)
+        for t_a in range(1, horizon + 1)
+        for t_c in range(1, t_a + 1)
+        if consent.authorizes_access(t_c, t_a)
+    }
 
 
 def engine_verdicts(scenario: FiniteScenario) -> list[bool]:

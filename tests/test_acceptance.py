@@ -15,7 +15,7 @@ from itertools import product
 
 from consentry.bench import BenchScenario, run_scenario
 from consentry.cli import main as cli_main
-from consentry.core import ConsentRecord, Reason, Withdrawal, authorized_region
+from consentry.core import ConsentRecord, Reason, Withdrawal
 from consentry.monitor import scan, translate_to_script
 from consentry.oracle import (
     ConsentSpec,
@@ -27,6 +27,7 @@ from consentry.script import run_script
 
 import support
 from conftest import GOLDEN_SCRIPTS, golden_path, golden_text
+from support import authorized_region
 
 
 @contextmanager

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -9,6 +10,7 @@ from consentry import cli, monitor
 from consentry.bench import BenchScenario
 from consentry.cli import main, parse_duration, STEP_DURATION_ENV
 from consentry.errors import ConsentryError
+from consentry.oracle import ConsentSpec, oracle_collection_steps, oracle_region
 from consentry.script import run_script
 
 from conftest import FIXTURES, GOLDEN_SCRIPTS, golden_path, golden_text
@@ -343,6 +345,21 @@ withdraw retro :c1
 """
 
 
+def _explained(out: str) -> tuple[set[tuple[int, int]], set[int]]:
+    """An explain printout's covered (collection, access) cells, each read
+    under its access step's header, and its "collection allowed at" steps."""
+    lines = out.splitlines()
+    top = next(i for i, line in enumerate(lines) if line.startswith("covered ("))
+    columns = [(m.end() - 1, int(m.group(1)))
+               for m in re.finditer(r"T(\d+)", lines[top + 1])]
+    cells = set()
+    for row in lines[top + 2:top + 2 + len(columns)]:
+        t_c = int(row.split()[0][1:])
+        cells.update((t_c, t_a) for at, t_a in columns if row[at] == "#")
+    allowed = lines[-1].removeprefix("collection allowed at: ")
+    return cells, {int(word[1:]) for word in allowed.split() if word != "(never)"}
+
+
 class TestExplain:
     def test_region_grid(self, tmp_path, capsys):
         path = write(tmp_path, "grant.consent", EXPLAIN_SCRIPT)
@@ -355,6 +372,29 @@ class TestExplain:
         # Covered cells: collections at T1-T2 accessed before the cut.
         assert out.count("#") == 3
         assert out.strip().endswith("collection allowed at: T1 T2")
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.consent")),
+                             ids=lambda path: path.stem)
+    def test_grid_matches_the_oracle(self, path, capsys):
+        # Every labelled consent's covered cells and collection steps, at
+        # every horizon up to the default, against the naive oracle.
+        report = run_script(path.read_text(encoding="utf-8"))
+        graph = report.ledger.ontology
+        labelled = [c for c in report.ledger.consents if c.label]
+        assert labelled
+        for c in labelled:
+            w = c.withdrawal
+            spec = ConsentSpec(graph.name_of(c.data_concept), c.subject,
+                               graph.name_of(c.recipient_concept), c.granted_at,
+                               c.grant_retroactive, None if w is None else w.step,
+                               w is not None and w.retroactive)
+            for horizon in range(1, report.final_step + 3):
+                assert main(["explain", str(path), "--consent", f":{c.label}",
+                             "--horizon", str(horizon)]) == 0
+                cells, collectable = _explained(capsys.readouterr().out)
+                where = (c.label, horizon)
+                assert cells == set(oracle_region(spec, horizon)), where
+                assert collectable == set(oracle_collection_steps(spec, horizon)), where
 
     def test_label_colon_is_optional(self, tmp_path, capsys):
         path = write(tmp_path, "grant.consent", EXPLAIN_SCRIPT)

@@ -16,7 +16,6 @@ from consentry.core import (
     Mode,
     Reason,
     Withdrawal,
-    authorized_region,
 )
 from consentry.errors import (
     AlreadyWithdrawnError,
@@ -25,11 +24,14 @@ from consentry.errors import (
     DuplicateLabelError,
     KindMismatchError,
     QueryError,
+    UnknownConceptError,
     UnknownConsentError,
     UnknownSubjectError,
 )
 from consentry.ontology import ConceptKind
 from consentry.oracle import ConsentSpec, oracle_collection_steps, oracle_region
+
+from support import authorized_region
 
 ALICE = "alice"
 BOB = "bob"
@@ -455,8 +457,20 @@ class TestEvents:
 
     def test_access_event_cannot_cover_the_future(self):
         led = fresh_ledger()
-        with pytest.raises(QueryError):
+        with pytest.raises(QueryError, match=r"\[T1, T3\) reaches past access step T1"):
             led.record_event(ActionType.ACCESS, "Location", ALICE, "Partner",
+                             collected_interval=StepInterval(1, 3))
+
+    def test_access_event_needs_a_bounded_interval(self):
+        led = fresh_ledger()
+        with pytest.raises(QueryError, match="queries need a bounded collection interval"):
+            led.record_event(ActionType.ACCESS, "Location", ALICE, "Partner",
+                             collected_interval=StepInterval(1))
+
+    def test_unknown_concept_outranks_a_bad_interval(self):
+        led = fresh_ledger()
+        with pytest.raises(UnknownConceptError):
+            led.record_event(ActionType.ACCESS, "Nowhere", ALICE, "Partner",
                              collected_interval=StepInterval(1, 3))
 
 

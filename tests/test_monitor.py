@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consentry.core import Ledger, Reason
-from consentry.errors import LogFormatError, LogOrderError, MonitorError
+from consentry.errors import InvalidValueError, LogFormatError, LogOrderError, MonitorError
 from consentry.monitor import (
     map_to_step,
     parse_access_log,
@@ -497,6 +497,24 @@ class TestClockGaps:
         daily = translate_to_script(*logs, None, DAY).splitlines()
         assert [line.split()[:4] for line in lines if line != "step"] == \
             [line.split()[:4] for line in daily if line != "step"]
+
+
+class TestStepDurationIsNoRecordsFault:
+    """A step duration that is not positive is refused before any record is
+    read, with no line: no record is at fault, and empty logs do not hide it."""
+
+    @pytest.mark.parametrize("entry", [scan, translate_to_script])
+    @pytest.mark.parametrize("duration", [timedelta(0), -DAY])
+    def test_refused_without_a_line(self, entry, duration):
+        with pytest.raises(InvalidValueError) as err:
+            entry(*TestClockGaps.fixture_logs(), None, duration)
+        assert not isinstance(err.value, MonitorError)
+        assert str(err.value) == f"step duration must be positive, got {duration}"
+
+    @pytest.mark.parametrize("entry", [scan, translate_to_script])
+    def test_refused_with_empty_logs(self, entry):
+        with pytest.raises(InvalidValueError, match="step duration must be positive"):
+            entry("", "", "", None, timedelta(0))
 
 
 class TestTranslation:

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from consentry.core import ConsentRecord, Withdrawal, authorized_region
+from consentry.core import ConsentRecord, Withdrawal
 from consentry.oracle import (
     ConceptFacts,
     ConsentSpec,
@@ -17,6 +17,7 @@ from consentry.oracle import (
 )
 
 import support
+from support import authorized_region
 
 
 def spec(granted_at=1, grant_retroactive=False, withdrawn_at=None,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from consentry import script
 from consentry.core import Ledger
 from consentry.errors import ConsentryError, ExecutionError, LexError, ParseError
 from consentry.script import (
@@ -176,6 +177,14 @@ class TestParseAgainstReference:
     def test_same_statements_or_same_error(self, lines, newline):
         text = newline.join(lines)
         assert _parse_outcome(parse_script, text) == _parse_outcome(reference_parse, text)
+
+    def test_later_lex_error_is_found_without_tokens(self, monkeypatch):
+        def no_tokens(text):
+            raise AssertionError("parse built tokens")
+        monkeypatch.setattr(script, "tokenize", no_tokens)
+        with pytest.raises(LexError) as err:
+            parse("step\nfrobnicate A\nstep\ncollect A@b C\n")
+        assert (err.value.line, err.value.column) == (4, 10)
 
 
 class TestParse:
@@ -457,6 +466,23 @@ class TestExecutionErrors:
         with pytest.raises(ExecutionError) as err:
             run_script("new data X Data\ngrant X s R :c1\ngrant X s R :c1\n")
         assert err.value.line == 3
+
+
+class TestOneRuleOneMessage:
+    """A plain access and an assume over it ask one query, refused alike."""
+
+    @pytest.mark.parametrize("data, message", [
+        ("X", "collection interval [T1, T4) reaches past access step T2"),
+        ("Nowhere", "unknown concept: 'Nowhere'"),  # outranks the interval
+    ])
+    def test_access_and_assume_agree(self, data, message):
+        messages = set()
+        for form in ("access", "assume true access", "assume false access"):
+            with pytest.raises(ExecutionError) as err:
+                run_script(f"new data X Data\nstep\n{form} {data} s R T1 T4\n")
+            assert err.value.line == 3
+            messages.add(err.value.message)
+        assert messages == {message}
 
 
 class TestDeclarationGuard:
