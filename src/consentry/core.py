@@ -25,9 +25,11 @@ single consent must cover a given collection step outright.
 A decision therefore stores coverage in closed form: the query interval
 cut into maximal runs of steps, each with the ids of the consents that
 cover all of it. Cost and size depend on the number of matching consents,
-not on how many steps the query spans. A denial's cause is read off the
-same intervals: a consent fails an uncovered step at or past its hi because
-it was withdrawn, and below it because the step is outside its grant window.
+not on how many steps the query spans: a decision costs one `reach` per
+matching consent plus a sort of the 2k reach ends for k matching consents.
+A denial's cause is read off the same reaches: a consent fails an uncovered
+step at or past its hi because it was withdrawn, and below it because the
+step is outside its grant window.
 
 `Ledger.check` finds candidate consents through two indexes that `grant`
 fills: the querying subject's own consents, and, only on the denial path,
@@ -97,17 +99,6 @@ class Reason(Enum):
     WITHDRAWN_RETRO = "WithdrawnRetro"
     CONCEPT_UNSATISFIABLE = "ConceptUnsatisfiable"
     SUBJECT_MISMATCH = "SubjectMismatch"
-
-
-# Lower rank wins when several causes explain a denial.
-_DENIAL_RANK = {
-    Reason.CONCEPT_UNSATISFIABLE: 0,
-    Reason.SUBJECT_MISMATCH: 1,
-    Reason.NO_MATCHING_CONSENT: 2,
-    Reason.WITHDRAWN_RETRO: 3,
-    Reason.WITHDRAWN_NON_RETRO: 4,
-    Reason.OUTSIDE_GRANT_WINDOW: 5,
-}
 
 
 @dataclass(frozen=True)
@@ -369,11 +360,14 @@ class Ledger:
         applies = self._concept_match(query)
         matching = [c for c in self._by_subject.get(query.subject, ())
                     if applies(c.data_concept, c.recipient_concept)]
-        runs = _runs(span, matching, query.action, query.access_at)
-        if all(ids for _, ids in runs):
-            return Decision(True, runs, Reason.OK)
-        return Decision(False, runs,
-                        self._denial_reason(query, applies, matching, runs))
+        if matching:
+            return _sweep(span, matching, query.action, query.access_at)
+        # No consent matches, so the cause is structural. `applies` is asked
+        # of the distinct concept pairs, each at most once between ontology
+        # changes; the subject's own all failed, so one that passes is another's.
+        reason = Reason.SUBJECT_MISMATCH if self._some_pair_applies(query, applies) \
+            else Reason.NO_MATCHING_CONSENT
+        return Decision(False, ((span, frozenset()),), reason)
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
         interval = query.collected_interval
@@ -408,40 +402,6 @@ class Ledger:
         clashes, up = graph.clashes, graph.ancestors
         return lambda data, recipient: not clashes(up(data) | data_up) and \
             not clashes(up(recipient) | recipient_up)
-
-    def _denial_reason(self, query: AuthzQuery, applies: Callable[[int, int], bool],
-                       matching: list[ConsentRecord], runs: tuple[Run, ...]) -> Reason:
-        """Pick the most informative explanation for a denial.
-
-        When applicable consents exist, the denial is a timing story: report
-        the dominant failure cause across uncovered steps (retroactive
-        withdrawal over non-retroactive over a plain grant-window miss).
-        Only when no consent even matches the concepts and subject do the
-        structural reasons apply. Then `applies` is asked of the distinct
-        concept pairs in the ledger, not of each consent, and at most once
-        per pair between ontology changes (`_some_pair_applies`): the
-        subject's own pairs all failed it, so any pair that passes is
-        another subject's.
-
-        Each consent fails an uncovered step for one cause: withdrawal when
-        the step is at or past its reach's hi, the grant window otherwise.
-        Withdrawal holds from hi on and outranks the window, so judging the
-        last uncovered step alone gives each consent its strongest cause.
-        """
-        if matching:
-            last = next(run.last for run, ids in reversed(runs) if not ids)
-            causes = set()
-            for c in matching:
-                hi = c.reach(query.action, query.access_at)[1]
-                if hi is None or last < hi:
-                    causes.add(Reason.OUTSIDE_GRANT_WINDOW)
-                elif c.withdrawal.retroactive:
-                    causes.add(Reason.WITHDRAWN_RETRO)
-                else:
-                    causes.add(Reason.WITHDRAWN_NON_RETRO)
-            return min(causes, key=_DENIAL_RANK.__getitem__)
-        return Reason.SUBJECT_MISMATCH if self._some_pair_applies(query, applies) \
-            else Reason.NO_MATCHING_CONSENT
 
     def _some_pair_applies(self, query: AuthzQuery,
                            applies: Callable[[int, int], bool]) -> bool:
@@ -508,29 +468,51 @@ class Ledger:
         return query
 
 
-def _runs(span: StepInterval, consents: list[ConsentRecord], action: ActionType,
-          accessed_at: int) -> tuple[Run, ...]:
-    """Cut span into maximal runs of steps, each with the consents covering it.
+def _sweep(span: StepInterval, matching: list[ConsentRecord], action: ActionType,
+           accessed_at: int) -> Decision:
+    """Decide a query from one pass over its matching consents' reaches.
 
-    The cuts are the span's ends plus every end of a consent's reach inside
-    it. Each inner cut is where some consent starts or stops covering, and
-    every consent occurs once, so neighbouring runs never share an id set.
+    The ends of the reaches, clipped to span, are sorted and walked with one
+    live id set. A run is emitted only where the step moves, so runs are
+    maximal and at most 2k + 1. A denial's cause is judged at the last
+    uncovered step against each consent's unclipped hi, even if its clipped
+    reach is empty: at or past hi it was withdrawn, a retroactive withdrawal
+    outranking a plain one, and below hi the step is outside its window.
     """
     start, end = span.start, span.end
-    reaches = []
-    cuts = {start, end}
-    for c in consents:
+    ends: list[tuple[int, int]] = []  # (step, id) starts, (step, ~id) stops
+    withdrawn: list[tuple[int, bool]] = []  # (unclipped hi, retroactive)
+    for c in matching:
         lo, hi = c.reach(action, accessed_at)
-        lo = max(lo, start)
-        hi = end if hi is None else min(hi, end)
+        if hi is None:
+            hi = end
+        else:
+            withdrawn.append((hi, c.withdrawal.retroactive))
+            hi = hi if hi < end else end
+        lo = lo if lo > start else start
         if lo < hi:
-            reaches.append((c.id, lo, hi))
-            cuts.add(lo)
-            cuts.add(hi)
-    bounds = sorted(cuts)
-    return tuple(
-        (StepInterval(a, b),
-         frozenset([cid for cid, lo, hi in reaches if lo <= a and b <= hi]))
-        for a, b in zip(bounds, bounds[1:])
-    )
-
+            ends += (lo, c.id), (hi, ~c.id)
+    ends.sort()
+    runs: list[Run] = []
+    live: set[int] = set()
+    at, last = start, None  # last: the last uncovered step so far
+    for step, cid in ends:
+        if step != at:
+            ids = frozenset(live)
+            runs.append((StepInterval(at, step), ids))
+            if not ids:
+                last = step - 1
+            at = step
+        if cid >= 0:
+            live.add(cid)
+        else:
+            live.discard(~cid)
+    if at < end:  # every reach has stopped, so the tail is uncovered
+        runs.append((StepInterval(at, end), frozenset()))
+        last = end - 1
+    if last is None:
+        return Decision(True, tuple(runs), Reason.OK)
+    causes = {retro for hi, retro in withdrawn if hi <= last}
+    reason = Reason.WITHDRAWN_RETRO if True in causes else \
+        Reason.WITHDRAWN_NON_RETRO if causes else Reason.OUTSIDE_GRANT_WINDOW
+    return Decision(False, tuple(runs), reason)

@@ -45,6 +45,7 @@ Unknown JSON fields are ignored so services can log extra context.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from heapq import merge as _heap_merge
@@ -74,21 +75,33 @@ ACCESS_ACTIONS = ("collect", "access")
 Row = tuple[datetime, Statement, tuple[datetime, datetime] | None]
 
 
+# One timestamp grammar on every Python: `fromisoformat` alone reads more
+# forms from 3.11 on and fewer fraction widths on 3.10. [0-9], not \d, which
+# matches other scripts' digits too.
+_INSTANT = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ][0-9]{2}:[0-9]{2}(?::[0-9]{2}(\.[0-9]{1,6})?)?)?)"
+    r"([Zz]|[+-][0-9]{2}:[0-5][0-9])?")
+
+
 def parse_instant(value: str) -> datetime:
-    """Parse an ISO-8601 instant; naive values are taken as UTC."""
-    if not isinstance(value, str):
-        raise InvalidValueError(f"expected an ISO-8601 timestamp, got {value!r}")
-    raw = value.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    try:
-        ts = datetime.fromisoformat(raw)
-        if ts.tzinfo is None:
-            ts = ts.replace(tzinfo=timezone.utc)
-        return ts.astimezone(timezone.utc)
-    except (ValueError, OverflowError):  # malformed, or outside years 1-9999 in UTC
-        raise InvalidValueError(
-            f"expected an ISO-8601 timestamp in years 1-9999, got {value!r}") from None
+    """Parse `YYYY-MM-DD[(T| )HH:MM[:SS[.ffffff]]][Z|z|±HH:MM]` as a UTC
+    instant; surrounding whitespace is ignored and no offset means UTC."""
+    m = _INSTANT.fullmatch(value.strip()) if isinstance(value, str) else None
+    if m is not None:
+        naive, fraction, zone = m.groups()
+        if fraction:  # 3.10 reads only 3 or 6 digits
+            naive = naive[:-len(fraction)] + fraction.ljust(7, "0")
+        elif len(naive) == 10:  # a date alone, which would read an offset as a time
+            naive += "T00:00"
+        try:
+            if zone is None or zone in "Zz":
+                return datetime.fromisoformat(naive + "+00:00")
+            return datetime.fromisoformat(naive + zone).astimezone(timezone.utc)
+        except (ValueError, OverflowError):  # a field out of range, or outside years 1-9999
+            pass
+    raise InvalidValueError(
+        f"expected an ISO-8601 timestamp in years 1-9999, got {value!r}")
 
 
 def map_to_step(epoch: datetime, instant: datetime, step_duration: timedelta) -> int:
@@ -104,14 +117,18 @@ def _record_lines(text: str) -> Iterable[tuple[int, dict]]:
     # Records end at "\n" only: str.splitlines() also breaks at U+2028,
     # U+2029 and U+0085, which JSON strings may hold raw, and at control
     # characters, which JSON rejects on their own line. A "\r" left before
-    # the "\n" is JSON whitespace.
+    # the "\n" is JSON whitespace. `decode` skips `json.loads`'s per-call
+    # checks; of those, a leading BOM keeps its message.
+    decode = json.JSONDecoder().decode
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            payload = json.loads(line)
+            payload = decode(line)
         except json.JSONDecodeError as err:
-            raise LogFormatError(f"not valid JSON: {err.msg}", line_no) from None
+            msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" \
+                if line.startswith("\ufeff") else err.msg
+            raise LogFormatError(f"not valid JSON: {msg}", line_no) from None
         except ValueError:  # more digits than int() converts
             raise LogFormatError("not valid JSON: an integer is too long", line_no) from None
         except RecursionError:

@@ -17,7 +17,9 @@ from itertools import groupby
 from operator import attrgetter
 
 from consentry.chronology import StepInterval, parse_step
-from consentry.core import ActionType, AuthzQuery, ConsentRecord, Ledger, Mode
+from consentry.core import (
+    ActionType, AuthzQuery, ConsentRecord, Decision, Ledger, Mode, Reason, Run,
+)
 from consentry.errors import ConsistencyError, IntervalError, LexError, ParseError
 from consentry.ontology import ConceptGraph, ConceptKind
 from consentry.oracle import FiniteScenario
@@ -55,6 +57,80 @@ def authorized_region(consent: ConsentRecord, horizon: int) -> set[tuple[int, in
         for t_c in range(1, t_a + 1)
         if consent.authorizes_access(t_c, t_a)
     }
+
+
+# Lower rank wins when several causes explain a denial.
+_DENIAL_RANK = {
+    Reason.CONCEPT_UNSATISFIABLE: 0,
+    Reason.SUBJECT_MISMATCH: 1,
+    Reason.NO_MATCHING_CONSENT: 2,
+    Reason.WITHDRAWN_RETRO: 3,
+    Reason.WITHDRAWN_NON_RETRO: 4,
+    Reason.OUTSIDE_GRANT_WINDOW: 5,
+}
+
+
+def reference_decide(ledger: Ledger, query: AuthzQuery) -> Decision:
+    """The decision kernel as cuts and rescans, kept as the reference that
+    `Ledger._decide`'s one sweep must agree with: runs, verdict and reason.
+    The runs come from every reach end inside the span, each run's ids from
+    a scan of every reach, and a denial's cause from a second reach per
+    consent at the last uncovered step."""
+    graph = ledger.ontology
+    span = query.collected_interval
+    if graph.is_unsatisfiable(query.data_concept) or graph.is_unsatisfiable(
+        query.recipient_concept
+    ):
+        return Decision(False, ((span, frozenset()),), Reason.CONCEPT_UNSATISFIABLE)
+    applies = ledger._concept_match(query)
+    matching = [c for c in ledger._by_subject.get(query.subject, ())
+                if applies(c.data_concept, c.recipient_concept)]
+    runs = reference_runs(span, matching, query.action, query.access_at)
+    if all(ids for _, ids in runs):
+        return Decision(True, runs, Reason.OK)
+    if matching:
+        last = next(run.last for run, ids in reversed(runs) if not ids)
+        causes = set()
+        for c in matching:
+            hi = c.reach(query.action, query.access_at)[1]
+            if hi is None or last < hi:
+                causes.add(Reason.OUTSIDE_GRANT_WINDOW)
+            elif c.withdrawal.retroactive:
+                causes.add(Reason.WITHDRAWN_RETRO)
+            else:
+                causes.add(Reason.WITHDRAWN_NON_RETRO)
+        reason = min(causes, key=_DENIAL_RANK.__getitem__)
+    else:
+        reason = Reason.SUBJECT_MISMATCH if ledger._some_pair_applies(query, applies) \
+            else Reason.NO_MATCHING_CONSENT
+    return Decision(False, runs, reason)
+
+
+def reference_runs(span: StepInterval, consents: list[ConsentRecord],
+                   action: ActionType, accessed_at: int) -> tuple[Run, ...]:
+    """Cut span into maximal runs of steps, each with the consents covering it.
+
+    The cuts are the span's ends plus every end of a consent's reach inside
+    it. Each inner cut is where some consent starts or stops covering, and
+    every consent occurs once, so neighbouring runs never share an id set.
+    """
+    start, end = span.start, span.end
+    reaches = []
+    cuts = {start, end}
+    for c in consents:
+        lo, hi = c.reach(action, accessed_at)
+        lo = max(lo, start)
+        hi = end if hi is None else min(hi, end)
+        if lo < hi:
+            reaches.append((c.id, lo, hi))
+            cuts.add(lo)
+            cuts.add(hi)
+    bounds = sorted(cuts)
+    return tuple(
+        (StepInterval(a, b),
+         frozenset([cid for cid, lo, hi in reaches if lo <= a and b <= hi]))
+        for a, b in zip(bounds, bounds[1:])
+    )
 
 
 def engine_verdicts(scenario: FiniteScenario) -> list[bool]:

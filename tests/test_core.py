@@ -31,7 +31,7 @@ from consentry.errors import (
 from consentry.ontology import ConceptKind
 from consentry.oracle import ConsentSpec, oracle_collection_steps, oracle_region
 
-from support import authorized_region
+from support import authorized_region, reference_decide
 
 ALICE = "alice"
 BOB = "bob"
@@ -731,6 +731,128 @@ class TestClosedFormCoverage:
         assert (per_step_coverage(decision), decision.reason) == per_step_check(led, query)
 
 
+# -- the one-sweep kernel against the cut-and-rescan reference ------------------
+
+class TestSweepKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference_kernel(self, data):
+        led = fresh_ledger()
+        led.declare_data("Impossible", "WalkingRoute", "DrivingRoute")
+        led.declare_subject(CAROL)
+        horizon = data.draw(st.integers(1, 30))
+        action = data.draw(st.sampled_from(ActionType))
+        if action is ActionType.COLLECT:
+            first = last = horizon
+        else:
+            first = data.draw(st.integers(1, horizon))
+            last = data.draw(st.integers(first, horizon))
+        # Grants and withdrawals crowd the span's first and last steps.
+        step_st = st.integers(1, horizon) | st.sampled_from(
+            sorted({first, last, min(last + 1, horizon)}))
+        plan = []
+        for subject in (ALICE, BOB):
+            consents = data.draw(st.lists(st.tuples(
+                step_st, st.sampled_from(QUERY_DATA), st.sampled_from(RECIPIENT_CHOICES),
+                st.booleans(), st.none() | step_st, st.booleans()), max_size=20))
+            for granted, concept, recipient, retro, withdrawn, withdraw_retro in consents:
+                key = len(plan)
+                plan.append((granted, 0, key, (concept, subject, recipient, retro)))
+                if withdrawn is not None:
+                    plan.append((max(granted, withdrawn), 1, key, withdraw_retro))
+        ids = {}
+        for step, kind, key, args in sorted(plan, key=lambda p: p[:3]):
+            while led.now < step:
+                led.advance()
+            if kind == 0:
+                concept, subject, recipient, retro = args
+                ids[key] = led.grant(concept, subject, recipient, retroactive=retro)
+            else:
+                led.withdraw(ids[key], retroactive=args)
+        while led.now < horizon:
+            led.advance()
+        subject = data.draw(st.sampled_from((ALICE, BOB, CAROL)))
+        concepts = (data.draw(st.sampled_from(QUERY_DATA)), subject,
+                    data.draw(st.sampled_from(RECIPIENT_CHOICES)))
+        mode = data.draw(st.sampled_from(Mode))
+        if action is ActionType.COLLECT:
+            query = led.collect_query(*concepts, mode=mode)
+        else:
+            query = led.access_query(*concepts, StepInterval(first, last + 1), mode=mode)
+            query = replace(query, access_at=data.draw(st.integers(last, horizon)))
+        decision = led._decide(query)
+        expected = reference_decide(led, query)
+        assert decision.runs == expected.runs
+        assert decision.authorized == expected.authorized
+        assert decision.reason is expected.reason
+
+    def test_consents_handing_over_at_one_step_leave_no_empty_run(self):
+        led = fresh_ledger()
+        first = led.grant("Location", ALICE, "Partner")            # T1
+        led.advance()
+        led.advance()
+        led.withdraw(first)                                        # T3
+        second = led.grant("Location", ALICE, "Partner")           # T3
+        led.advance()                                              # T4
+        query = led.access_query("Location", ALICE, "Partner")
+        decision = led.check(query)
+        assert decision == Decision(True, (
+            (StepInterval(1, 3), frozenset({first})),
+            (StepInterval(3, 5), frozenset({second})),
+        ), Reason.OK)
+        assert decision == reference_decide(led, query)
+
+    def test_retro_withdrawal_with_an_empty_clipped_reach_still_counts(self):
+        # At T5 the second consent's reach is [T3, T1): no end of it enters
+        # the sweep, yet its retroactive withdrawal outranks the first's.
+        led = fresh_ledger()
+        kept = led.grant("Location", ALICE, "Partner")             # T1
+        led.advance()
+        led.withdraw(kept)                                         # T2, non-retro
+        led.advance()
+        cut = led.grant("Location", ALICE, "Partner")              # T3
+        led.advance()
+        led.withdraw(cut, retroactive=True)                        # T4
+        led.advance()                                              # T5
+        query = led.access_query("Location", ALICE, "Partner", StepInterval(1, 3))
+        assert led.consent(cut).reach(ActionType.ACCESS, 5) == (3, 1)
+        decision = led.check(query)
+        assert decision.runs == ((StepInterval(1, 2), frozenset({kept})),
+                                 (StepInterval(2, 3), frozenset()))
+        assert decision.reason is Reason.WITHDRAWN_RETRO
+        assert decision == reference_decide(led, query)
+
+    @pytest.mark.parametrize("causes, reason", [
+        ({"retro", "plain", "window"}, Reason.WITHDRAWN_RETRO),
+        ({"retro", "window"}, Reason.WITHDRAWN_RETRO),
+        ({"plain", "window"}, Reason.WITHDRAWN_NON_RETRO),
+        ({"window"}, Reason.OUTSIDE_GRANT_WINDOW),
+    ])
+    def test_retro_outranks_plain_outranks_window(self, causes, reason):
+        # Over [T1, T6) at T5 the last uncovered step is T3: the plain
+        # withdrawal at T2 fails it by withdrawal, the T4 grant by its
+        # window, and the retroactive withdrawal at T3 fails every step.
+        led = fresh_ledger()
+        if "plain" in causes:
+            plain = led.grant("Location", ALICE, "Partner")        # T1
+        led.advance()
+        if "plain" in causes:
+            led.withdraw(plain)                                    # T2
+        if "retro" in causes:
+            retro = led.grant("Location", ALICE, "Partner")        # T2
+        led.advance()
+        if "retro" in causes:
+            led.withdraw(retro, retroactive=True)                  # T3
+        led.advance()
+        led.grant("Location", ALICE, "Partner")                    # T4, the window
+        led.advance()                                              # T5
+        query = led.access_query("Location", ALICE, "Partner")
+        decision = led.check(query)
+        assert not decision.authorized
+        assert decision.reason is reason
+        assert decision == reference_decide(led, query)
+
+
 # -- work per check: flat in the number of subjects ------------------------------
 
 OTHER_PAIRS = list(product(("Location", "Contacts", "WalkingRoute", "DrivingRoute",
@@ -844,6 +966,32 @@ class TestCheckWork:
         calls["predicate"] = 0
         assert led.check(query).reason is Reason.SUBJECT_MISMATCH
         assert calls["predicate"] == 0
+
+    @pytest.mark.parametrize("action", ActionType)
+    def test_one_reach_per_matching_consent(self, monkeypatch, action):
+        led = crowded_ledger()
+        led.grant("DeviceLocation", ALICE, "Advertiser", retroactive=True)
+        led.advance()
+        reach = ConsentRecord.reach
+        calls = []
+
+        def counted(consent, *args):
+            calls.append(consent.id)
+            return reach(consent, *args)
+        monkeypatch.setattr(ConsentRecord, "reach", counted)
+
+        def decide():
+            calls.clear()
+            if action is ActionType.COLLECT:
+                return led.check(led.collect_query("DeviceLocation", ALICE, "Advertiser"))
+            return led.check(led.access_query("DeviceLocation", ALICE, "Advertiser"))
+        matching = [0, len(led.consents) - 1]  # Location/Partner and the new grant
+        assert decide().authorized
+        assert sorted(calls) == matching
+        led.withdraw(0)
+        led.withdraw(matching[1], retroactive=True)
+        assert decide().reason is Reason.WITHDRAWN_RETRO
+        assert sorted(calls) == matching
 
     def test_resolve_runs_twice_per_recorded_event(self, monkeypatch):
         led = crowded_ledger()

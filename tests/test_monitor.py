@@ -94,6 +94,55 @@ class TestInstants:
         with pytest.raises(ValueError):
             parse_instant("yesterday")
 
+    # One grammar on every Python: `fromisoformat` alone refuses some of the
+    # accepted forms on 3.10 and accepts some of the refused ones from 3.11.
+    @pytest.mark.parametrize("text, expected", [
+        ("2024-03-01", (2024, 3, 1)),
+        ("2024-03-01T09:30", (2024, 3, 1, 9, 30)),
+        ("2024-03-01 09:30:15", (2024, 3, 1, 9, 30, 15)),
+        ("2024-03-01T09:30:00.5Z", (2024, 3, 1, 9, 30, 0, 500000)),
+        ("2024-03-01T09:30:00.12z", (2024, 3, 1, 9, 30, 0, 120000)),
+        ("2024-03-01T09:30:00.12345", (2024, 3, 1, 9, 30, 0, 123450)),
+        ("2024-03-01T09:30:00.123456-05:30", (2024, 3, 1, 15, 0, 0, 123456)),
+        ("2024-03-01+01:00", (2024, 2, 29, 23)),  # an offset, not a time
+        ("2024-03-01Z", (2024, 3, 1)),
+        (" 2024-03-01T09:30Z\n", (2024, 3, 1, 9, 30)),
+    ])
+    def test_accepted_forms(self, text, expected):
+        assert parse_instant(text) == datetime(*expected, tzinfo=timezone.utc)
+
+    @pytest.mark.parametrize("text", [
+        "20240301T093000Z",           # basic format
+        "2024-W09-5T09:30Z",          # week date
+        "2024-061",                   # ordinal date
+        "2024-03-01T09Z",             # hour alone
+        "2024-03-01T0930",
+        "2024-03-01t09:30",
+        "2024-03-01x09:30",
+        "2024-03-01T09:30.5",         # a fraction needs seconds
+        "2024-03-01T09:30:00,5",
+        "2024-03-01T09:30:00.1234567",
+        "2024-03-01T09:30+0100",
+        "2024-03-01T09:30+01:00:30",
+        "2024-03-01T09:30+01:60",
+        "2024-03-01T09:30+24:00",
+        "2024-03-01T09:30Z+01:00",
+        "2024-03-01T24:00",
+        "2024-02-30",
+        "٢٠٢٤-03-01",   # Arabic-Indic digits
+        "２０２４-03-01",   # fullwidth digits
+        "0001-01-01T00:00+01:00",     # before year 1 in UTC
+        "9999-12-31T23:59-01:00",     # after year 9999 in UTC
+        "",
+    ])
+    def test_refused_forms(self, text):
+        with pytest.raises(InvalidValueError, match="in years 1-9999, got"):
+            parse_instant(text)
+
+    def test_a_non_string_is_refused(self):
+        with pytest.raises(InvalidValueError, match="in years 1-9999, got 5"):
+            parse_instant(5)
+
 
 class TestStepGrid:
     def test_epoch_is_step_one(self):
@@ -320,6 +369,16 @@ class TestRecordLines:
             parse_consent_log(jl(withdraw(1, "c0")) + record + "\n")
         assert err.value.line == 2
         assert "control character" in str(err.value)
+
+    @pytest.mark.parametrize("parse", [parse_consent_log, parse_access_log])
+    def test_a_leading_bom_is_reported_as_json_loads_reports_it(self, parse):
+        line = "\ufeff" + json.dumps(collect(1, "D", "s", "R"))
+        with pytest.raises(LogFormatError) as err:
+            parse(line + "\n")
+        with pytest.raises(json.JSONDecodeError) as plain:
+            json.loads(line)
+        assert err.value.line == 1
+        assert str(err.value).endswith(f"line 1: not valid JSON: {plain.value.msg}")
 
 
 class TestManifest:
