@@ -34,13 +34,14 @@ from .script import RunReport, run_script
 STEP_DURATION_ENV = "CONSENT_STEP_DURATION"
 DEFAULT_STEP_DURATION = "1d"
 
-_DURATION = re.compile(r"(?:(?P<days>\d+)d)?(?:(?P<hours>\d+)h)?"
-                       r"(?:(?P<minutes>\d+)m)?(?:(?P<seconds>\d+)s)?\Z")
+# [0-9], not \d, which matches other scripts' digits too.
+_DURATION = re.compile(r"(?:(?P<days>[0-9]+)d)?(?:(?P<hours>[0-9]+)h)?"
+                       r"(?:(?P<minutes>[0-9]+)m)?(?:(?P<seconds>[0-9]+)s)?\Z")
 
 
 def parse_duration(text: str) -> timedelta:
     raw = text.strip()
-    if raw.isdecimal():
+    if raw.isascii() and raw.isdigit():
         parts = {"seconds": raw}
     else:
         m = _DURATION.match(raw)
@@ -58,8 +59,10 @@ def parse_duration(text: str) -> timedelta:
 
 
 def _read(path: str) -> str:
+    # newline="" keeps every "\r": a log record ends at "\n" only, and a
+    # script splits its lines itself.
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as err:
         raise ConsentryError(f"cannot read {path}: {err.strerror or err}") from None
@@ -72,22 +75,8 @@ def _read(path: str) -> str:
 
 def _run_report_json(path: str, report: RunReport) -> dict:
     graph = report.ledger.ontology
-    events = []
-    for ev in report.events:
-        collected = None
-        if ev.collected_interval is not None:
-            collected = [ev.collected_interval.start, ev.collected_interval.end]
-        events.append({
-            "id": ev.id,
-            "action": ev.action.value,
-            "data_concept": graph.name_of(ev.data_concept),
-            "subject": ev.subject,
-            "recipient_concept": graph.name_of(ev.recipient_concept),
-            "step": ev.occurred_at,
-            "collected_steps": collected,
-            "authorized": ev.verdict.authorized,
-            "reason": ev.verdict.reason.value,
-        })
+    events = [{"id": ev.id, **ev.fields(graph), "authorized": ev.verdict.authorized,
+               "reason": ev.verdict.reason.value} for ev in report.events]
     return {
         "script": path,
         "passed": report.passed,

@@ -167,33 +167,49 @@ Run = tuple[StepInterval, frozenset[int]]
 
 @dataclass(frozen=True)
 class Decision:
-    """Outcome of one query: the verdict, who covered what, and why not.
+    """Outcome of one query: who covered what, and why not.
 
     `runs` cuts the query's collection interval into maximal runs of steps,
     in order, each with the ids of the consents covering every step of it.
+    The query is authorized exactly when the reason is OK.
     """
 
-    authorized: bool
     runs: tuple[Run, ...]
     reason: Reason
+
+    @property
+    def authorized(self) -> bool:
+        return self.reason is Reason.OK
 
 
 @dataclass(frozen=True)
 class EventRecord:
-    """A collection or access that actually happened, verdict attached.
+    """A collection or access that actually happened: its query and verdict.
 
     Events are recorded regardless of the verdict; the engine observes,
-    it does not gate.
+    it does not gate. The event happened at `query.access_at`; an access's
+    `query.collected_interval` holds the steps its data was collected in,
+    and a collect's is just its own step.
     """
 
     id: int
-    action: ActionType
-    data_concept: int
-    subject: str
-    recipient_concept: int
-    occurred_at: int
-    collected_interval: StepInterval | None  # access events only
+    query: AuthzQuery
     verdict: Decision
+
+    def fields(self, graph: ConceptGraph) -> dict[str, object]:
+        """The event as reports name it: concepts by name, and the half-open
+        collected steps of an access (None for a collect)."""
+        query = self.query
+        span = query.collected_interval
+        return {
+            "action": query.action.value,
+            "data_concept": graph.name_of(query.data_concept),
+            "subject": query.subject,
+            "recipient_concept": graph.name_of(query.recipient_concept),
+            "step": query.access_at,
+            "collected_steps": (span.start, span.end)
+            if query.action is ActionType.ACCESS else None,
+        }
 
 
 class Ledger:
@@ -211,10 +227,10 @@ class Ledger:
         self.now: int = 1
         self.consents: list[ConsentRecord] = []
         self._labels: dict[str, int] = {}
-        self._subjects: set[str] = set()
         # Indexes over `consents`, filled in `grant`; withdrawal marks the
-        # shared record objects, so it needs no bookkeeping here.
-        self._by_subject: dict[str, list[ConsentRecord]] = {}  # in id order
+        # shared record objects, so it needs no bookkeeping here. Every known
+        # subject is a key, with its consents in id order, if any.
+        self._by_subject: dict[str, list[ConsentRecord]] = {}
         # Distinct (data, recipient) pairs, as keys in first-grant order.
         self._pairs: dict[tuple[int, int], None] = {}
         # (data, recipient, mode) -> (some pair applies, pairs judged), valid
@@ -232,11 +248,11 @@ class Ledger:
         return self.now
 
     def declare_subject(self, subject: str) -> str:
-        self._subjects.add(subject)
+        self._by_subject.setdefault(subject, [])
         return subject
 
     def knows_subject(self, subject: str) -> bool:
-        return subject in self._subjects
+        return subject in self._by_subject
 
     def declare_data(self, name: str, *parents: str) -> int:
         return self.ontology.declare_concept(name, ConceptKind.DATA, parents,
@@ -263,7 +279,6 @@ class Ledger:
         if label is not None:
             if label in self._labels:
                 raise DuplicateLabelError(f"consent label already in use: :{label}")
-        self.declare_subject(subject)
         record = ConsentRecord(
             id=len(self.consents),
             label=label,
@@ -355,7 +370,7 @@ class Ledger:
         if graph.is_unsatisfiable(query.data_concept) or graph.is_unsatisfiable(
             query.recipient_concept
         ):
-            return Decision(False, ((span, frozenset()),), Reason.CONCEPT_UNSATISFIABLE)
+            return Decision(((span, frozenset()),), Reason.CONCEPT_UNSATISFIABLE)
 
         applies = self._concept_match(query)
         matching = [c for c in self._by_subject.get(query.subject, ())
@@ -367,7 +382,7 @@ class Ledger:
         # changes; the subject's own all failed, so one that passes is another's.
         reason = Reason.SUBJECT_MISMATCH if self._some_pair_applies(query, applies) \
             else Reason.NO_MATCHING_CONSENT
-        return Decision(False, ((span, frozenset()),), reason)
+        return Decision(((span, frozenset()),), reason)
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
         interval = query.collected_interval
@@ -434,18 +449,7 @@ class Ledger:
         """
         query = self._event_query(action, data, subject, recipient, collected_interval)
         self.declare_subject(subject)
-        verdict = self._decide(query)
-        interval = query.collected_interval if action is ActionType.ACCESS else None
-        event = EventRecord(
-            id=self._next_event,
-            action=action,
-            data_concept=query.data_concept,
-            subject=subject,
-            recipient_concept=query.recipient_concept,
-            occurred_at=self.now,
-            collected_interval=interval,
-            verdict=verdict,
-        )
+        event = EventRecord(self._next_event, query, self._decide(query))
         self._next_event += 1
         self._event_concepts.update((query.data_concept, query.recipient_concept))
         return event
@@ -511,8 +515,8 @@ def _sweep(span: StepInterval, matching: list[ConsentRecord], action: ActionType
         runs.append((StepInterval(at, end), frozenset()))
         last = end - 1
     if last is None:
-        return Decision(True, tuple(runs), Reason.OK)
+        return Decision(tuple(runs), Reason.OK)
     causes = {retro for hi, retro in withdrawn if hi <= last}
     reason = Reason.WITHDRAWN_RETRO if True in causes else \
         Reason.WITHDRAWN_NON_RETRO if causes else Reason.OUTSIDE_GRANT_WINDOW
-    return Decision(False, tuple(runs), reason)
+    return Decision(tuple(runs), reason)

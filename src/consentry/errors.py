@@ -101,11 +101,9 @@ class MonitorError(ConsentryError):
     """Base for log-scanning failures. Carries the offending log line if known."""
 
     def __init__(self, message: str, line: int | None = None, source: str | None = None):
-        where = f"{source or 'log'}"
-        if line is not None:
-            where += f" line {line}"
-            message = f"{where}: {message}"
-        super().__init__(message)
+        where = f"{source or 'log'} line {line}: " if line is not None else ""
+        super().__init__(where + message)
+        self.message = message  # without the place, to report it elsewhere
         self.line = line
         self.source = source
 

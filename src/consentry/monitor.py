@@ -39,7 +39,8 @@ records never changes the verdicts already issued.
 is a keyword, a time token such as T3 or not a word, and a consent id
 that is not a word, since those would not read back; `scan` accepts them.
 
-Unknown JSON fields are ignored so services can log extra context.
+Unknown JSON fields are ignored so services can log extra context. Every
+error in a record names its log and line, e.g. "access log line 3: ...".
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from datetime import datetime, timedelta, timezone
 from heapq import merge as _heap_merge
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .chronology import StepInterval, format_step
 from .core import Ledger, Reason
@@ -166,28 +167,27 @@ def _names(payload: dict, line: int) -> tuple[str, str, str]:
 
 def parse_consent_log(text: str) -> list[Row]:
     """The consent log's rows: a Grant or Withdraw each, with no window."""
-    rows = []
-    for line_no, payload in _record_lines(text):
-        action = _field(payload, "action", line_no)
-        if action not in CONSENT_ACTIONS:
-            raise LogFormatError(f"unknown consent action {action!r}", line_no)
-        timestamp = _instant_field(payload, "timestamp", line_no)
-        consent_id = _field(payload, "consent_id", line_no)
-        retroactive = payload.get("retroactive", False)
-        if not isinstance(retroactive, bool):
-            raise LogFormatError("field 'retroactive' must be a boolean", line_no)
-        if action == "grant":
-            stmt = Grant(*_names(payload, line_no), consent_id, retroactive, line_no)
-        else:
-            stmt = Withdraw(consent_id, retroactive, line_no)
-        rows.append((timestamp, stmt, None))
-    _check_order(rows, "consent log")
-    return rows
+    return _parse_log(text, "consent log", _consent_row)
+
+
+def _consent_row(line_no: int, payload: dict) -> Row:
+    action = _field(payload, "action", line_no)
+    if action not in CONSENT_ACTIONS:
+        raise LogFormatError(f"unknown consent action {action!r}", line_no)
+    timestamp = _instant_field(payload, "timestamp", line_no)
+    consent_id = _field(payload, "consent_id", line_no)
+    retroactive = payload.get("retroactive", False)
+    if not isinstance(retroactive, bool):
+        raise LogFormatError("field 'retroactive' must be a boolean", line_no)
+    if action == "grant":
+        stmt = Grant(*_names(payload, line_no), consent_id, retroactive, line_no)
+    else:
+        stmt = Withdraw(consent_id, retroactive, line_no)
+    return timestamp, stmt, None
 
 
 def parse_access_log(text: str) -> list[Row]:
     """The access log's rows: a Collect or Access each, and an access's window."""
-    rows = []
     # Collection-window stamps repeat across records; record stamps do not.
     windows: dict[str, datetime] = {}
 
@@ -198,7 +198,7 @@ def parse_access_log(text: str) -> list[Row]:
             instant = windows[raw] = _instant_field(payload, key, line_no)
         return instant
 
-    for line_no, payload in _record_lines(text):
+    def row(line_no: int, payload: dict) -> Row:
         action = payload.get("action")
         if action not in ACCESS_ACTIONS:
             _field(payload, "action", line_no)  # raises if missing or not a name
@@ -228,17 +228,25 @@ def parse_access_log(text: str) -> list[Row]:
                                  line_no)
         else:
             stmt = Collect(*names, line_no)
-        rows.append((timestamp, stmt, window))
-    _check_order(rows, "access log")
-    return rows
+        return timestamp, stmt, window
+
+    return _parse_log(text, "access log", row)
 
 
-def _check_order(rows: list[Row], source: str) -> None:
+def _parse_log(text: str, source: str, row: Callable[[int, dict], Row]) -> list[Row]:
+    """Each record's row, a format error naming `source`. Order is checked
+    once every record has parsed, so a malformed record anywhere outranks
+    a backwards timestamp."""
+    try:
+        rows = [row(line_no, payload) for line_no, payload in _record_lines(text)]
+    except LogFormatError as err:
+        raise LogFormatError(err.message, err.line, source) from None
     for (prev, _, _), (cur, stmt, _) in zip(rows, rows[1:]):
         if cur < prev:
             raise LogOrderError(
                 f"timestamp goes backwards (previous record at {prev.isoformat()})",
                 stmt.line, source)
+    return rows
 
 
 def parse_manifest(text: str) -> list[Statement]:
@@ -406,20 +414,8 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | Non
         events += 1
         if event.verdict.authorized:
             continue
-        collected = None
-        if event.collected_interval is not None:
-            collected = (event.collected_interval.start, event.collected_interval.end)
-        violations.append(Violation(
-            log_line=stmt.line,
-            event_id=event.id,
-            action=event.action.value,
-            data_concept=ledger.ontology.name_of(event.data_concept),
-            subject=event.subject,
-            recipient_concept=ledger.ontology.name_of(event.recipient_concept),
-            step=event.occurred_at,
-            collected_steps=collected,
-            reason=event.verdict.reason,
-        ))
+        violations.append(Violation(stmt.line, event.id, reason=event.verdict.reason,
+                                    **event.fields(ledger.ontology)))
     return ViolationReport(tuple(violations), events, ledger.now)
 
 

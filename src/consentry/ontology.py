@@ -7,37 +7,40 @@ that was once provable stays provable, and cached ancestor sets only need
 flushing when an existing concept gains edges.
 
 Reasoning model: a concept's ancestors are everything reachable from it
-over parent edges plus equivalence edges (walked in both directions).
-Subsumption is reachability. A set of concepts clashes when both sides of
-some recorded disjoint pair lie inside it: two concepts are disjoint when
-the union of their ancestors clashes, and a concept is unsatisfiable when
-its own ancestors do.
+over parent edges. An equivalence is two parent edges, each concept placed
+under the other, so one walk over one relation serves both. Subsumption
+is reachability. A set of concepts clashes when both sides of some
+recorded disjoint pair lie inside it: two concepts are disjoint when the
+union of their ancestors clashes, and a concept is unsatisfiable when its
+own ancestors do.
 
 Cost: disjoint pairs live in a partner index, concept -> the concepts
-declared disjoint from it, each pair filed under one of its sides. A clash
-test walks the smaller of the set and the index, with one lookup and one
-set intersection per step, so it costs O(min(|set|, |index|)) steps, not
-O(|disjoint pairs|). Ancestor sets and satisfiability verdicts are cached
-per concept. A fresh parent of an existing concept, or an equivalence
-recorded or rolled back, changes only the ancestor sets that hold that
-concept or a side, so `_flush` drops just those entries and their
-verdicts. A disjointness declaration changes no ancestor set, and it
-turns unsatisfiable exactly the satisfiable concepts with both sides of a
-new pair among their ancestors: one pass over the cached verdicts finds
-and sets those, and the rest stay. Both bump `generation`, which callers
+declared disjoint from it, each pair filed under one of its sides. A
+clash test walks the smaller of the set and the index, with one lookup
+and one set intersection per step, so it costs O(min(|set|, |index|))
+steps, not O(|disjoint pairs|). Ancestor sets and satisfiability
+verdicts are cached per concept. A parent edge added to an existing
+concept, or rolled back, changes only the ancestor sets that hold that
+concept, so `_flush` drops just those entries and their verdicts. A
+rollback removes only the edges its declaration added, so an equivalence
+refused between a concept and its parent keeps the parent edge. A
+disjointness declaration changes no ancestor set, and it turns
+unsatisfiable exactly the satisfiable concepts with both sides of a new
+pair among their ancestors: one pass over the cached verdicts finds and
+sets those, and the rest stay. Both bump `generation`, which callers
 that memoise answers built on ancestor sets and clash tests compare to
-their own. The guard on fresh parents and equivalences re-judges only the
-protected concepts whose ancestors hold the changed concept or a side, for
-the same reason; an edge away from the recorded history costs no clash
-test at all. The guard on disjointness reads the same pass: each protected
-concept is judged beforehand, so the pass sees it.
+their own. The guard on fresh parents and equivalences re-judges only
+the protected concepts whose ancestors hold a concept that gained a
+parent, for the same reason; an edge away from the recorded history
+costs no clash test at all. The guard on disjointness reads the same
+pass: each protected concept is judged beforehand, so the pass sees it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -70,7 +73,6 @@ class ConceptGraph:
         self._concepts: list[Concept] = []
         self._by_name: dict[str, int] = {}
         self._parents: dict[int, set[int]] = {}
-        self._equiv: dict[int, set[int]] = {}
         self._partners: dict[int, set[int]] = {}
         self._reach: dict[int, frozenset[int]] = {}
         # A verdict is kept only while its concept's ancestor set is cached.
@@ -131,7 +133,6 @@ class ConceptGraph:
         self._concepts.append(Concept(cid, name, kind))
         self._by_name[name] = cid
         self._parents[cid] = set()
-        self._equiv[cid] = set()
         return cid
 
     def declare_concept(self, name: str, kind: ConceptKind,
@@ -162,10 +163,10 @@ class ConceptGraph:
                 raise KindMismatchError(
                     f"{name!r} already declared as a {self.kind_of(existing).value} concept"
                 )
-            fresh = {p for p in parent_ids if p != existing and p not in self._parents[existing]}
+            fresh = {p for p in parent_ids if p != existing} - self._parents[existing]
             if fresh:
                 under = ", ".join(sorted(repr(self.name_of(p)) for p in fresh))
-                self._add_edges([(self._parents[existing], fresh)], (existing,), protected,
+                self._add_edges([(existing, p) for p in fresh], protected,
                                 f"placing {name!r} under {under}")
             return existing
 
@@ -175,7 +176,8 @@ class ConceptGraph:
         return cid
 
     def declare_equivalent(self, a: str, b: str, protected: Iterable[int] = ()) -> None:
-        """Record that two same-kind concepts denote the same category.
+        """Record that two same-kind concepts denote the same category: each
+        becomes a parent of the other.
 
         The declaration is rejected when it would turn any protected concept
         (one that recorded history relies on) from satisfiable to
@@ -186,27 +188,30 @@ class ConceptGraph:
             raise KindMismatchError(f"cannot equate {a!r} with {b!r}: different kinds")
         if aid in self.ancestors(bid) and bid in self.ancestors(aid):
             return  # already mutually subsumed, nothing new to record
-        self._add_edges([(self._equiv[aid], {bid}), (self._equiv[bid], {aid})], (aid, bid),
-                        protected, f"equating {a!r} with {b!r}")
+        self._add_edges([(aid, bid), (bid, aid)], protected, f"equating {a!r} with {b!r}")
 
-    def _add_edges(self, edges: list[tuple[set[int], set[int]]], changed: tuple[int, ...],
-                   protected: Iterable[int], what: str) -> None:
-        """Add each set of new targets to its edge set, then flush the changed
-        concepts; roll back and raise if a protected concept turned unsatisfiable.
+    def _add_edges(self, edges: list[tuple[int, int]], protected: Iterable[int],
+                   what: str) -> None:
+        """Add each (child, parent) edge not there yet, then flush the children;
+        roll back what was added and raise if a protected concept turned
+        unsatisfiable.
 
-        Only concepts whose ancestors already hold a changed concept gain
-        ancestors by the edges, so only those are re-judged.
+        Only concepts whose ancestors already hold a child gain ancestors by
+        the edges, so only those are re-judged.
         """
+        parents = self._parents
+        added = [(child, parent) for child, parent in edges if parent not in parents[child]]
+        changed = {child for child, _ in added}
         guarded = [p for p in protected
                    if not self.ancestors(p).isdisjoint(changed)
                    and not self.is_unsatisfiable(p)]
-        for targets, new in edges:
-            targets |= new
+        for child, parent in added:
+            parents[child].add(parent)
         self._flush(changed)
         broken = [p for p in guarded if self.is_unsatisfiable(p)]
         if broken:
-            for targets, new in edges:
-                targets -= new
+            for child, parent in added:
+                parents[child].remove(parent)
             self._flush(changed)
             names = ", ".join(sorted(self.name_of(p) for p in broken))
             raise ConsistencyError(f"{what} would contradict recorded events on: {names}")
@@ -258,7 +263,7 @@ class ConceptGraph:
         verdicts.update(dict.fromkeys(dying, True))
         self.generation += 1
 
-    def _flush(self, changed: tuple[int, ...]) -> None:
+    def _flush(self, changed: set[int]) -> None:
         """Forget the cached ancestor sets holding a changed concept, and their verdicts."""
         self.generation += 1
         for cid in [c for c, anc in self._reach.items() if not anc.isdisjoint(changed)]:
@@ -277,7 +282,7 @@ class ConceptGraph:
         frontier = [cid]
         while frontier:
             node = frontier.pop()
-            for nxt in chain(self._parents[node], self._equiv[node]):
+            for nxt in self._parents[node]:
                 if nxt in seen:
                     continue
                 hit = self._reach.get(nxt)

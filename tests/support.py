@@ -81,13 +81,13 @@ def reference_decide(ledger: Ledger, query: AuthzQuery) -> Decision:
     if graph.is_unsatisfiable(query.data_concept) or graph.is_unsatisfiable(
         query.recipient_concept
     ):
-        return Decision(False, ((span, frozenset()),), Reason.CONCEPT_UNSATISFIABLE)
+        return Decision(((span, frozenset()),), Reason.CONCEPT_UNSATISFIABLE)
     applies = ledger._concept_match(query)
     matching = [c for c in ledger._by_subject.get(query.subject, ())
                 if applies(c.data_concept, c.recipient_concept)]
     runs = reference_runs(span, matching, query.action, query.access_at)
     if all(ids for _, ids in runs):
-        return Decision(True, runs, Reason.OK)
+        return Decision(runs, Reason.OK)
     if matching:
         last = next(run.last for run, ids in reversed(runs) if not ids)
         causes = set()
@@ -103,7 +103,7 @@ def reference_decide(ledger: Ledger, query: AuthzQuery) -> Decision:
     else:
         reason = Reason.SUBJECT_MISMATCH if ledger._some_pair_applies(query, applies) \
             else Reason.NO_MATCHING_CONSENT
-    return Decision(False, runs, reason)
+    return Decision(runs, reason)
 
 
 def reference_runs(span: StepInterval, consents: list[ConsentRecord],

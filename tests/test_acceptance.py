@@ -315,7 +315,7 @@ def _coherence(manifest, consents, accesses):
     replay = run_script(script)
     assert len(replay.events) == report.events_scanned
     assert replay.final_step == report.final_step
-    denied = [(e.occurred_at, e.verdict.reason) for e in replay.events
+    denied = [(e.query.access_at, e.verdict.reason) for e in replay.events
               if not e.verdict.authorized]
     assert denied == [(v.step, v.reason) for v in report.violations]
     return report

@@ -9,7 +9,7 @@ import pytest
 from consentry import cli, monitor
 from consentry.bench import BenchScenario
 from consentry.cli import main, parse_duration, STEP_DURATION_ENV
-from consentry.errors import ConsentryError
+from consentry.errors import ConsentryError, InvalidValueError
 from consentry.oracle import ConsentSpec, oracle_collection_steps, oracle_region
 from consentry.script import run_script
 
@@ -66,6 +66,14 @@ class TestDurations:
     @pytest.mark.parametrize("text", ["", "xyz", "1w", "0d", "0", "h3", "-5s"])
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
+            parse_duration(text)
+
+    # Arabic-Indic three, fullwidth one two, fullwidth three: digits to \d
+    # and str.isdecimal(), but not to the duration grammar.
+    @pytest.mark.parametrize("text", ["\u0663d", "\uff11\uff12h", "\uff13",
+                                      "1\u0663s", "1d\u0663h"])
+    def test_only_ascii_digits(self, text):
+        with pytest.raises(InvalidValueError, match="cannot parse duration"):
             parse_duration(text)
 
 
@@ -185,6 +193,20 @@ class TestMonitor:
         rc = main(["monitor", *files])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_a_lone_carriage_return_stays_inside_its_record(self, tmp_path, capsys):
+        # "\r" is JSON whitespace: records end, and lines count, at "\n" only.
+        files = monitor_files(tmp_path)
+        record = BAD_ACCESSES.replace(', "action"', ',\r "action"')
+        assert record.count("\r") == 1
+        (tmp_path / "accesses.jsonl").write_bytes(record.encode())
+        assert main(["monitor", "--json", *files]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["events_scanned"] == 1
+        assert [v["line"] for v in payload["violations"]] == [1]
+        (tmp_path / "accesses.jsonl").write_bytes((record + "{broken\r\n").encode())
+        assert main(["monitor", *files]) == 2
+        assert "error: access log line 2: not valid JSON" in capsys.readouterr().err
 
     def test_epoch_flag_shifts_the_grid(self, tmp_path, capsys):
         files = monitor_files(tmp_path)

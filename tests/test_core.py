@@ -415,7 +415,7 @@ class TestEvents:
         led = fresh_ledger()
         ev = led.record_event(ActionType.COLLECT, "Location", ALICE, "Partner")
         assert not ev.verdict.authorized
-        assert (ev.id, ev.action, ev.subject, ev.occurred_at) == \
+        assert (ev.id, ev.query.action, ev.query.subject, ev.query.access_at) == \
             (1, ActionType.COLLECT, ALICE, 1)
         led.grant("Location", ALICE, "Partner")
         ev2 = led.record_event(ActionType.COLLECT, "Location", ALICE, "Partner")
@@ -452,7 +452,7 @@ class TestEvents:
         led.grant("Location", ALICE, "Partner", retroactive=True)
         led.advance()
         ev = led.record_event(ActionType.ACCESS, "Location", ALICE, "Partner")
-        assert ev.collected_interval == StepInterval(1, 3)
+        assert ev.query.collected_interval == StepInterval(1, 3)
         assert ev.verdict.authorized
 
     def test_access_event_cannot_cover_the_future(self):
@@ -724,9 +724,9 @@ class TestClosedFormCoverage:
         event = led.record_event(ActionType.ACCESS, "DeviceLocation", ALICE,
                                  "Advertiser")
         decision = event.verdict
-        assert event.collected_interval == StepInterval(1, 401)
+        assert event.query.collected_interval == StepInterval(1, 401)
         assert len(decision.runs) <= 2 * len(consents) + 1
-        assert_runs_tile(decision, event.collected_interval)
+        assert_runs_tile(decision, event.query.collected_interval)
         query = led.access_query("DeviceLocation", ALICE, "Advertiser")
         assert (per_step_coverage(decision), decision.reason) == per_step_check(led, query)
 
@@ -796,7 +796,7 @@ class TestSweepKernel:
         led.advance()                                              # T4
         query = led.access_query("Location", ALICE, "Partner")
         decision = led.check(query)
-        assert decision == Decision(True, (
+        assert decision == Decision((
             (StepInterval(1, 3), frozenset({first})),
             (StepInterval(3, 5), frozenset({second})),
         ), Reason.OK)

@@ -304,6 +304,30 @@ class TestAccessLogParsing:
         ]
 
 
+class TestFormatErrorsNameTheirLog:
+    """A malformed record is reported against its own log, as an order error is."""
+
+    @pytest.mark.parametrize("parse,source,first", [
+        (parse_consent_log, "consent log", withdraw(1, "c0")),
+        (parse_access_log, "access log", collect(1, "D", "s", "R")),
+    ], ids=["consent-log", "access-log"])
+    @pytest.mark.parametrize("bad,message", [
+        ("{oops", "not valid JSON"),
+        ("[1, 2]", "each record must be a JSON object"),
+        ('{"action": "grant", "timestamp": "soon"}', None),
+        ('{"timestamp": "soon"}', "missing or invalid field 'action'"),
+    ], ids=["json", "not-an-object", "wrong-action-or-timestamp", "no-action"])
+    def test_malformed_record(self, parse, source, first, bad, message):
+        if message is None:  # a grant is fine in the consent log, not the access log
+            message = "'soon'" if parse is parse_consent_log \
+                else "unknown event action 'grant'"
+        with pytest.raises(LogFormatError) as err:
+            parse(jl(first) + bad + "\n")
+        assert (err.value.line, err.value.source) == (2, source)
+        assert str(err.value).startswith(f"{source} line 2: ")
+        assert message in str(err.value)
+
+
 class TestOrderCheckRunsLast:
     """Order is checked once the whole log has parsed, so a malformed record
     outranks a backwards timestamp that comes before it."""
@@ -417,7 +441,7 @@ class TestEarliestTimestamp:
         text = translate_to_script(MANIFEST, "", accesses, None, DAY)
         assert text.endswith("access Telemetry alice Analytics T1 T3\n")
         replay = run_script(text)
-        assert [(e.occurred_at, e.verdict.reason) for e in replay.events] == \
+        assert [(e.query.access_at, e.verdict.reason) for e in replay.events] == \
             [(v.step, v.reason) for v in report.violations]
 
     def test_empty_logs(self):
@@ -584,7 +608,7 @@ class TestTranslation:
         assert len(report.events) == scanned.events_scanned
         assert report.final_step == scanned.final_step
         denied = [e for e in report.events if not e.verdict.authorized]
-        assert [(e.occurred_at, e.verdict.reason) for e in denied] == \
+        assert [(e.query.access_at, e.verdict.reason) for e in denied] == \
             [(v.step, v.reason) for v in scanned.violations]
 
     def test_renders_expected_statements(self):
@@ -758,6 +782,6 @@ class TestOneReplay:
         replay = run_script(text)
         assert len(replay.events) == report.events_scanned
         assert replay.final_step == report.final_step
-        assert [(e.occurred_at, e.verdict.reason) for e in replay.events
+        assert [(e.query.access_at, e.verdict.reason) for e in replay.events
                 if not e.verdict.authorized] == \
             [(v.step, v.reason) for v in report.violations]

@@ -363,10 +363,10 @@ collect Location s1 Partner
 step
 access Location s1 Partner T1
 """)
-        assert [e.action.value for e in report.events] == ["collect", "access"]
+        assert [e.query.action.value for e in report.events] == ["collect", "access"]
         assert all(e.verdict.authorized for e in report.events)
-        assert report.events[0].occurred_at == 1
-        assert report.events[1].occurred_at == 2
+        assert report.events[0].query.access_at == 1
+        assert report.events[1].query.access_at == 2
 
     def test_denied_events_still_record(self):
         report = run_script("new data X Data\ncollect X s Partner\n")
@@ -542,6 +542,33 @@ assume true collect A s R
         unrecorded = script.replace("collect A s R\nassume true", "assume true")
         report = run_script(unrecorded + "assume false collect A s R\n")
         assert [a.passed for a in report.assumes] == [True, False, True]
+
+    def test_a_refused_equivalence_keeps_an_existing_parent_edge(self):
+        # A is already under B, so equating them adds only B's edge to A,
+        # and the refusal must take back that edge alone.
+        script = """\
+new data B Data
+new data A B
+new data X Data
+new data P B
+new data P X
+new disjoint A X
+collect P s R
+new equiv A B
+"""
+        with pytest.raises(ExecutionError) as err:
+            run_script(script)
+        assert err.value.line == 8
+        assert "would contradict recorded events on: P" in str(err.value)
+        led = Ledger()
+        head, _, _ = script.partition("new equiv")
+        execute(parse_script(head), led)
+        with pytest.raises(ConsentryError):
+            execute(parse_script("new equiv A B\n"), led)
+        graph = led.ontology
+        a, b = graph.lookup("A"), graph.lookup("B")
+        assert graph.subsumes(b, a) and not graph.subsumes(a, b)
+        assert not graph.is_unsatisfiable(graph.lookup("P"))
 
     def test_a_fresh_parent_away_from_the_history_is_accepted(self):
         report = run_script(self.BASE + "new data D B\nnew data D C\n"
