@@ -4,12 +4,18 @@ Steps are 1-based ordinal indices. The engine attaches no wall-clock
 meaning to them; the log monitor maps timestamps onto steps at its own
 boundary. Intervals are half-open ([start, end) contains start but not
 end) and may leave the end unbounded.
+
+`StepInterval` is a named tuple, built on every decision: immutable,
+equal to the plain tuple `(start, end)`, and changed with `_replace`, not
+`dataclasses.replace`. Its check runs in `__new__`; `_replace` and `_make`
+skip it, so the engine never uses them on intervals. `in` tests whether a
+step lies inside the interval, not whether it is one of the two fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IntervalError
 
@@ -44,20 +50,22 @@ def parse_step(token: str) -> int:
     return step
 
 
-@dataclass(frozen=True)
-class StepInterval:
-    """Half-open run of steps [start, end); end of None means unbounded."""
-
+class _Bounds(NamedTuple):
     start: int
     end: int | None = None
 
-    def __post_init__(self):
-        if self.start < 1:
-            raise IntervalError(f"interval start must be >= 1, got {self.start}")
-        if self.end is not None and self.end <= self.start:
-            raise IntervalError(
-                f"interval end must exceed start, got [{self.start}, {self.end})"
-            )
+
+class StepInterval(_Bounds):
+    """Half-open run of steps [start, end); end of None means unbounded."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int | None = None) -> "StepInterval":
+        if start < 1:
+            raise IntervalError(f"interval start must be >= 1, got {start}")
+        if end is not None and end <= start:
+            raise IntervalError(f"interval end must exceed start, got [{start}, {end})")
+        return tuple.__new__(cls, (start, end))
 
     @classmethod
     def single(cls, step: int) -> "StepInterval":

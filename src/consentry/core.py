@@ -33,33 +33,35 @@ step is outside its grant window.
 
 `Ledger.check` finds candidate consents through two indexes that `grant`
 fills: the querying subject's own consents, and, only on the denial path,
-the distinct (data, recipient) pairs of all consents, which decide whether
-the denial is a subject mismatch. The query's concepts are validated
-once at entry; after that one concept predicate, built from their ancestor
-sets, judges every candidate. So a check costs in proportion to the
-subject's consents and the distinct concept pairs, not the ledger's size.
+the distinct (data, recipient) pairs of all consents, filed by data
+concept, which decide whether the denial is a subject mismatch. The
+query's concepts are validated once at entry; after that one concept
+predicate, built from their ancestor sets, judges every candidate. So a
+check costs in proportion to the subject's consents, not the ledger's size.
 `record_event` and the script interpreter's `assume` build their query in
 one place, `_event_query`: the resolving builders validate the concepts and
 an access's interval gets `check`'s shape test, so both skip the rest of
 `check`'s entry validation and report a bad query alike.
 
 The subject-mismatch verdict ("does any distinct pair pass the predicate?")
-does not depend on the subject, so it is memoised per (data, recipient,
-mode) together with how many pairs it has judged. The pairs are kept in
-first-grant order and never removed (a withdrawal keeps its record), so a
-True verdict is final and a False one re-tests only the pairs granted
-since. The predicate reads only ancestor sets and disjoint pairs, and
-`ConceptGraph.generation` moves whenever either may change: a fresh
-parent, an equivalence or its rollback, a disjointness. The memo is
-dropped whole when the generation it was built under has moved.
+does not depend on the subject. In guaranteed mode a pair applies when its
+data concept is an ancestor of the query's data and its recipient one of
+the query's recipient, so the index answers with one lookup per ancestor
+of the query's data and no predicate call. Possible mode asks the
+predicate of every distinct pair. Both read the ancestor sets fresh, so
+nothing needs dropping when the ontology grows.
+
+The value types built on every decision, `AuthzQuery`, `Decision` and
+`EventRecord`, are named tuples: immutable, equal to plain tuples with the
+same values, and changed with `_replace`, not `dataclasses.replace`. The
+engine builds them by position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import chronology
 from .chronology import StepInterval
@@ -149,8 +151,7 @@ def _inside(step: int, reach: tuple[int, int | None]) -> bool:
     return lo <= step and (hi is None or step < hi)
 
 
-@dataclass(frozen=True)
-class AuthzQuery:
+class AuthzQuery(NamedTuple):
     """One yes/no question against the ledger. Evaluation never mutates."""
 
     action: ActionType
@@ -165,8 +166,7 @@ class AuthzQuery:
 Run = tuple[StepInterval, frozenset[int]]
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Outcome of one query: who covered what, and why not.
 
     `runs` cuts the query's collection interval into maximal runs of steps,
@@ -182,8 +182,7 @@ class Decision:
         return self.reason is Reason.OK
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """A collection or access that actually happened: its query and verdict.
 
     Events are recorded regardless of the verdict; the engine observes,
@@ -231,12 +230,8 @@ class Ledger:
         # shared record objects, so it needs no bookkeeping here. Every known
         # subject is a key, with its consents in id order, if any.
         self._by_subject: dict[str, list[ConsentRecord]] = {}
-        # Distinct (data, recipient) pairs, as keys in first-grant order.
-        self._pairs: dict[tuple[int, int], None] = {}
-        # (data, recipient, mode) -> (some pair applies, pairs judged), valid
-        # while the ontology stays at `_mismatch_generation`.
-        self._mismatch: dict[tuple[int, int, Mode], tuple[bool, int]] = {}
-        self._mismatch_generation = self.ontology.generation
+        # The distinct (data, recipient) pairs: data -> its recipients.
+        self._by_data: dict[int, set[int]] = {}
         self._event_concepts: set[int] = set()  # concepts recorded events use
         self._next_event = 1
 
@@ -290,7 +285,7 @@ class Ledger:
         )
         self.consents.append(record)
         self._by_subject.setdefault(subject, []).append(record)
-        self._pairs.setdefault((data_id, recipient_id))
+        self._by_data.setdefault(data_id, set()).add(recipient_id)
         if label is not None:
             self._labels[label] = record.id
         return record.id
@@ -321,15 +316,10 @@ class Ledger:
     def collect_query(self, data: int | str, subject: str, recipient: int | str,
                       mode: Mode = Mode.GUARANTEED) -> AuthzQuery:
         """Ask about collecting right now."""
-        return AuthzQuery(
-            action=ActionType.COLLECT,
-            data_concept=self.ontology.resolve(data, ConceptKind.DATA),
-            subject=subject,
-            recipient_concept=self.ontology.resolve(recipient, ConceptKind.RECIPIENT),
-            collected_interval=StepInterval.single(self.now),
-            access_at=self.now,
-            mode=mode,
-        )
+        graph, now = self.ontology, self.now
+        return AuthzQuery(ActionType.COLLECT, graph.resolve(data, ConceptKind.DATA),
+                          subject, graph.resolve(recipient, ConceptKind.RECIPIENT),
+                          StepInterval.single(now), now, mode)
 
     def access_query(self, data: int | str, subject: str, recipient: int | str,
                      collected_interval: StepInterval | None = None,
@@ -338,23 +328,14 @@ class Ledger:
 
         With no interval given the query spans all history, [T1, now+1).
         """
-        interval = collected_interval or StepInterval(1, self.now + 1)
-        return AuthzQuery(
-            action=ActionType.ACCESS,
-            data_concept=self.ontology.resolve(data, ConceptKind.DATA),
-            subject=subject,
-            recipient_concept=self.ontology.resolve(recipient, ConceptKind.RECIPIENT),
-            collected_interval=interval,
-            access_at=self.now,
-            mode=mode,
-        )
+        graph, now = self.ontology, self.now
+        interval = collected_interval or StepInterval(1, now + 1)
+        return AuthzQuery(ActionType.ACCESS, graph.resolve(data, ConceptKind.DATA),
+                          subject, graph.resolve(recipient, ConceptKind.RECIPIENT),
+                          interval, now, mode)
 
     def check(self, query: AuthzQuery) -> Decision:
-        """Decide a query against the current ledger.
-
-        Pure: the only state it changes is the mismatch memo, which no
-        reader sees.
-        """
+        """Decide a query against the current ledger. Pure: no reader sees a change."""
         graph = self.ontology
         graph.resolve(query.data_concept, ConceptKind.DATA)
         graph.resolve(query.recipient_concept, ConceptKind.RECIPIENT)
@@ -377,9 +358,8 @@ class Ledger:
                     if applies(c.data_concept, c.recipient_concept)]
         if matching:
             return _sweep(span, matching, query.action, query.access_at)
-        # No consent matches, so the cause is structural. `applies` is asked
-        # of the distinct concept pairs, each at most once between ontology
-        # changes; the subject's own all failed, so one that passes is another's.
+        # No consent matches, so the cause is structural: the subject's own
+        # pairs all failed, so a distinct pair that applies is another's.
         reason = Reason.SUBJECT_MISMATCH if self._some_pair_applies(query, applies) \
             else Reason.NO_MATCHING_CONSENT
         return Decision(((span, frozenset()),), reason)
@@ -422,21 +402,17 @@ class Ledger:
                            applies: Callable[[int, int], bool]) -> bool:
         """Does `applies` pass any distinct concept pair of the ledger?
 
-        Memoised per (data, recipient, mode) until the ontology's generation
-        moves. A True verdict is final; a False one re-tests only the pairs
-        granted since, as `_pairs` only grows.
+        In guaranteed mode `applies` asks for both concepts among the
+        query's ancestors, so the index answers without calling it.
         """
-        if self._mismatch_generation != self.ontology.generation:
-            self._mismatch.clear()
-            self._mismatch_generation = self.ontology.generation
-        key = (query.data_concept, query.recipient_concept, query.mode)
-        found, seen = self._mismatch.get(key, (False, 0))
-        pairs = self._pairs
-        if not found and seen < len(pairs):
-            found = any(applies(data, recipient)
-                        for data, recipient in islice(pairs, seen, None))
-            self._mismatch[key] = (found, len(pairs))
-        return found
+        by_data = self._by_data
+        if query.mode is Mode.GUARANTEED:
+            graph = self.ontology
+            recipient_up = graph.ancestors(query.recipient_concept)
+            return any(not recipient_up.isdisjoint(by_data[d])
+                       for d in graph.ancestors(query.data_concept) if d in by_data)
+        return any(applies(data, recipient)
+                   for data, recipients in by_data.items() for recipient in recipients)
 
     # -- events --------------------------------------------------------------
 
@@ -472,6 +448,11 @@ class Ledger:
         return query
 
 
+# A run lies inside the query's span, which was checked when it was built, so
+# its interval skips StepInterval's check.
+_interval = tuple.__new__
+
+
 def _sweep(span: StepInterval, matching: list[ConsentRecord], action: ActionType,
            accessed_at: int) -> Decision:
     """Decide a query from one pass over its matching consents' reaches.
@@ -483,7 +464,7 @@ def _sweep(span: StepInterval, matching: list[ConsentRecord], action: ActionType
     reach is empty: at or past hi it was withdrawn, a retroactive withdrawal
     outranking a plain one, and below hi the step is outside its window.
     """
-    start, end = span.start, span.end
+    start, end = span
     ends: list[tuple[int, int]] = []  # (step, id) starts, (step, ~id) stops
     withdrawn: list[tuple[int, bool]] = []  # (unclipped hi, retroactive)
     for c in matching:
@@ -503,7 +484,7 @@ def _sweep(span: StepInterval, matching: list[ConsentRecord], action: ActionType
     for step, cid in ends:
         if step != at:
             ids = frozenset(live)
-            runs.append((StepInterval(at, step), ids))
+            runs.append((_interval(StepInterval, (at, step)), ids))
             if not ids:
                 last = step - 1
             at = step
@@ -512,7 +493,7 @@ def _sweep(span: StepInterval, matching: list[ConsentRecord], action: ActionType
         else:
             live.discard(~cid)
     if at < end:  # every reach has stopped, so the tail is uncovered
-        runs.append((StepInterval(at, end), frozenset()))
+        runs.append((_interval(StepInterval, (at, end)), frozenset()))
         last = end - 1
     if last is None:
         return Decision(tuple(runs), Reason.OK)

@@ -52,7 +52,7 @@ from datetime import datetime, timedelta, timezone
 from heapq import merge as _heap_merge
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .chronology import StepInterval, format_step
 from .core import Ledger, Reason
@@ -260,8 +260,7 @@ def parse_manifest(text: str) -> list[Statement]:
     return statements
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One denied event, self-contained for reporting."""
 
     log_line: int

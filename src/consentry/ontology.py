@@ -27,13 +27,12 @@ refused between a concept and its parent keeps the parent edge. A
 disjointness declaration changes no ancestor set, and it turns
 unsatisfiable exactly the satisfiable concepts with both sides of a new
 pair among their ancestors: one pass over the cached verdicts finds and
-sets those, and the rest stay. Both bump `generation`, which callers
-that memoise answers built on ancestor sets and clash tests compare to
-their own. The guard on fresh parents and equivalences re-judges only
-the protected concepts whose ancestors hold a concept that gained a
-parent, for the same reason; an edge away from the recorded history
-costs no clash test at all. The guard on disjointness reads the same
-pass: each protected concept is judged beforehand, so the pass sees it.
+sets those, and the rest stay. The guard on fresh parents and
+equivalences re-judges only the protected concepts whose ancestors hold a
+concept that gained a parent, for the same reason; an edge away from the
+recorded history costs no clash test at all. The guard on disjointness
+reads the same pass: each protected concept is judged beforehand, so the
+pass sees it.
 """
 
 from __future__ import annotations
@@ -78,9 +77,6 @@ class ConceptGraph:
         # A verdict is kept only while its concept's ancestor set is cached.
         self._unsat: dict[int, bool] = {}
         self._roots: dict[ConceptKind, int] = {}
-        # Goes up whenever an ancestor set or a clash verdict may change, so
-        # callers that memoise answers built on them know when to drop them.
-        self.generation = 0
         for kind in ConceptKind:
             self._roots[kind] = self._add(_ROOT_NAMES[kind], kind)
 
@@ -261,11 +257,9 @@ class ConceptGraph:
         for ia, ib in pairs:
             self._partners.setdefault(ia, set()).add(ib)
         verdicts.update(dict.fromkeys(dying, True))
-        self.generation += 1
 
     def _flush(self, changed: set[int]) -> None:
         """Forget the cached ancestor sets holding a changed concept, and their verdicts."""
-        self.generation += 1
         for cid in [c for c, anc in self._reach.items() if not anc.isdisjoint(changed)]:
             del self._reach[cid]
             self._unsat.pop(cid, None)

@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .chronology import STEP_TOKEN, StepInterval, format_step, parse_step
 from .core import ActionType, EventRecord, Ledger
@@ -388,8 +388,7 @@ def unprintable_name(stmt: Statement) -> str | None:
 # -- execution ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssumeResult:
+class AssumeResult(NamedTuple):
     line: int
     expected: bool
     actual: bool
@@ -400,8 +399,7 @@ class AssumeResult:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class StatementOutcome:
+class StatementOutcome(NamedTuple):
     line: int
     text: str
     note: str

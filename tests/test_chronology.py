@@ -78,6 +78,10 @@ def test_degenerate_intervals_rejected():
         StepInterval(3, 2)
     with pytest.raises(IntervalError):
         StepInterval(0, 4)
+    with pytest.raises(IntervalError):
+        StepInterval(0)
+    with pytest.raises(IntervalError):
+        StepInterval(-3, 2)
 
 
 def test_single_constructor():
@@ -107,3 +111,12 @@ def test_parse_step_beyond_the_int_digit_limit(int_digit_limit):
             parse_step(token)
     else:
         assert parse_step(token) == 10**5000 - 1
+
+
+def test_in_tests_steps_not_fields():
+    # StepInterval is a tuple (start, end); `in` must not test its fields.
+    interval = StepInterval(5, 7)
+    assert 5 in interval
+    assert 6 in interval
+    assert 7 not in interval
+    assert 10**6 in StepInterval(5)

@@ -318,6 +318,31 @@ passed: 6/6 assumes hold, 3 event(s), final step T5
             "1 violation(s) in 1 event(s) (SubjectMismatch: 1)\n")
 
 
+REPORTS = FIXTURES / "reports"
+
+
+class TestGoldenReports:
+    """`--json` reports equal, byte for byte, the ones committed under
+    tests/fixtures/reports/; a run report names its script by file name."""
+
+    @staticmethod
+    def golden(name):
+        return (REPORTS / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCRIPTS))
+    def test_run_json(self, capsys, name):
+        path = str(golden_path(name))
+        main(["run", path, "--json"])
+        out = capsys.readouterr().out
+        out = out.replace(json.dumps(path), json.dumps(f"{name}.consent"), 1)
+        assert out == self.golden(f"{name}.run.json")
+
+    @pytest.mark.parametrize("duration", ["1d", "1s"])
+    def test_monitor_json(self, capsys, duration):
+        main(["monitor", *MONITOR_FIXTURE, "--step-duration", duration, "--json"])
+        assert capsys.readouterr().out == self.golden(f"monitor.{duration}.json")
+
+
 class TestSimulate:
     def test_csv_on_stdout(self, capsys):
         rc = main(["simulate", "--scenario", "steps", "--steps", "4",

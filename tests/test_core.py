@@ -1,5 +1,4 @@
 import gc
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -407,7 +406,7 @@ class TestLedgerValidation:
 
 
 def AuthzQueryWith(query, **overrides):
-    return replace(query, **overrides)
+    return query._replace(**overrides)
 
 
 class TestEvents:
@@ -687,7 +686,7 @@ class TestClosedFormCoverage:
             query = led.access_query(query_data, subject, recipient,
                                      StepInterval(lo, hi + 1), mode=mode)
             # Any access step from the interval's end on is a valid query.
-            query = replace(query, access_at=data.draw(st.integers(hi, led.now)))
+            query = query._replace(access_at=data.draw(st.integers(hi, led.now)))
         decision = led.check(query)
         coverage, reason = per_step_check(led, query)
         assert per_step_coverage(decision) == coverage
@@ -733,58 +732,76 @@ class TestClosedFormCoverage:
 
 # -- the one-sweep kernel against the cut-and-rescan reference ------------------
 
+def draw_sweep_query(data):
+    """A ledger of two subjects' grants and withdrawals crowding one span,
+    and a query over that span: the sweep's hardest cases."""
+    led = fresh_ledger()
+    led.declare_data("Impossible", "WalkingRoute", "DrivingRoute")
+    led.declare_subject(CAROL)
+    horizon = data.draw(st.integers(1, 30))
+    action = data.draw(st.sampled_from(ActionType))
+    if action is ActionType.COLLECT:
+        first = last = horizon
+    else:
+        first = data.draw(st.integers(1, horizon))
+        last = data.draw(st.integers(first, horizon))
+    # Grants and withdrawals crowd the span's first and last steps.
+    step_st = st.integers(1, horizon) | st.sampled_from(
+        sorted({first, last, min(last + 1, horizon)}))
+    plan = []
+    for subject in (ALICE, BOB):
+        consents = data.draw(st.lists(st.tuples(
+            step_st, st.sampled_from(QUERY_DATA), st.sampled_from(RECIPIENT_CHOICES),
+            st.booleans(), st.none() | step_st, st.booleans()), max_size=20))
+        for granted, concept, recipient, retro, withdrawn, withdraw_retro in consents:
+            key = len(plan)
+            plan.append((granted, 0, key, (concept, subject, recipient, retro)))
+            if withdrawn is not None:
+                plan.append((max(granted, withdrawn), 1, key, withdraw_retro))
+    ids = {}
+    for step, kind, key, args in sorted(plan, key=lambda p: p[:3]):
+        while led.now < step:
+            led.advance()
+        if kind == 0:
+            concept, subject, recipient, retro = args
+            ids[key] = led.grant(concept, subject, recipient, retroactive=retro)
+        else:
+            led.withdraw(ids[key], retroactive=args)
+    while led.now < horizon:
+        led.advance()
+    subject = data.draw(st.sampled_from((ALICE, BOB, CAROL)))
+    concepts = (data.draw(st.sampled_from(QUERY_DATA)), subject,
+                data.draw(st.sampled_from(RECIPIENT_CHOICES)))
+    mode = data.draw(st.sampled_from(Mode))
+    if action is ActionType.COLLECT:
+        query = led.collect_query(*concepts, mode=mode)
+    else:
+        query = led.access_query(*concepts, StepInterval(first, last + 1), mode=mode)
+        query = query._replace(access_at=data.draw(st.integers(last, horizon)))
+    return led, query
+
+
 class TestSweepKernel:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_the_reference_kernel(self, data):
-        led = fresh_ledger()
-        led.declare_data("Impossible", "WalkingRoute", "DrivingRoute")
-        led.declare_subject(CAROL)
-        horizon = data.draw(st.integers(1, 30))
-        action = data.draw(st.sampled_from(ActionType))
-        if action is ActionType.COLLECT:
-            first = last = horizon
-        else:
-            first = data.draw(st.integers(1, horizon))
-            last = data.draw(st.integers(first, horizon))
-        # Grants and withdrawals crowd the span's first and last steps.
-        step_st = st.integers(1, horizon) | st.sampled_from(
-            sorted({first, last, min(last + 1, horizon)}))
-        plan = []
-        for subject in (ALICE, BOB):
-            consents = data.draw(st.lists(st.tuples(
-                step_st, st.sampled_from(QUERY_DATA), st.sampled_from(RECIPIENT_CHOICES),
-                st.booleans(), st.none() | step_st, st.booleans()), max_size=20))
-            for granted, concept, recipient, retro, withdrawn, withdraw_retro in consents:
-                key = len(plan)
-                plan.append((granted, 0, key, (concept, subject, recipient, retro)))
-                if withdrawn is not None:
-                    plan.append((max(granted, withdrawn), 1, key, withdraw_retro))
-        ids = {}
-        for step, kind, key, args in sorted(plan, key=lambda p: p[:3]):
-            while led.now < step:
-                led.advance()
-            if kind == 0:
-                concept, subject, recipient, retro = args
-                ids[key] = led.grant(concept, subject, recipient, retroactive=retro)
-            else:
-                led.withdraw(ids[key], retroactive=args)
-        while led.now < horizon:
-            led.advance()
-        subject = data.draw(st.sampled_from((ALICE, BOB, CAROL)))
-        concepts = (data.draw(st.sampled_from(QUERY_DATA)), subject,
-                    data.draw(st.sampled_from(RECIPIENT_CHOICES)))
-        mode = data.draw(st.sampled_from(Mode))
-        if action is ActionType.COLLECT:
-            query = led.collect_query(*concepts, mode=mode)
-        else:
-            query = led.access_query(*concepts, StepInterval(first, last + 1), mode=mode)
-            query = replace(query, access_at=data.draw(st.integers(last, horizon)))
+        led, query = draw_sweep_query(data)
         decision = led._decide(query)
         expected = reference_decide(led, query)
         assert decision.runs == expected.runs
         assert decision.authorized == expected.authorized
         assert decision.reason is expected.reason
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_run_is_a_valid_interval_inside_the_span(self, data):
+        # Runs skip StepInterval's check, so the sweep must keep it itself.
+        led, query = draw_sweep_query(data)
+        span = query.collected_interval
+        for run, _ in led._decide(query).runs:
+            assert type(run) is StepInterval
+            assert span.start <= run.start < run.end <= span.end
+            assert StepInterval(*run) == run
 
     def test_consents_handing_over_at_one_step_leave_no_empty_run(self):
         led = fresh_ledger()
@@ -944,27 +961,23 @@ class TestCheckWork:
             assert led.check(query).reason is reason
             assert calls["predicate"] == own  # the subject's own consents only
 
-    def test_a_grant_adds_one_pair_to_test(self, monkeypatch):
+    def test_a_grant_is_seen_by_the_next_denial_without_a_predicate_call(
+            self, monkeypatch):
         led = crowded_ledger()
         led.declare_data("Email")
         calls = count_work(led, monkeypatch)
         query = led.collect_query("Data", CAROL, "Partner")
         assert led.check(query).reason is Reason.NO_MATCHING_CONSENT
-        led.grant("Contacts", "s1", "Partner")  # a pair already judged
-        calls["predicate"] = 0
+        led.grant("Contacts", "s1", "Partner")  # a pair already granted
         assert led.check(query).reason is Reason.NO_MATCHING_CONSENT
-        assert calls["predicate"] == 0
-        led.grant("Email", "s1", "Partner")  # one new pair, which fails
-        calls["predicate"] = 0
+        led.grant("Email", "s1", "Partner")  # a new pair, which fails
         assert led.check(query).reason is Reason.NO_MATCHING_CONSENT
-        assert calls["predicate"] == 1
-        led.grant("Data", "s1", "Partner")  # one new pair, which passes
-        calls["predicate"] = 0
+        led.grant("Data", "s1", "Partner")  # a new pair, which passes
         assert led.check(query).reason is Reason.SUBJECT_MISMATCH
-        assert calls["predicate"] == 1
-        led.grant("Email", "s2", "Advertiser")  # a True verdict is final
-        calls["predicate"] = 0
+        led.grant("Email", "s2", "Advertiser")
         assert led.check(query).reason is Reason.SUBJECT_MISMATCH
+        # Carol holds no consent, and in guaranteed mode the pair index
+        # answers every denial without the predicate.
         assert calls["predicate"] == 0
 
     @pytest.mark.parametrize("action", ActionType)
@@ -1015,14 +1028,14 @@ class TestCheckWork:
         led.check(query)
         assert calls == [query.data_concept, query.recipient_concept]
         with pytest.raises(KindMismatchError):
-            led.check(replace(query, recipient_concept=query.data_concept))
+            led.check(query._replace(recipient_concept=query.data_concept))
         with pytest.raises(UnknownSubjectError):
-            led.check(replace(query, subject="nobody"))
+            led.check(query._replace(subject="nobody"))
         with pytest.raises(QueryError):
-            led.check(replace(query, collected_interval=StepInterval(1, 3)))
+            led.check(query._replace(collected_interval=StepInterval(1, 3)))
 
 
-# -- the mismatch memo against a full rescan ---------------------------------------
+# -- the subject-mismatch index against a full rescan ------------------------------
 
 MEMO_DATA = ["A", "B", "C", "D", "E"]
 MEMO_RECIPIENTS = ["Partner", "Advertiser"]
@@ -1042,7 +1055,8 @@ memo_steps = st.lists(st.one_of(
 
 
 class TestMismatchMemo:
-    """The memoised denial reason always equals a fresh full scan."""
+    """The denial reason read from the pair index always equals a fresh full
+    scan, as grants, declarations and withdrawals come and go."""
 
     @staticmethod
     def step(led, op, fresh):
@@ -1086,7 +1100,7 @@ class TestMismatchMemo:
         led.declare_data("C", "A", "B")
         led.declare_data("D", "C")
         fresh = iter(range(len(ops)))
-        self.agree(led)  # fills the memo the first step may stale
+        self.agree(led)
         for op in ops:
             self.step(led, op, fresh)
             self.agree(led)
