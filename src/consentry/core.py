@@ -221,8 +221,8 @@ class Ledger:
     satisfiable. So its size follows the consents, not the history.
     """
 
-    def __init__(self, ontology: ConceptGraph | None = None):
-        self.ontology = ontology if ontology is not None else ConceptGraph()
+    def __init__(self) -> None:
+        self.ontology = ConceptGraph()
         self.now: int = 1
         self.consents: list[ConsentRecord] = []
         self._labels: dict[str, int] = {}
@@ -371,6 +371,11 @@ class Ledger:
         if query.action is ActionType.COLLECT:
             if interval.end != interval.start + 1:
                 raise QueryError("collection queries cover exactly one step")
+            if interval.start != query.access_at:
+                raise QueryError(
+                    f"collection step {chronology.format_step(interval.start)} is not "
+                    f"the query's step {chronology.format_step(query.access_at)}"
+                )
         elif interval.last > query.access_at:
             raise QueryError(
                 f"collection interval {interval} reaches past access step "

@@ -30,9 +30,10 @@ merged. Each clock gap between rows is one Step statement however many
 steps it spans, so a scan's cost follows its records, not the step
 duration.
 `scan` runs that stream through the script interpreter on a fresh ledger
-and reports every event whose verdict came back denied. Scanning is
-replay: the same logs always yield the same report, and appending new
-records never changes the verdicts already issued.
+and reports each denied event as a Violation: its log line, event id,
+`EventRecord.fields` and reason. Scanning is replay: the same logs
+always yield the same report, and appending new records never changes
+the verdicts already issued.
 
 `translate_to_script` prints the same stream as a script, a gap as one
 `step` line per step. It rejects a subject, data or recipient name that
@@ -40,7 +41,8 @@ is a keyword, a time token such as T3 or not a word, and a consent id
 that is not a word, since those would not read back; `scan` accepts them.
 
 Unknown JSON fields are ignored so services can log extra context. Every
-error in a record names its log and line, e.g. "access log line 3: ...".
+error in a record names its log and line, e.g. "access log line 3: ...",
+and every error in the manifest names the manifest and its line.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .errors import (
     LogFormatError,
     LogOrderError,
     MonitorError,
+    ScriptError,
 )
 from . import script as script_mod
 from .script import (
@@ -251,7 +254,10 @@ def _parse_log(text: str, source: str, row: Callable[[int, dict], Row]) -> list[
 
 def parse_manifest(text: str) -> list[Statement]:
     """Parse the declarations manifest: new-statements only."""
-    statements = script_mod.parse_script(text)
+    try:
+        statements = script_mod.parse_script(text)
+    except ScriptError as err:
+        raise MonitorError(err.message, err.line, "manifest") from None
     for stmt in statements:
         if not isinstance(stmt, (NewData, NewRecipient, NewDisjoint, NewEquiv)):
             raise MonitorError(
@@ -261,24 +267,20 @@ def parse_manifest(text: str) -> list[Statement]:
 
 
 class Violation(NamedTuple):
-    """One denied event, self-contained for reporting."""
+    """One denied event: its log line, id, `EventRecord.fields` and reason."""
 
     log_line: int
     event_id: int
-    action: str
-    data_concept: str
-    subject: str
-    recipient_concept: str
-    step: int
-    collected_steps: tuple[int, int] | None  # half-open, access only
+    fields: dict[str, object]
     reason: Reason
 
     def describe(self) -> str:
-        where = format_step(self.step)
-        if self.collected_steps is not None:
-            where += f" of data collected in {StepInterval(*self.collected_steps)}"
-        return (f"line {self.log_line}: {self.action} {self.data_concept} "
-                f"subject={self.subject} recipient={self.recipient_concept} "
+        f = self.fields
+        where = format_step(f["step"])
+        if f["collected_steps"] is not None:
+            where += f" of data collected in {StepInterval(*f['collected_steps'])}"
+        return (f"line {self.log_line}: {f['action']} {f['data_concept']} "
+                f"subject={f['subject']} recipient={f['recipient_concept']} "
                 f"at {where}: {self.reason.value}")
 
 
@@ -303,21 +305,8 @@ class ViolationReport:
             "clean": self.clean,
             "events_scanned": self.events_scanned,
             "final_step": self.final_step,
-            "violations": [
-                {
-                    "line": v.log_line,
-                    "event_id": v.event_id,
-                    "action": v.action,
-                    "data_concept": v.data_concept,
-                    "subject": v.subject,
-                    "recipient_concept": v.recipient_concept,
-                    "step": v.step,
-                    "collected_steps": list(v.collected_steps)
-                    if v.collected_steps is not None else None,
-                    "reason": v.reason.value,
-                }
-                for v in self.violations
-            ],
+            "violations": [{"line": v.log_line, "event_id": v.event_id, **v.fields,
+                            "reason": v.reason.value} for v in self.violations],
             "summary": self.summary(),
         }
 
@@ -413,8 +402,8 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | Non
         events += 1
         if event.verdict.authorized:
             continue
-        violations.append(Violation(stmt.line, event.id, reason=event.verdict.reason,
-                                    **event.fields(ledger.ontology)))
+        violations.append(Violation(stmt.line, event.id, event.fields(ledger.ontology),
+                                    event.verdict.reason))
     return ViolationReport(tuple(violations), events, ledger.now)
 
 

@@ -525,6 +525,6 @@ def _access_interval(stmt: Collect | Access) -> StepInterval | None:
     return StepInterval(stmt.start, stmt.end)
 
 
-def run_script(text: str, ledger: Ledger | None = None) -> RunReport:
-    """Parse and execute source text in one go."""
-    return execute(parse_script(text), ledger)
+def run_script(text: str) -> RunReport:
+    """Parse and execute source text on a fresh ledger in one go."""
+    return execute(parse_script(text))

@@ -317,7 +317,7 @@ def _coherence(manifest, consents, accesses):
     assert replay.final_step == report.final_step
     denied = [(e.query.access_at, e.verdict.reason) for e in replay.events
               if not e.verdict.authorized]
-    assert denied == [(v.step, v.reason) for v in report.violations]
+    assert denied == [(v.fields["step"], v.reason) for v in report.violations]
     return report
 
 
@@ -325,9 +325,9 @@ def test_criterion_6_monitor_detection(capsys):
     with criterion(capsys, 6, "monitor detection"):
         dirty = _coherence(MONITOR_MANIFEST, MONITOR_CONSENTS, _access_log(True))
         assert dirty.events_scanned == len(CLEAN_EVENTS) + len(INJECTED)
-        assert [(v.step, v.reason) for v in dirty.violations] == \
+        assert [(v.fields["step"], v.reason) for v in dirty.violations] == \
             [(day, reason) for day, _, reason in INJECTED]
-        assert all(v.subject == "alice" for v in dirty.violations)
+        assert all(v.fields["subject"] == "alice" for v in dirty.violations)
 
         clean = _coherence(MONITOR_MANIFEST, MONITOR_CONSENTS, _access_log(False))
         assert clean.clean, f"false positives: {clean.violations}"

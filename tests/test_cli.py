@@ -208,6 +208,18 @@ class TestMonitor:
         assert main(["monitor", *files]) == 2
         assert "error: access log line 2: not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest, message", [
+        ("new data A Data\nnew data X\n",
+         "manifest line 2: expected a parent concept, found end of line"),
+        ("new data A$ Data\n", "manifest line 1: column 11: illegal character '$'"),
+    ], ids=["parse", "lex"])
+    def test_manifest_syntax_error_names_the_manifest(self, tmp_path, capsys,
+                                                      manifest, message):
+        files = monitor_files(tmp_path)
+        write(tmp_path, "manifest.consent", manifest)
+        assert main(["monitor", *files]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_epoch_flag_shifts_the_grid(self, tmp_path, capsys):
         files = monitor_files(tmp_path)
         rc = main(["monitor", "--json", "--epoch", "2025-12-31T00:00:00Z", *files])
@@ -269,8 +281,12 @@ class TestMonitor:
         assert sorted(calls) == ["parse_access_log", "parse_consent_log"]
 
 
-MONITOR_FIXTURE = [str(FIXTURES / "monitor" / name)
-                   for name in ("manifest.consent", "consents.jsonl", "accesses.jsonl")]
+def monitor_fixture(directory):
+    return [str(FIXTURES / directory / name)
+            for name in ("manifest.consent", "consents.jsonl", "accesses.jsonl")]
+
+
+MONITOR_FIXTURE = monitor_fixture("monitor")
 
 
 class TestReportFormat:
@@ -337,10 +353,20 @@ class TestGoldenReports:
         out = out.replace(json.dumps(path), json.dumps(f"{name}.consent"), 1)
         assert out == self.golden(f"{name}.run.json")
 
-    @pytest.mark.parametrize("duration", ["1d", "1s"])
-    def test_monitor_json(self, capsys, duration):
-        main(["monitor", *MONITOR_FIXTURE, "--step-duration", duration, "--json"])
-        assert capsys.readouterr().out == self.golden(f"monitor.{duration}.json")
+    @pytest.mark.parametrize("fixture, duration, rc", [
+        pytest.param("monitor", "1d", 0, id="1d"),
+        pytest.param("monitor", "1s", 0, id="1s"),
+        pytest.param("monitor_denied", "1d", 1, id="denied-1d"),
+        pytest.param("monitor_denied", "1s", 1, id="denied-1s")])
+    def test_monitor_json(self, capsys, fixture, duration, rc):
+        assert main(["monitor", *monitor_fixture(fixture), "--step-duration", duration,
+                     "--json"]) == rc
+        assert capsys.readouterr().out == self.golden(f"{fixture}.{duration}.json")
+
+    def test_monitor_text(self, capsys):
+        assert main(["monitor", *monitor_fixture("monitor_denied"),
+                     "--step-duration", "1d"]) == 1
+        assert capsys.readouterr().out == self.golden("monitor_denied.1d.txt")
 
 
 class TestSimulate:

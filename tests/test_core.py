@@ -341,6 +341,16 @@ class TestLedgerValidation:
         with pytest.raises(QueryError):
             led.check(bad)
 
+    def test_collect_query_collects_at_its_own_step(self):
+        led = fresh_ledger()
+        led.grant("Location", ALICE, "Partner")
+        led.advance(20)
+        query = led.collect_query("Location", ALICE, "Partner")
+        bad = AuthzQueryWith(query, access_at=10)
+        with pytest.raises(QueryError,
+                           match="collection step T21 is not the query's step T10"):
+            led.check(bad)
+
     def test_access_interval_cannot_reach_past_access_step(self):
         led = fresh_ledger()
         led.grant("Location", ALICE, "Partner")

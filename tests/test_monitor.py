@@ -416,6 +416,17 @@ class TestManifest:
         assert "grant" in str(err.value)
 
 
+    @pytest.mark.parametrize("manifest, message", [
+        ("new data A Data\nnew data X\n",
+         "manifest line 2: expected a parent concept, found end of line"),
+        ("new data A$ Data\n", "manifest line 1: column 11: illegal character '$'"),
+    ], ids=["parse", "lex"])
+    def test_syntax_error_names_the_manifest(self, manifest, message):
+        with pytest.raises(MonitorError) as err:
+            translate_to_script(manifest, "", "", None, DAY)
+        assert str(err.value) == message
+        assert err.value.source == "manifest"
+
 class TestEarliestTimestamp:
     """With no epoch, step 1 starts at the earliest instant either log mentions."""
 
@@ -427,7 +438,7 @@ class TestEarliestTimestamp:
         early_collect = jl(collect(2, "Telemetry", "alice", "Analytics"))
         report = scan(MANIFEST, late_grant, early_collect, None, DAY)
         assert report.final_step == 2
-        assert [v.step for v in report.violations] == [1]
+        assert [v.fields["step"] for v in report.violations] == [1]
 
     def test_collection_window_may_start_the_clock(self):
         # The window opens on 2026-01-02, before the only record, so that
@@ -436,13 +447,13 @@ class TestEarliestTimestamp:
         report = scan(MANIFEST, "", accesses, None, DAY)
         assert report == scan(MANIFEST, "", accesses, parse_instant(at(2)), DAY)
         assert report.final_step == 4
-        assert [(v.step, v.collected_steps) for v in report.violations] == \
-            [(4, (1, 3))]
+        assert [(v.fields["step"], v.fields["collected_steps"])
+                for v in report.violations] == [(4, (1, 3))]
         text = translate_to_script(MANIFEST, "", accesses, None, DAY)
         assert text.endswith("access Telemetry alice Analytics T1 T3\n")
         replay = run_script(text)
         assert [(e.query.access_at, e.verdict.reason) for e in replay.events] == \
-            [(v.step, v.reason) for v in report.violations]
+            [(v.fields["step"], v.reason) for v in report.violations]
 
     def test_empty_logs(self):
         report = scan(MANIFEST, "", "", None, DAY)
@@ -455,7 +466,7 @@ class TestScan:
         report = scan(MANIFEST, CONSENTS, ACCESSES, EPOCH, DAY)
         assert not report.clean
         assert report.events_scanned == 5
-        assert [(v.step, v.reason) for v in report.violations] == [
+        assert [(v.fields["step"], v.reason) for v in report.violations] == [
             (5, Reason.SUBJECT_MISMATCH),
             (11, Reason.WITHDRAWN_NON_RETRO),
             (16, Reason.WITHDRAWN_RETRO),
@@ -465,8 +476,8 @@ class TestScan:
     def test_violations_are_self_contained(self):
         report = scan(MANIFEST, CONSENTS, ACCESSES, EPOCH, DAY)
         last = report.violations[-1]
-        assert last.data_concept == "Contacts"
-        assert last.collected_steps == (3, 4)
+        assert last.fields["data_concept"] == "Contacts"
+        assert last.fields["collected_steps"] == (3, 4)
         assert "T16" in last.describe()
         assert "Contacts" in last.describe()
 
@@ -609,7 +620,7 @@ class TestTranslation:
         assert report.final_step == scanned.final_step
         denied = [e for e in report.events if not e.verdict.authorized]
         assert [(e.query.access_at, e.verdict.reason) for e in denied] == \
-            [(v.step, v.reason) for v in scanned.violations]
+            [(v.fields["step"], v.reason) for v in scanned.violations]
 
     def test_renders_expected_statements(self):
         consents = jl(grant(2, "c1", "Telemetry", "alice", "Analytics", retro=True))
@@ -784,4 +795,4 @@ class TestOneReplay:
         assert replay.final_step == report.final_step
         assert [(e.query.access_at, e.verdict.reason) for e in replay.events
                 if not e.verdict.authorized] == \
-            [(v.step, v.reason) for v in report.violations]
+            [(v.fields["step"], v.reason) for v in report.violations]

@@ -27,10 +27,12 @@ VALUES = [
     (DECISION, DECISION_REPR),
     (EventRecord(1, QUERY, DECISION),
      f"EventRecord(id=1, query={QUERY_REPR}, verdict={DECISION_REPR})"),
-    (Violation(3, 1, "access", "Location", "alice", "Partner", 4, (1, 3),
+    (Violation(3, 1, {"action": "access", "data_concept": "Location", "subject": "alice",
+                      "recipient_concept": "Partner", "step": 4, "collected_steps": (1, 3)},
                Reason.WITHDRAWN_RETRO),
-     "Violation(log_line=3, event_id=1, action='access', data_concept='Location', "
-     "subject='alice', recipient_concept='Partner', step=4, collected_steps=(1, 3), "
+     "Violation(log_line=3, event_id=1, fields={'action': 'access', "
+     "'data_concept': 'Location', 'subject': 'alice', 'recipient_concept': 'Partner', "
+     "'step': 4, 'collected_steps': (1, 3)}, "
      "reason=<Reason.WITHDRAWN_RETRO: 'WithdrawnRetro'>)"),
     (AssumeResult(5, True, False, "assume true collect Location alice Partner"),
      "AssumeResult(line=5, expected=True, actual=False, "
