@@ -7,7 +7,9 @@ and automatic garbage collection is paused while a repetition runs (with
 a collection between repetitions) so collector pauses cannot land inside
 a step's window. Results come back as microsecond grids, one row per
 repetition, and can be rendered as CSV with columns
-scenario,step,rep,micros.
+scenario,step,rep,micros. A `BenchScenario` is a named tuple whose check
+runs in `__new__`, as `StepInterval`'s does; a `TimingSeries` is a named
+tuple whose lists fill up as the repetitions run.
 
 Scenarios:
 
@@ -31,9 +33,8 @@ from __future__ import annotations
 
 import gc
 import random
-from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .chronology import StepInterval
 from .core import ActionType, Ledger
@@ -47,25 +48,28 @@ REFINE_EVERY = 7  # steps between ontology refinements in `realistic`
 CHURN_EVERY = 90  # steps between consent withdraw/regrant cycles
 
 
-@dataclass(frozen=True)
-class BenchScenario:
+class _Scenario(NamedTuple):
     name: str
     steps: int
     seed: int = 0
 
-    def __post_init__(self):
-        if self.name not in _SETUPS:
+
+class BenchScenario(_Scenario):
+    __slots__ = ()
+
+    def __new__(cls, name: str, steps: int, seed: int = 0) -> "BenchScenario":
+        if name not in _SETUPS:
             known = ", ".join(scenario_names())
-            raise InvalidValueError(f"unknown scenario {self.name!r} (known: {known})")
-        if self.steps < 1:
-            raise InvalidValueError(f"need at least one step, got {self.steps}")
+            raise InvalidValueError(f"unknown scenario {name!r} (known: {known})")
+        if steps < 1:
+            raise InvalidValueError(f"need at least one step, got {steps}")
+        return tuple.__new__(cls, (name, steps, seed))
 
 
-@dataclass
-class TimingSeries:
+class TimingSeries(NamedTuple):
     scenario: BenchScenario
     micros: list[list[int]]  # [rep][step], microseconds
-    verdicts: list[list[tuple]] = field(default_factory=list)  # [rep][step]
+    verdicts: list[list[tuple]]  # [rep][step]
 
     @property
     def reps(self) -> int:
@@ -245,7 +249,7 @@ def run_scenario(scenario: BenchScenario, reps: int = REPS) -> TimingSeries:
 
     Each step's verdict is kept too, appended outside the timed window.
     """
-    series = TimingSeries(scenario, [])
+    series = TimingSeries(scenario, [], [])
     for _ in range(reps):
         step_fn = _SETUPS[scenario.name](scenario)
         row: list[int] = []

@@ -6,9 +6,9 @@ boundary. Intervals are half-open ([start, end) contains start but not
 end) and may leave the end unbounded.
 
 `StepInterval` is a named tuple, built on every decision: immutable,
-equal to the plain tuple `(start, end)`, and changed with `_replace`, not
-`dataclasses.replace`. Its check runs in `__new__`; `_replace` and `_make`
-skip it, so the engine never uses them on intervals. `in` tests whether a
+equal to the plain tuple `(start, end)`, and changed with `_replace`. Its
+check runs in `__new__`; `_replace` and `_make` skip it, so the engine
+never uses them on intervals. `in` tests whether a
 step lies inside the interval, not whether it is one of the two fields.
 """
 

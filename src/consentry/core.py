@@ -51,15 +51,14 @@ of the query's data and no predicate call. Possible mode asks the
 predicate of every distinct pair. Both read the ancestor sets fresh, so
 nothing needs dropping when the ontology grows.
 
-The value types built on every decision, `AuthzQuery`, `Decision` and
-`EventRecord`, are named tuples: immutable, equal to plain tuples with the
-same values, and changed with `_replace`, not `dataclasses.replace`. The
-engine builds them by position.
+`Withdrawal` and the values built on every decision, `AuthzQuery`,
+`Decision` and `EventRecord`, are named tuples: immutable, equal to plain
+tuples with the same values, changed with `_replace` and built by position.
+`ConsentRecord` is a slotted class that `withdraw` marks in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -103,24 +102,32 @@ class Reason(Enum):
     SUBJECT_MISMATCH = "SubjectMismatch"
 
 
-@dataclass(frozen=True)
-class Withdrawal:
+class Withdrawal(NamedTuple):
     step: int
     retroactive: bool
 
 
-@dataclass
 class ConsentRecord:
     """One grant, optionally marked withdrawn later. Never deleted."""
 
-    id: int
-    label: str | None
-    data_concept: int
-    subject: str
-    recipient_concept: int
-    granted_at: int
-    grant_retroactive: bool
-    withdrawal: Withdrawal | None = None
+    __slots__ = ("id", "label", "data_concept", "subject", "recipient_concept",
+                 "granted_at", "grant_retroactive", "withdrawal")
+
+    def __init__(self, id: int, label: str | None, data_concept: int, subject: str,
+                 recipient_concept: int, granted_at: int, grant_retroactive: bool,
+                 withdrawal: Withdrawal | None = None):
+        self.id, self.label, self.data_concept, self.subject = id, label, data_concept, subject
+        self.recipient_concept, self.granted_at = recipient_concept, granted_at
+        self.grant_retroactive, self.withdrawal = grant_retroactive, withdrawal
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def authorizes_collection(self, step: int) -> bool:
         return _inside(step, self.reach(ActionType.COLLECT, step))

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from heapq import merge as _heap_merge
 from itertools import chain
@@ -73,6 +72,7 @@ from .script import (
 )
 
 CONSENT_ACTIONS = ("grant", "withdraw")
+NO_OFFSET = "the epoch and every instant need a UTC offset, such as +00:00"
 ACCESS_ACTIONS = ("collect", "access")
 
 # (timestamp, statement, collection window or None); see the module docstring.
@@ -112,7 +112,12 @@ def map_to_step(epoch: datetime, instant: datetime, step_duration: timedelta) ->
     """Place a wall-clock instant onto the 1-based step grid."""
     if step_duration <= timedelta(0):
         raise InvalidValueError(f"step duration must be positive, got {step_duration}")
-    if instant < epoch:
+    try:
+        early = instant < epoch
+    except TypeError:  # one of them is naive
+        raise InvalidValueError(f"{NO_OFFSET}, got {epoch.isoformat()} and "
+                                f"{instant.isoformat()}") from None
+    if early:
         raise InvalidValueError(f"instant {instant.isoformat()} precedes the epoch")
     return (instant - epoch) // step_duration + 1
 
@@ -284,8 +289,7 @@ class Violation(NamedTuple):
                 f"at {where}: {self.reason.value}")
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     violations: tuple[Violation, ...]
     events_scanned: int
     final_step: int
@@ -341,11 +345,14 @@ def _statements(manifest: str, consent_log: str, access_log: str,
     carrying the row's line, so the stream's length follows the records
     whatever the step duration.
     A None epoch means the earliest instant either log mentions, collection
-    windows included. A step duration that is not positive is refused
-    first, with no line: no record is at fault.
+    windows included. A step duration that is not positive, and an epoch
+    with no UTC offset, are refused first, with no line: no record is at
+    fault.
     """
     if step_duration <= timedelta(0):
         raise InvalidValueError(f"step duration must be positive, got {step_duration}")
+    if epoch is not None and epoch.utcoffset() is None:
+        raise InvalidValueError(f"{NO_OFFSET}, got the epoch {epoch.isoformat()}")
     for stmt in parse_manifest(manifest):
         yield "manifest", stmt
     consents = parse_consent_log(consent_log)

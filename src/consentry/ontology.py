@@ -37,10 +37,9 @@ pass sees it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ConsistencyError, DeclarationError, KindMismatchError, UnknownConceptError,
@@ -58,8 +57,7 @@ RECIPIENT_ROOT = "Recipient"
 _ROOT_NAMES = {ConceptKind.DATA: DATA_ROOT, ConceptKind.RECIPIENT: RECIPIENT_ROOT}
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     id: int
     name: str
     kind: ConceptKind

@@ -37,7 +37,6 @@ words by its head keyword. `tokenize` is a view over the same line lexer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
@@ -65,8 +64,7 @@ class TokenKind(Enum):
     TIME = "time"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str  # labels keep their bare name, without the leading ':'
     line: int
@@ -131,63 +129,74 @@ def tokenize(text: str) -> list[Token]:
 
 # -- statements ------------------------------------------------------------
 #
-# Line numbers ride along for error reporting but are excluded from
-# equality so that parse(print_program(p)) == p holds structurally.
+# Statements are named tuples whose last field is their line. Line numbers
+# ride along for error reporting but take no part in equality or hash, so
+# that parse(print_program(p)) == p holds structurally. `RunReport` shares
+# the same three methods to leave its ledger out.
 
 
-@dataclass(frozen=True)
-class NewData:
+def _eq_but_last(self, other: object) -> bool:
+    # Equal only to the same type. False, not NotImplemented: tuple's reflected
+    # __eq__ would compare any other tuple field by field, line included.
+    return type(other) is type(self) and self[:-1] == other[:-1]
+
+
+_BUT_LAST = (_eq_but_last, lambda self, other: not _eq_but_last(self, other),
+             lambda self: hash(self[:-1]))
+
+
+class NewData(NamedTuple):
     name: str
     parent: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
 
-@dataclass(frozen=True)
-class NewRecipient:
+class NewRecipient(NamedTuple):
     name: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
 
-@dataclass(frozen=True)
-class NewDisjoint:
+class NewDisjoint(NamedTuple):
     names: tuple[str, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
 
-@dataclass(frozen=True)
-class NewEquiv:
+class NewEquiv(NamedTuple):
     a: str
     b: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(NamedTuple):
     data: str
     subject: str
     recipient: str
     label: str
     retro: bool = False
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
 
-@dataclass(frozen=True)
-class Withdraw:
+class Withdraw(NamedTuple):
     label: str
     retro: bool = False
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
 
-@dataclass(frozen=True)
-class Collect:
+class Collect(NamedTuple):
     data: str
     subject: str
     recipient: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
 
-@dataclass(frozen=True)
-class Access:
+class Access(NamedTuple):
     data: str
     subject: str
     recipient: str
@@ -195,23 +204,24 @@ class Access:
     # (x, None) is the single step x, (x, y) is the range [x, y).
     start: int | None = None
     end: int | None = None
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """Advance the clock. A script's `step` line is one step; a gap of
     `count` steps, as the log monitor builds, prints as that many lines."""
 
     count: int = 1
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
 
-@dataclass(frozen=True)
-class Assume:
+class Assume(NamedTuple):
     expected: bool
     action: Union[Collect, Access]
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
 
 Statement = Union[
@@ -405,13 +415,13 @@ class StatementOutcome(NamedTuple):
     note: str
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     outcomes: list[StatementOutcome]
     assumes: list[AssumeResult]
     events: list[EventRecord]
     final_step: int
-    ledger: Ledger = field(compare=False, repr=False)
+    ledger: Ledger  # last, so that equality leaves it out
+    __eq__, __ne__, __hash__ = _BUT_LAST
 
     @property
     def passed(self) -> bool:

@@ -166,6 +166,12 @@ class TestStepGrid:
         with pytest.raises(ValueError):
             map_to_step(EPOCH, EPOCH, timedelta(0))
 
+    @pytest.mark.parametrize("epoch, instant", [
+        (datetime(2024, 3, 1), EPOCH), (EPOCH, datetime(2024, 3, 2))], ids=["epoch", "instant"])
+    def test_a_naive_datetime_is_refused(self, epoch, instant):
+        with pytest.raises(InvalidValueError, match="need a UTC offset"):
+            map_to_step(epoch, instant, DAY)
+
 
 class TestConsentLogParsing:
     def test_round_trip_fields(self):
@@ -609,6 +615,26 @@ class TestStepDurationIsNoRecordsFault:
     def test_refused_with_empty_logs(self, entry):
         with pytest.raises(InvalidValueError, match="step duration must be positive"):
             entry("", "", "", None, timedelta(0))
+
+
+class TestNaiveEpochIsNoRecordsFault:
+    """An epoch with no UTC offset is refused before any record is read, with
+    no line, as an InvalidValueError rather than a raw TypeError."""
+
+    @pytest.mark.parametrize("entry", [scan, translate_to_script])
+    @pytest.mark.parametrize("logs", ["fixture", "empty"])
+    def test_refused_without_a_line(self, entry, logs):
+        args = TestClockGaps.fixture_logs() if logs == "fixture" else ("", "", "")
+        with pytest.raises(InvalidValueError) as err:
+            entry(*args, datetime(2024, 1, 1), DAY)
+        assert not isinstance(err.value, MonitorError)
+        assert str(err.value) == ("the epoch and every instant need a UTC offset, "
+                                  "such as +00:00, got the epoch 2024-01-01T00:00:00")
+
+    def test_an_aware_epoch_in_any_zone_is_accepted(self):
+        east = timezone(timedelta(hours=2))
+        report = scan(*TestClockGaps.fixture_logs(), datetime(2024, 1, 1, tzinfo=east), DAY)
+        assert report.events_scanned == 5
 
 
 class TestTranslation:

@@ -6,6 +6,9 @@ plain tuple of its values. The other classes that load with the package
 keep the fields, defaults, `repr` and equality their dataclasses had.
 """
 
+import os
+import subprocess
+import sys
 from inspect import signature
 
 import pytest
@@ -250,3 +253,38 @@ def test_consent_record_keywords_and_default():
                            recipient_concept=3, granted_at=1, grant_retroactive=True)
     assert record.withdrawal is None
     assert record.grant_retroactive and record.label is None
+
+
+# -- what holds since those classes are built without dataclasses -----------
+
+def test_consent_record_refuses_unknown_attributes():
+    record = ConsentRecord(0, "c1", 2, "alice", 3, 1, False)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+# The loaded classes that are named tuples with tuple equality: all but the
+# statements and ConsentRecord.
+PLAIN = [pair for pair in LOADED[len(STATEMENTS):] if isinstance(pair[0], tuple)]
+
+
+@pytest.mark.parametrize("value, _", PLAIN, ids=loaded_ids(PLAIN))
+def test_loaded_named_tuples_equal_plain_tuples(value, _):
+    assert value == field_values(value)
+    assert value == tuple(value)
+
+
+def test_run_report_repr_shows_its_ledger():
+    report = RunReport([], [], [], 1, Ledger())
+    assert repr(report) == ("RunReport(outcomes=[], assumes=[], events=[], final_step=1, "
+                            f"ledger={report.ledger!r})")
+
+
+def test_importing_the_package_and_cli_generates_no_dataclass_code():
+    # A fresh interpreter: pytest itself has loaded both modules here.
+    code = ("import sys; before = set(sys.modules); import consentry, consentry.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == ""
