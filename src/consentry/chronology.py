@@ -8,8 +8,8 @@ end) and may leave the end unbounded.
 `StepInterval` is a named tuple, built on every decision: immutable,
 equal to the plain tuple `(start, end)`, and changed with `_replace`. Its
 check runs in `__new__`; `_replace` and `_make` skip it, so the engine
-never uses them on intervals. `in` tests whether a
-step lies inside the interval, not whether it is one of the two fields.
+never uses them on intervals. `in` tests whether a step lies inside the
+interval, not whether it is one of the two fields.
 """
 
 from __future__ import annotations

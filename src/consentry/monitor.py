@@ -72,8 +72,8 @@ from .script import (
 )
 
 CONSENT_ACTIONS = ("grant", "withdraw")
-NO_OFFSET = "the epoch and every instant need a UTC offset, such as +00:00"
 ACCESS_ACTIONS = ("collect", "access")
+_NO_OFFSET = "the epoch and every instant need a UTC offset, such as +00:00"
 
 # (timestamp, statement, collection window or None); see the module docstring.
 Row = tuple[datetime, Statement, tuple[datetime, datetime] | None]
@@ -115,7 +115,7 @@ def map_to_step(epoch: datetime, instant: datetime, step_duration: timedelta) ->
     try:
         early = instant < epoch
     except TypeError:  # one of them is naive
-        raise InvalidValueError(f"{NO_OFFSET}, got {epoch.isoformat()} and "
+        raise InvalidValueError(f"{_NO_OFFSET}, got {epoch.isoformat()} and "
                                 f"{instant.isoformat()}") from None
     if early:
         raise InvalidValueError(f"instant {instant.isoformat()} precedes the epoch")
@@ -352,7 +352,7 @@ def _statements(manifest: str, consent_log: str, access_log: str,
     if step_duration <= timedelta(0):
         raise InvalidValueError(f"step duration must be positive, got {step_duration}")
     if epoch is not None and epoch.utcoffset() is None:
-        raise InvalidValueError(f"{NO_OFFSET}, got the epoch {epoch.isoformat()}")
+        raise InvalidValueError(f"{_NO_OFFSET}, got the epoch {epoch.isoformat()}")
     for stmt in parse_manifest(manifest):
         yield "manifest", stmt
     consents = parse_consent_log(consent_log)
