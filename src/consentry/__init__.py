@@ -5,6 +5,11 @@ hierarchy, a decision procedure for collection/access authorization
 that understands retroactive and non-retroactive grants and
 withdrawals, a small scripting language for scenarios, and an ex-post
 log monitor.
+
+`import consentry` loads the ledger and its parts; the script interpreter
+(`consentry.script`) and the log monitor (`consentry.monitor`) load on
+first use of a name they define, so a program that drives `Ledger`
+directly never imports them.
 """
 
 from .chronology import StepInterval, advance, format_step, parse_step
@@ -20,9 +25,7 @@ from .core import (
     Withdrawal,
 )
 from .errors import ConsentryError
-from .monitor import ViolationReport, scan, translate_to_script
 from .ontology import ConceptGraph, ConceptKind
-from .script import RunReport, execute, parse_script, print_program, run_script
 
 __version__ = "0.1.0"
 
@@ -53,3 +56,28 @@ __all__ = [
     "translate_to_script",
     "__version__",
 ]
+
+# The names that load a submodule on first access (PEP 562), each mapped to
+# the submodule that defines it; a submodule maps to itself.
+_LAZY = {
+    "script": "script", "RunReport": "script", "execute": "script",
+    "parse_script": "script", "print_program": "script", "run_script": "script",
+    "monitor": "monitor", "ViolationReport": "monitor", "scan": "monitor",
+    "translate_to_script": "monitor",
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value  # found here from now on, without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -25,6 +25,9 @@ STEP_TOKEN = re.compile(r"T([0-9]+)\Z")
 
 def advance(step: int, count: int = 1) -> int:
     """Return the step `count` steps after `step` (its successor by default)."""
+    for value in (step, count):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise IntervalError(f"steps are counted in whole numbers, got {value!r}")
     if step < 1:
         raise IntervalError(f"steps are 1-based, got {step}")
     if count < 1:

@@ -23,13 +23,16 @@ import json
 import os
 import re
 import sys
-from datetime import timedelta
+from typing import TYPE_CHECKING
 
-from . import bench, monitor
+from . import bench
 from .chronology import format_step
 from .core import ActionType
 from .errors import ConsentryError, InvalidValueError
 from .script import RunReport, run_script
+
+if TYPE_CHECKING:
+    from datetime import timedelta
 
 STEP_DURATION_ENV = "CONSENT_STEP_DURATION"
 DEFAULT_STEP_DURATION = "1d"
@@ -40,6 +43,8 @@ _DURATION = re.compile(r"(?:(?P<days>[0-9]+)d)?(?:(?P<hours>[0-9]+)h)?"
 
 
 def parse_duration(text: str) -> timedelta:
+    from datetime import timedelta  # here, so that `run` never loads datetime
+
     raw = text.strip()
     if raw.isascii() and raw.isdigit():
         parts = {"seconds": raw}
@@ -125,6 +130,8 @@ def _step_duration(args: argparse.Namespace) -> timedelta:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
+    from . import monitor  # here, so that the other subcommands never load it
+
     manifest = _read(args.manifest)
     consent_log = _read(args.consent_log)
     access_log = _read(args.access_log)

@@ -303,7 +303,8 @@ class Ledger:
             if ref not in self._labels:
                 raise UnknownConsentError(f":{ref}")
             return self.consents[self._labels[ref]]
-        if not 0 <= ref < len(self.consents):
+        # A bool is an int, but names no consent.
+        if not isinstance(ref, int) or isinstance(ref, bool) or not 0 <= ref < len(self.consents):
             raise UnknownConsentError(ref)
         return self.consents[ref]
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from consentry.chronology import StepInterval, advance, format_step, parse_step
+from consentry.core import Ledger
 from consentry.errors import IntervalError
 
 
@@ -24,6 +25,22 @@ def test_advance_by_a_gap_is_one_call():
 def test_advance_never_goes_back(count):
     with pytest.raises(IntervalError):
         advance(4, count)
+
+
+@pytest.mark.parametrize("step, count", [
+    (1.5, 1), (1, 1.5), (True, 1), (1, True), (1, False), (1, "2"), ("1", 1), (None, 1),
+])
+def test_advance_counts_in_ints_only(step, count):
+    with pytest.raises(IntervalError):
+        advance(step, count)
+
+
+@pytest.mark.parametrize("count", [1.5, True, "2", None])
+def test_the_ledger_clock_moves_by_whole_steps_only(count):
+    led = Ledger()
+    with pytest.raises(IntervalError):
+        led.advance(count)
+    assert led.now == 1
 
 
 def test_step_token_round_trip():

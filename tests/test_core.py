@@ -380,6 +380,16 @@ class TestLedgerValidation:
         with pytest.raises(UnknownConsentError):
             led.consent(99)
 
+    @pytest.mark.parametrize("ref", [None, True, False, 0.0, b"base", ("base",)])
+    def test_a_ref_that_is_neither_an_id_nor_a_label_is_an_unknown_consent(self, ref):
+        led = fresh_ledger()
+        led.grant("Location", ALICE, "Partner", label="base")
+        with pytest.raises(UnknownConsentError):
+            led.consent(ref)
+        with pytest.raises(UnknownConsentError):
+            led.withdraw(ref)
+        assert led.consent(0).withdrawal is None
+
     def test_double_withdrawal_rejected(self):
         led = fresh_ledger()
         cid = led.grant("Location", ALICE, "Partner")

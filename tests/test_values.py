@@ -9,6 +9,7 @@ keep the fields, defaults, `repr` and equality their dataclasses had.
 import os
 import subprocess
 import sys
+import textwrap
 from inspect import signature
 
 import pytest
@@ -280,11 +281,53 @@ def test_run_report_repr_shows_its_ledger():
                             f"ledger={report.ledger!r})")
 
 
-def test_importing_the_package_and_cli_generates_no_dataclass_code():
-    # A fresh interpreter: pytest itself has loaded both modules here.
-    code = ("import sys; before = set(sys.modules); import consentry, consentry.cli; "
-            "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+# Each entry point, and the modules it must not load: the dataclass machinery
+# for either, and the monitor (and for the package, the script interpreter
+# too) until a caller uses it.
+ENTRY_POINTS = [
+    ("consentry", {"dataclasses", "inspect", "consentry.script", "consentry.monitor"}),
+    ("consentry.cli", {"dataclasses", "inspect", "consentry.monitor"}),
+]
+
+
+@pytest.mark.parametrize("module, unloaded", ENTRY_POINTS, ids=[m for m, _ in ENTRY_POINTS])
+def test_an_entry_point_loads_no_module_it_does_not_use(module, unloaded):
+    # A fresh interpreter: pytest itself has loaded every module here.
+    code = (f"import sys; before = set(sys.modules); import {module}; "
+            f"print(*sorted({unloaded!r} & (set(sys.modules) - before)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == ""
+
+
+def test_the_package_names_resolve_to_their_submodules_objects():
+    # A fresh interpreter, so that the names still have to load their modules.
+    code = textwrap.dedent("""\
+        import sys
+        import consentry
+        assert set(consentry.__all__) | {"script", "monitor"} <= set(dir(consentry))
+        for home in ("script", "monitor"):
+            assert getattr(consentry, home) is sys.modules["consentry." + home], home
+        star = {}
+        exec("from consentry import *", star)
+        assert set(star) - {"__builtins__"} == set(consentry.__all__)
+        defined = {"__version__": consentry.__version__}
+        for module in (consentry.chronology, consentry.core, consentry.errors,
+                       consentry.ontology, consentry.script, consentry.monitor):
+            defined.update(vars(module))
+        for name in consentry.__all__:
+            assert star[name] is getattr(consentry, name) is defined[name], name
+            assert name in vars(consentry), name  # resolved once, then kept
+        try:
+            consentry.nope
+        except AttributeError as err:
+            assert str(err) == "module 'consentry' has no attribute 'nope'", err
+        else:
+            raise AssertionError("consentry.nope resolved")
+        print("ok")
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert run.stdout.strip() == "ok", run.stderr
