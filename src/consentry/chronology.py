@@ -64,6 +64,10 @@ class StepInterval(_Bounds):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int | None = None) -> "StepInterval":
+        # Exactly int: a bool is an int too, but counts no step.
+        if type(start) is not int or end is not None and type(end) is not int:
+            raise IntervalError(
+                f"interval bounds must be whole steps, got [{start!r}, {end!r})")
         if start < 1:
             raise IntervalError(f"interval start must be >= 1, got {start}")
         if end is not None and end <= start:

@@ -67,6 +67,7 @@ from .chronology import StepInterval
 from .errors import (
     AlreadyWithdrawnError,
     DuplicateLabelError,
+    InvalidValueError,
     QueryError,
     UnknownConsentError,
     UnknownSubjectError,
@@ -276,6 +277,7 @@ class Ledger:
     def grant(self, data: int | str, subject: str, recipient: int | str,
               retroactive: bool = False, label: str | None = None) -> int:
         """Record a consent effective from the current step. Returns its id."""
+        _check_flag(retroactive)
         data_id = self.ontology.resolve(data, ConceptKind.DATA)
         recipient_id = self.ontology.resolve(recipient, ConceptKind.RECIPIENT)
         if label is not None:
@@ -310,6 +312,7 @@ class Ledger:
 
     def withdraw(self, ref: int | str, retroactive: bool = False) -> ConsentRecord:
         """Mark a consent withdrawn at the current step."""
+        _check_flag(retroactive)
         record = self.consent(ref)
         if record.withdrawal is not None:
             raise AlreadyWithdrawnError(
@@ -327,7 +330,7 @@ class Ledger:
         graph, now = self.ontology, self.now
         return AuthzQuery(ActionType.COLLECT, graph.resolve(data, ConceptKind.DATA),
                           subject, graph.resolve(recipient, ConceptKind.RECIPIENT),
-                          StepInterval.single(now), now, mode)
+                          _interval(StepInterval, (now, now + 1)), now, mode)
 
     def access_query(self, data: int | str, subject: str, recipient: int | str,
                      collected_interval: StepInterval | None = None,
@@ -337,13 +340,18 @@ class Ledger:
         With no interval given the query spans all history, [T1, now+1).
         """
         graph, now = self.ontology, self.now
-        interval = collected_interval or StepInterval(1, now + 1)
+        interval = _interval(StepInterval, (1, now + 1)) if collected_interval is None \
+            else collected_interval
         return AuthzQuery(ActionType.ACCESS, graph.resolve(data, ConceptKind.DATA),
                           subject, graph.resolve(recipient, ConceptKind.RECIPIENT),
                           interval, now, mode)
 
     def check(self, query: AuthzQuery) -> Decision:
         """Decide a query against the current ledger. Pure: no reader sees a change."""
+        if type(query.action) is not ActionType:
+            raise QueryError(f"unknown action {query.action!r}, expected an ActionType")
+        if type(query.mode) is not Mode:
+            raise QueryError(f"unknown mode {query.mode!r}, expected a Mode")
         graph = self.ontology
         graph.resolve(query.data_concept, ConceptKind.DATA)
         graph.resolve(query.recipient_concept, ConceptKind.RECIPIENT)
@@ -374,6 +382,8 @@ class Ledger:
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
         interval = query.collected_interval
+        if not isinstance(interval, StepInterval):
+            raise QueryError(f"the collected interval must be a StepInterval, got {interval!r}")
         if not interval.bounded:
             raise QueryError("queries need a bounded collection interval")
         if query.action is ActionType.COLLECT:
@@ -452,6 +462,8 @@ class Ledger:
         before a bad interval; an access's interval is then checked as
         `check` checks it. The subject is the caller's to declare.
         """
+        if type(action) is not ActionType:
+            raise QueryError(f"unknown action {action!r}, expected an ActionType")
         if action is ActionType.COLLECT:
             if collected_interval is not None:
                 raise QueryError("collection events do not take a collected interval")
@@ -461,8 +473,13 @@ class Ledger:
         return query
 
 
-# A run lies inside the query's span, which was checked when it was built, so
-# its interval skips StepInterval's check.
+def _check_flag(retroactive: object) -> None:
+    if not isinstance(retroactive, bool):
+        raise InvalidValueError(f"retroactive must be True or False, got {retroactive!r}")
+
+
+# An interval on the ledger's own clock, or a run inside a query's span, which
+# was checked when it was built, skips StepInterval's check.
 _interval = tuple.__new__
 
 

@@ -36,7 +36,8 @@ class DeclarationError(OntologyError):
 
 class InvalidValueError(ConsentryError, ValueError):
     """A value handed in from outside is malformed or out of range: a
-    timestamp, a step duration, a repetition count or a bench scenario.
+    timestamp, a step duration, a repetition count, a bench scenario or a
+    consent's `retroactive` flag, which must be a bool.
 
     It is a ValueError too, so a caller may catch it as one.
     """

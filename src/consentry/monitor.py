@@ -108,20 +108,6 @@ def parse_instant(value: str) -> datetime:
         f"expected an ISO-8601 timestamp in years 1-9999, got {value!r}")
 
 
-def map_to_step(epoch: datetime, instant: datetime, step_duration: timedelta) -> int:
-    """Place a wall-clock instant onto the 1-based step grid."""
-    if step_duration <= timedelta(0):
-        raise InvalidValueError(f"step duration must be positive, got {step_duration}")
-    try:
-        early = instant < epoch
-    except TypeError:  # one of them is naive
-        raise InvalidValueError(f"{_NO_OFFSET}, got {epoch.isoformat()} and "
-                                f"{instant.isoformat()}") from None
-    if early:
-        raise InvalidValueError(f"instant {instant.isoformat()} precedes the epoch")
-    return (instant - epoch) // step_duration + 1
-
-
 def _record_lines(text: str) -> Iterable[tuple[int, dict]]:
     # Records end at "\n" only: str.splitlines() also breaks at U+2028,
     # U+2029 and U+0085, which JSON strings may hold raw, and at control
@@ -326,66 +312,61 @@ class ViolationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _step_of(epoch: datetime, instant: datetime, step_duration: timedelta,
-             line: int, source: str) -> int:
-    """`map_to_step`, with a failure reported against its log line."""
-    try:
-        return map_to_step(epoch, instant, step_duration)
-    except InvalidValueError as err:
-        raise MonitorError(str(err), line, source) from None
-
-
 def _statements(manifest: str, consent_log: str, access_log: str,
-                epoch: datetime | None, step_duration: timedelta
-                ) -> Iterator[tuple[str, Statement]]:
-    """The manifest, then the merged log rows, as (source, statement) pairs.
+                epoch: datetime | None, step_duration: timedelta) -> Iterator[Statement]:
+    """The manifest's statements, then the merged log rows', as statements.
 
-    A statement's line is its line in that source. Before each row comes
-    one Step for the whole gap that brings the clock to the row's step,
-    carrying the row's line, so the stream's length follows the records
-    whatever the step duration.
+    A statement's line is its line in the source `_source` names for it.
+    Before each row comes one Step for the whole gap that brings the clock
+    to the row's step, carrying the row's line, so the stream's length
+    follows the records whatever the step duration.
     A None epoch means the earliest instant either log mentions, collection
     windows included. A step duration that is not positive, and an epoch
     with no UTC offset, are refused first, with no line: no record is at
-    fault.
+    fault. After that an instant is only checked against the epoch, since
+    `parse_instant` returns aware UTC instants alone.
     """
     if step_duration <= timedelta(0):
         raise InvalidValueError(f"step duration must be positive, got {step_duration}")
     if epoch is not None and epoch.utcoffset() is None:
         raise InvalidValueError(f"{_NO_OFFSET}, got the epoch {epoch.isoformat()}")
-    for stmt in parse_manifest(manifest):
-        yield "manifest", stmt
+    yield from parse_manifest(manifest)
     consents = parse_consent_log(consent_log)
     accesses = parse_access_log(access_log)
     if epoch is None:
         firsts = (log[0][0] for log in (consents, accesses) if log)
         windows = (window[0] for _, _, window in accesses if window is not None)
         epoch = min(chain(firsts, windows), default=None)
-    window_steps: dict[datetime, int] = {}  # window stamps repeat, record stamps not
 
-    def window_step(instant: datetime, line: int) -> int:
-        step = window_steps.get(instant)
-        if step is None:
-            step = window_steps[instant] = _step_of(epoch, instant, step_duration,
-                                                    line, "access log")
-        return step
+    def step_of(instant: datetime, stmt: Statement) -> int:
+        if instant < epoch:
+            raise MonitorError(f"instant {instant.isoformat()} precedes the epoch",
+                               stmt.line, _source(stmt))
+        return (instant - epoch) // step_duration + 1
 
     now = 1
     # Both row lists are timestamp-sorted; consent rows must win ties so a
     # same-instant grant already counts for the event next to it. heapq.merge
     # is stable and prefers the first iterable on equal keys.
     for timestamp, stmt, window in _heap_merge(consents, accesses, key=itemgetter(0)):
-        line = stmt.line
-        source = "consent log" if isinstance(stmt, (Grant, Withdraw)) else "access log"
-        target = _step_of(epoch, timestamp, step_duration, line, source)
+        target = step_of(timestamp, stmt)
         if now < target:
-            yield source, Step(target - now, line)
+            yield Step(target - now, stmt.line)
             now = target
         if window is not None:
             stmt = Access(stmt.data, stmt.subject, stmt.recipient,
-                          window_step(window[0], line), window_step(window[1], line) + 1,
-                          line=line)
-        yield source, stmt
+                          step_of(window[0], stmt), step_of(window[1], stmt) + 1,
+                          line=stmt.line)
+        yield stmt
+
+
+def _source(stmt: Statement) -> str:
+    """The source of a statement `_statements` yields, to place its error.
+
+    A Step is never asked: its count is an int of at least 1, so it cannot fail.
+    """
+    return "consent log" if isinstance(stmt, (Grant, Withdraw)) else \
+        "access log" if isinstance(stmt, (Collect, Access)) else "manifest"
 
 
 def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | None,
@@ -393,17 +374,20 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | Non
     """Replay the logs and report every event no consent covered.
 
     `epoch` is the instant step 1 starts; None means the earliest instant
-    either log mentions, collection windows included.
+    either log mentions, collection windows included. The logs become one
+    stream of statements (`_statements`) that runs on a fresh ledger. An
+    error names its line in the statement's source: the manifest for a
+    declaration, the consent log for a grant or withdrawal, the access log
+    for a collect or access.
     """
     ledger = Ledger()
     violations = []
     events = 0
-    for source, stmt in _statements(manifest, consent_log, access_log, epoch,
-                                    step_duration):
+    for stmt in _statements(manifest, consent_log, access_log, epoch, step_duration):
         try:
             event = script_mod.apply(ledger, stmt)
         except ConsentryError as err:
-            raise MonitorError(str(err), stmt.line, source) from None
+            raise MonitorError(str(err), stmt.line, _source(stmt)) from None
         if event is None:
             continue
         events += 1
@@ -424,11 +408,10 @@ def translate_to_script(manifest: str, consent_log: str, access_log: str,
     that is not a word, raise MonitorError with the record's line.
     """
     statements = []
-    for source, stmt in _statements(manifest, consent_log, access_log, epoch,
-                                    step_duration):
+    for stmt in _statements(manifest, consent_log, access_log, epoch, step_duration):
         name = script_mod.unprintable_name(stmt)
         if name is not None:
             raise MonitorError(f"{name!r} cannot be written as a script name",
-                               stmt.line, source)
+                               stmt.line, _source(stmt))
         statements.append(stmt)
     return print_program(statements) if statements else ""

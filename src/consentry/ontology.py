@@ -99,7 +99,8 @@ class ConceptGraph:
             raise UnknownConceptError(name) from None
 
     def concept(self, cid: int) -> Concept:
-        if not 0 <= cid < len(self._concepts):
+        # Exactly int: a bool is an int too, but names no concept.
+        if type(cid) is not int or not 0 <= cid < len(self._concepts):
             raise UnknownConceptError(cid)
         return self._concepts[cid]
 

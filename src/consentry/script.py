@@ -438,8 +438,6 @@ def execute(statements: list[Statement], ledger: Ledger | None = None) -> RunRep
         try:
             result = apply(led, stmt)
         except ConsentryError as err:
-            if isinstance(err, ExecutionError):
-                raise
             raise ExecutionError(stmt.line, str(err)) from err
         if isinstance(result, AssumeResult):
             assumes.append(result)
@@ -530,8 +528,8 @@ def _access_interval(stmt: Collect | Access) -> StepInterval | None:
     if stmt.end is None:
         return StepInterval.single(stmt.start)
     if stmt.end <= stmt.start:
-        raise ExecutionError(stmt.line, f"empty interval [{format_step(stmt.start)}, "
-                                        f"{format_step(stmt.end)})")
+        raise IntervalError(f"empty interval [{format_step(stmt.start)}, "
+                            f"{format_step(stmt.end)})")
     return StepInterval(stmt.start, stmt.end)
 
 

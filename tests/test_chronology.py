@@ -73,6 +73,14 @@ def test_interval_examples():
     assert StepInterval(4, 5).last == 4
 
 
+@pytest.mark.parametrize("bounds", [
+    (1.5, 3), (1, 3.0), (True,), (1, True), (False, 2), ("2",), (1, "3"), (None,),
+])
+def test_interval_bounds_are_ints_only(bounds):
+    with pytest.raises(IntervalError, match="interval bounds must be whole steps"):
+        StepInterval(*bounds)
+
+
 def test_open_interval_contains_everything_from_start():
     interval = StepInterval(3)
     assert 3 in interval

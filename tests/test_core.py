@@ -21,6 +21,7 @@ from consentry.errors import (
     ConsistencyError,
     DeclarationError,
     DuplicateLabelError,
+    InvalidValueError,
     KindMismatchError,
     QueryError,
     UnknownConceptError,
@@ -491,6 +492,64 @@ class TestEvents:
         with pytest.raises(UnknownConceptError):
             led.record_event(ActionType.ACCESS, "Nowhere", ALICE, "Partner",
                              collected_interval=StepInterval(1, 3))
+
+
+class TestArgumentsAreNotMisread:
+    """An action, mode, retroactive flag, interval or concept id of the
+    wrong type is refused with the library's own error, never read as
+    something else."""
+
+    @staticmethod
+    def ledger():
+        led = Ledger()
+        led.declare_data("D")
+        led.declare_data("Sub", "D")
+        led.declare_recipient("R")
+        led.grant("Sub", "s", "R", label="c")
+        return led
+
+    def test_a_mode_that_is_not_a_mode_is_refused(self):
+        led = self.ledger()
+        query = led.access_query("D", "s", "R", mode=Mode.GUARANTEED)
+        assert led.check(query).reason is Reason.NO_MATCHING_CONSENT
+        with pytest.raises(QueryError, match="unknown mode 'guaranteed'"):
+            led.check(query._replace(mode="guaranteed"))
+
+    @pytest.mark.parametrize("action", ["collect", "access", None])
+    def test_an_action_that_is_not_an_action_type_is_refused(self, action):
+        led = self.ledger()
+        query = led.collect_query("Sub", "s", "R")
+        with pytest.raises(QueryError, match=f"unknown action {action!r}"):
+            led.check(query._replace(action=action))
+        with pytest.raises(QueryError, match=f"unknown action {action!r}"):
+            led.record_event(action, "D", "s", "R")
+
+    @pytest.mark.parametrize("flag", ["yes", 1, 0, None])
+    def test_a_retroactive_flag_that_is_not_a_bool_is_refused(self, flag):
+        led = self.ledger()
+        with pytest.raises(InvalidValueError, match="retroactive must be True or False"):
+            led.withdraw("c", retroactive=flag)
+        assert led.consent("c").withdrawal is None
+        with pytest.raises(InvalidValueError, match="retroactive must be True or False"):
+            led.grant("D", "s", "R", retroactive=flag)
+        assert len(led.consents) == 1
+
+    @pytest.mark.parametrize("interval", [(1, 2), [1, 2], range(1, 2), ()])
+    def test_a_collected_interval_that_is_not_a_step_interval_is_refused(self, interval):
+        led = self.ledger()
+        led.advance()
+        with pytest.raises(QueryError, match="must be a StepInterval"):
+            led.record_event(ActionType.ACCESS, "D", "s", "R", interval)
+        query = led.access_query("D", "s", "R")
+        with pytest.raises(QueryError, match="must be a StepInterval"):
+            led.check(query._replace(collected_interval=interval))
+
+    @pytest.mark.parametrize("cid", [None, 1.5, True])
+    def test_a_concept_id_that_is_not_an_int_is_unknown(self, cid):
+        led = self.ledger()
+        with pytest.raises(UnknownConceptError):
+            led.grant(cid, "s", "R")
+        assert len(led.consents) == 1
 
 
 class TestEquivalenceInQueries:

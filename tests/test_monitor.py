@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from consentry.core import Ledger, Reason
 from consentry.errors import InvalidValueError, LogFormatError, LogOrderError, MonitorError
 from consentry.monitor import (
-    map_to_step,
     parse_access_log,
     parse_consent_log,
     parse_instant,
@@ -145,32 +144,34 @@ class TestInstants:
 
 
 class TestStepGrid:
+    """`scan` places each record on the step grid from an explicit epoch."""
+
+    @staticmethod
+    def step_of(offset):
+        record = {"timestamp": (EPOCH + offset).isoformat(), "action": "collect",
+                  "data_concept": "D", "subject": "s", "recipient_concept": "R"}
+        return scan("new data D Data\n", "", jl(record), EPOCH, DAY).final_step
+
     def test_epoch_is_step_one(self):
-        assert map_to_step(EPOCH, EPOCH, DAY) == 1
+        assert self.step_of(timedelta(0)) == 1
 
     def test_thirty_six_hours_in(self):
-        assert map_to_step(EPOCH, EPOCH + timedelta(hours=36), DAY) == 2
+        assert self.step_of(timedelta(hours=36)) == 2
 
     def test_ninety_days_in(self):
-        assert map_to_step(EPOCH, EPOCH + timedelta(days=90), DAY) == 91
+        assert self.step_of(timedelta(days=90)) == 91
 
     def test_boundaries_are_half_open(self):
-        assert map_to_step(EPOCH, EPOCH + DAY, DAY) == 2
-        assert map_to_step(EPOCH, EPOCH + DAY - timedelta(seconds=1), DAY) == 1
+        assert self.step_of(DAY) == 2
+        assert self.step_of(DAY - timedelta(seconds=1)) == 1
 
     def test_before_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            map_to_step(EPOCH, EPOCH - timedelta(seconds=1), DAY)
-
-    def test_nonpositive_duration_rejected(self):
-        with pytest.raises(ValueError):
-            map_to_step(EPOCH, EPOCH, timedelta(0))
-
-    @pytest.mark.parametrize("epoch, instant", [
-        (datetime(2024, 3, 1), EPOCH), (EPOCH, datetime(2024, 3, 2))], ids=["epoch", "instant"])
-    def test_a_naive_datetime_is_refused(self, epoch, instant):
-        with pytest.raises(InvalidValueError, match="need a UTC offset"):
-            map_to_step(epoch, instant, DAY)
+        consents = jl(withdraw(1, "c1"), withdraw(2, "c2"))
+        with pytest.raises(MonitorError) as err:
+            scan("", consents, "", datetime(2026, 1, 2, tzinfo=timezone.utc), DAY)
+        assert (err.value.source, err.value.line) == ("consent log", 1)
+        assert str(err.value) == ("consent log line 1: instant 2026-01-01T00:00:00+00:00 "
+                                  "precedes the epoch")
 
 
 class TestConsentLogParsing:

@@ -78,6 +78,14 @@ class TestDeclarations:
         with pytest.raises(KindMismatchError):
             graph.resolve("X", RECIPIENT)
 
+    @pytest.mark.parametrize("cid", [1.5, None, True, False, b"X", (0,)])
+    def test_an_id_that_is_not_an_int_is_unknown(self, graph, cid):
+        graph.declare_concept("X", DATA, [])
+        with pytest.raises(UnknownConceptError):
+            graph.resolve(cid)
+        with pytest.raises(UnknownConceptError):
+            graph.concept(cid)
+
 
 class TestEquivalence:
     def test_equating_lifts_subsumption_both_ways(self, graph):

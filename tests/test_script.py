@@ -450,6 +450,7 @@ class TestExecutionErrors:
         with pytest.raises(ExecutionError) as err:
             run_script("new data X Data\nstep\nstep\naccess X s R T3 T3\n")
         assert err.value.line == 4
+        assert str(err.value) == "line 4: empty interval [T3, T3)"
 
     def test_future_access_interval(self):
         with pytest.raises(ExecutionError):
