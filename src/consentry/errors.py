@@ -115,3 +115,8 @@ class LogFormatError(MonitorError):
 
 class LogOrderError(MonitorError):
     pass
+
+
+class EpochError(MonitorError, ValueError):
+    """A record's instant precedes the epoch. The instant is out of range,
+    so it is a ValueError too, and a caller may catch it as one."""

@@ -59,6 +59,7 @@ from .chronology import StepInterval, format_step
 from .core import Ledger, Reason
 from .errors import (
     ConsentryError,
+    EpochError,
     InvalidValueError,
     LogFormatError,
     LogOrderError,
@@ -340,8 +341,8 @@ def _statements(manifest: str, consent_log: str, access_log: str,
 
     def step_of(instant: datetime, stmt: Statement) -> int:
         if instant < epoch:
-            raise MonitorError(f"instant {instant.isoformat()} precedes the epoch",
-                               stmt.line, _source(stmt))
+            raise EpochError(f"instant {instant.isoformat()} precedes the epoch",
+                             stmt.line, _source(stmt))
         return (instant - epoch) // step_duration + 1
 
     now = 1

@@ -83,6 +83,8 @@ class TestDurations:
     lambda: monitor.parse_instant("yesterday"),
     lambda: monitor.parse_instant(20260101),
     lambda: monitor.parse_instant("0001-01-01T00:00:00+05:00"),
+    lambda: monitor.scan("", log_line(timestamp="2025-12-31T23:59:59Z", action="withdraw",
+                                      consent_id="c1"), "", EPOCH, DAY),
     lambda: monitor.scan("", "", "", EPOCH, timedelta(0)),
     lambda: parse_duration("soon"),
     lambda: parse_duration("0s"),
@@ -94,7 +96,7 @@ class TestDurations:
     lambda: cli.cmd_simulate(cli.build_parser().parse_args(
         ["simulate", "--scenario", "steps", "--steps", "3", "--reps", "0"])),
 ], ids=["scenario", "steps", "garbage-instant", "non-text-instant",
-        "instant-out-of-range", "zero-step", "bad-duration",
+        "instant-out-of-range", "before-epoch", "zero-step", "bad-duration",
         "zero-duration", "huge-duration", "huge-seconds", "superscript-digit",
         "digits-bare", "digits-unit", "reps"])
 def test_rejected_values_are_consentry_errors(reject):

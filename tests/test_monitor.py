@@ -173,6 +173,18 @@ class TestStepGrid:
         assert str(err.value) == ("consent log line 1: instant 2026-01-01T00:00:00+00:00 "
                                   "precedes the epoch")
 
+    def test_nonpositive_duration_rejected(self):
+        record = {"timestamp": EPOCH.isoformat(), "action": "collect",
+                  "data_concept": "D", "subject": "s", "recipient_concept": "R"}
+        with pytest.raises(ValueError):
+            scan("new data D Data\n", "", jl(record), EPOCH, timedelta(0))
+
+    # A record instant with no offset reads as UTC, so only the epoch can be naive.
+    @pytest.mark.parametrize("epoch", [datetime(2024, 3, 1)], ids=["epoch"])
+    def test_a_naive_datetime_is_refused(self, epoch):
+        with pytest.raises(InvalidValueError, match="need a UTC offset"):
+            scan("", jl(withdraw(1, "c1")), "", epoch, DAY)
+
 
 class TestConsentLogParsing:
     def test_round_trip_fields(self):
