@@ -38,10 +38,11 @@ concept, which decide whether the denial is a subject mismatch. The
 query's concepts are validated once at entry; after that one concept
 predicate, built from their ancestor sets, judges every candidate. So a
 check costs in proportion to the subject's consents, not the ledger's size.
-`record_event` and the script interpreter's `assume` build their query in
-one place, `_event_query`: the resolving builders validate the concepts and
-an access's interval gets `check`'s shape test, so both skip the rest of
-`check`'s entry validation and report a bad query alike.
+`record_event` and `decide_event`, which the script interpreter's `assume`
+calls, build their query in one place, `_event_query`: the resolving
+builders validate the concepts and an access's interval gets `check`'s
+shape test, so both skip the rest of `check`'s entry validation and report
+a bad query alike.
 
 The subject-mismatch verdict ("does any distinct pair pass the predicate?")
 does not depend on the subject. In guaranteed mode a pair applies when its
@@ -130,13 +131,6 @@ class ConsentRecord:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
-    def authorizes_collection(self, step: int) -> bool:
-        return _inside(step, self.reach(ActionType.COLLECT, step))
-
-    def authorizes_access(self, collected_at: int, accessed_at: int) -> bool:
-        return collected_at <= accessed_at and \
-            _inside(collected_at, self.reach(ActionType.ACCESS, accessed_at))
-
     def reach(self, action: ActionType, accessed_at: int) -> tuple[int, int | None]:
         """The collection steps [lo, hi) this consent covers at one access step.
 
@@ -152,11 +146,6 @@ class ConsentRecord:
         if w is not None and w.retroactive:
             hi = 1 if accessed_at >= w.step else None
         return lo, hi
-
-
-def _inside(step: int, reach: tuple[int, int | None]) -> bool:
-    lo, hi = reach
-    return lo <= step and (hi is None or step < hi)
 
 
 class AuthzQuery(NamedTuple):
@@ -251,6 +240,7 @@ class Ledger:
         return self.now
 
     def declare_subject(self, subject: str) -> str:
+        _check_subject(subject)
         self._by_subject.setdefault(subject, [])
         return subject
 
@@ -278,11 +268,13 @@ class Ledger:
               retroactive: bool = False, label: str | None = None) -> int:
         """Record a consent effective from the current step. Returns its id."""
         _check_flag(retroactive)
+        _check_subject(subject)
+        if label is not None and not isinstance(label, str):
+            raise InvalidValueError(f"label must be a string or None, got {label!r}")
         data_id = self.ontology.resolve(data, ConceptKind.DATA)
         recipient_id = self.ontology.resolve(recipient, ConceptKind.RECIPIENT)
-        if label is not None:
-            if label in self._labels:
-                raise DuplicateLabelError(f"consent label already in use: :{label}")
+        if label in self._labels:
+            raise DuplicateLabelError(f"consent label already in use: :{label}")
         record = ConsentRecord(
             id=len(self.consents),
             label=label,
@@ -453,10 +445,21 @@ class Ledger:
         self._event_concepts.update((query.data_concept, query.recipient_concept))
         return event
 
+    def decide_event(self, action: ActionType, data: int | str, subject: str,
+                     recipient: int | str,
+                     collected_interval: StepInterval | None = None) -> Decision:
+        """The verdict `record_event` would attach now, with nothing recorded.
+
+        The query is built and refused exactly as `record_event` builds and
+        refuses it. Nothing is declared: an unknown subject holds no consent.
+        """
+        return self._decide(self._event_query(action, data, subject, recipient,
+                                              collected_interval))
+
     def _event_query(self, action: ActionType, data: int | str, subject: str,
                      recipient: int | str,
                      collected_interval: StepInterval | None) -> AuthzQuery:
-        """The query a recorded event or a script's assume asks, ready to decide.
+        """The query `record_event` and `decide_event` ask, ready to decide.
 
         The builders resolve both concepts, so an unknown one is reported
         before a bad interval; an access's interval is then checked as
@@ -464,6 +467,7 @@ class Ledger:
         """
         if type(action) is not ActionType:
             raise QueryError(f"unknown action {action!r}, expected an ActionType")
+        _check_subject(subject)
         if action is ActionType.COLLECT:
             if collected_interval is not None:
                 raise QueryError("collection events do not take a collected interval")
@@ -476,6 +480,11 @@ class Ledger:
 def _check_flag(retroactive: object) -> None:
     if not isinstance(retroactive, bool):
         raise InvalidValueError(f"retroactive must be True or False, got {retroactive!r}")
+
+
+def _check_subject(subject: object) -> None:
+    if not isinstance(subject, str):
+        raise InvalidValueError(f"subject must be a string, got {subject!r}")
 
 
 # An interval on the ledger's own clock, or a run inside a query's span, which

@@ -67,10 +67,7 @@ from .errors import (
     ScriptError,
 )
 from . import script as script_mod
-from .script import (
-    Access, Collect, Grant, NewData, NewDisjoint, NewEquiv, NewRecipient, Statement,
-    Step, Withdraw, print_program, print_statement,
-)
+from .script import Access, Collect, Grant, Statement, Step, Withdraw, print_program
 
 CONSENT_ACTIONS = ("grant", "withdraw")
 ACCESS_ACTIONS = ("collect", "access")
@@ -251,10 +248,10 @@ def parse_manifest(text: str) -> list[Statement]:
     except ScriptError as err:
         raise MonitorError(err.message, err.line, "manifest") from None
     for stmt in statements:
-        if not isinstance(stmt, (NewData, NewRecipient, NewDisjoint, NewEquiv)):
+        if stmt.role != "declaration":
             raise MonitorError(
                 "only declarations are allowed here, found "
-                f"{print_statement(stmt).split()[0]!r}", stmt.line, "manifest")
+                f"{stmt.text().split()[0]!r}", stmt.line, "manifest")
     return statements
 
 
@@ -317,7 +314,7 @@ def _statements(manifest: str, consent_log: str, access_log: str,
                 epoch: datetime | None, step_duration: timedelta) -> Iterator[Statement]:
     """The manifest's statements, then the merged log rows', as statements.
 
-    A statement's line is its line in the source `_source` names for it.
+    A statement's line is its line in the source `_SOURCES` names for its role.
     Before each row comes one Step for the whole gap that brings the clock
     to the row's step, carrying the row's line, so the stream's length
     follows the records whatever the step duration.
@@ -342,7 +339,7 @@ def _statements(manifest: str, consent_log: str, access_log: str,
     def step_of(instant: datetime, stmt: Statement) -> int:
         if instant < epoch:
             raise EpochError(f"instant {instant.isoformat()} precedes the epoch",
-                             stmt.line, _source(stmt))
+                             stmt.line, _SOURCES[stmt.role])
         return (instant - epoch) // step_duration + 1
 
     now = 1
@@ -361,13 +358,10 @@ def _statements(manifest: str, consent_log: str, access_log: str,
         yield stmt
 
 
-def _source(stmt: Statement) -> str:
-    """The source of a statement `_statements` yields, to place its error.
-
-    A Step is never asked: its count is an int of at least 1, so it cannot fail.
-    """
-    return "consent log" if isinstance(stmt, (Grant, Withdraw)) else \
-        "access log" if isinstance(stmt, (Collect, Access)) else "manifest"
+# The source of each role of statement `_statements` yields, to place an
+# error. A Step is never asked: its count is an int of at least 1, so it
+# cannot fail.
+_SOURCES = {"declaration": "manifest", "consent": "consent log", "event": "access log"}
 
 
 def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | None,
@@ -386,9 +380,9 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | Non
     events = 0
     for stmt in _statements(manifest, consent_log, access_log, epoch, step_duration):
         try:
-            event = script_mod.apply(ledger, stmt)
+            event = stmt.apply(ledger)
         except ConsentryError as err:
-            raise MonitorError(str(err), stmt.line, _source(stmt)) from None
+            raise MonitorError(str(err), stmt.line, _SOURCES[stmt.role]) from None
         if event is None:
             continue
         events += 1
@@ -413,6 +407,6 @@ def translate_to_script(manifest: str, consent_log: str, access_log: str,
         name = script_mod.unprintable_name(stmt)
         if name is not None:
             raise MonitorError(f"{name!r} cannot be written as a script name",
-                               stmt.line, _source(stmt))
+                               stmt.line, _SOURCES[stmt.role])
         statements.append(stmt)
     return print_program(statements) if statements else ""

@@ -32,6 +32,17 @@ Front end cost: one pass over the lines, and no token objects. Each line
 is split into its words once, each distinct word is classified once (the
 classifier is memoised), and the statement is built straight from the
 words by its head keyword. `tokenize` is a view over the same line lexer.
+
+Each statement type is a named tuple class that carries all the interpreter
+knows of it, so `execute` and the log monitor name no statement type:
+- `role`, one of ROLES. The log monitor reads declarations from its
+  manifest, consents from the consent log and events from the access log,
+  and makes the clock steps itself; an assume is written in scripts only;
+- `text()`, its canonical text;
+- `apply(led)`, its effect on a ledger, returning the recorded event, the
+  AssumeResult or None. An assume asks `Ledger.decide_event` for the
+  verdict its action's event would get;
+- `note(led, result)`, the note a run report gives it once applied.
 """
 
 from __future__ import annotations
@@ -132,7 +143,8 @@ def tokenize(text: str) -> list[Token]:
 # Statements are named tuples whose last field is their line. Line numbers
 # ride along for error reporting but take no part in equality or hash, so
 # that parse(print_program(p)) == p holds structurally. `RunReport` shares
-# the same three methods to leave its ledger out.
+# the same three methods to leave its ledger out. The module docstring lists
+# what else each statement class carries.
 
 
 def _eq_but_last(self, other: object) -> bool:
@@ -143,6 +155,32 @@ def _eq_but_last(self, other: object) -> bool:
 
 _BUT_LAST = (_eq_but_last, lambda self, other: not _eq_but_last(self, other),
              lambda self: hash(self[:-1]))
+ROLES = ("declaration", "consent", "event", "clock", "assume")
+
+
+def _declared(self, led: Ledger, result: None) -> str:
+    return "declared"
+
+
+def _ensure_recipient(led: Ledger, name: str) -> None:
+    # Recipient roles spring into existence on first mention, like subjects:
+    # an undeclared one lands directly under the Recipient root, exactly what
+    # an explicit declaration would do. Data concepts never auto-declare;
+    # their place in the hierarchy carries meaning.
+    if name not in led.ontology:
+        led.declare_recipient(name)
+
+
+def _record(self: Collect | Access, led: Ledger) -> EventRecord:
+    _ensure_recipient(led, self.recipient)
+    return led.record_event(self.action_type, self.data, self.subject, self.recipient,
+                            self.interval())
+
+
+def _event_note(self, led: Ledger, event: EventRecord) -> str:
+    verdict = "authorized" if event.verdict.authorized else \
+        f"denied ({event.verdict.reason.value})"
+    return f"event {event.id} {verdict}"
 
 
 class NewData(NamedTuple):
@@ -150,18 +188,42 @@ class NewData(NamedTuple):
     parent: str
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
+    role, note = "declaration", _declared
+
+    def text(self) -> str:
+        return f"new data {self.name} {self.parent}"
+
+    def apply(self, led: Ledger) -> None:
+        led.declare_data(self.name, self.parent)
 
 
 class NewRecipient(NamedTuple):
     name: str
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
+    role, note = "declaration", _declared
+
+    def text(self) -> str:
+        return f"new recipient {self.name}"
+
+    def apply(self, led: Ledger) -> None:
+        led.declare_recipient(self.name)
 
 
 class NewDisjoint(NamedTuple):
     names: tuple[str, ...]
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
+    role = "declaration"
+
+    def text(self) -> str:
+        return "new disjoint " + " ".join(self.names)
+
+    def apply(self, led: Ledger) -> None:
+        led.declare_disjoint(*self.names)
+
+    def note(self, led: Ledger, result: None) -> str:
+        return "declared disjoint"
 
 
 class NewEquiv(NamedTuple):
@@ -169,6 +231,16 @@ class NewEquiv(NamedTuple):
     b: str
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
+    role = "declaration"
+
+    def text(self) -> str:
+        return f"new equiv {self.a} {self.b}"
+
+    def apply(self, led: Ledger) -> None:
+        led.declare_equivalent(self.a, self.b)
+
+    def note(self, led: Ledger, result: None) -> str:
+        return "declared equivalent"
 
 
 class Grant(NamedTuple):
@@ -179,6 +251,19 @@ class Grant(NamedTuple):
     retro: bool = False
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
+    role = "consent"
+
+    def text(self) -> str:
+        retro = "retro " if self.retro else ""
+        return f"grant {retro}{self.data} {self.subject} {self.recipient} :{self.label}"
+
+    def apply(self, led: Ledger) -> None:
+        _ensure_recipient(led, self.recipient)
+        led.grant(self.data, self.subject, self.recipient, retroactive=self.retro,
+                  label=self.label)
+
+    def note(self, led: Ledger, result: None) -> str:
+        return f"granted :{self.label} at {format_step(led.now)}"
 
 
 class Withdraw(NamedTuple):
@@ -186,6 +271,17 @@ class Withdraw(NamedTuple):
     retro: bool = False
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
+    role = "consent"
+
+    def text(self) -> str:
+        retro = "retro " if self.retro else ""
+        return f"withdraw {retro}:{self.label}"
+
+    def apply(self, led: Ledger) -> None:
+        led.withdraw(self.label, retroactive=self.retro)
+
+    def note(self, led: Ledger, result: None) -> str:
+        return f"withdrew :{self.label} at {format_step(led.now)}"
 
 
 class Collect(NamedTuple):
@@ -194,6 +290,13 @@ class Collect(NamedTuple):
     recipient: str
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
+    role, action_type, apply, note = "event", ActionType.COLLECT, _record, _event_note
+
+    def text(self) -> str:
+        return f"collect {self.data} {self.subject} {self.recipient}"
+
+    def interval(self) -> None:
+        return None  # the collect's own step
 
 
 class Access(NamedTuple):
@@ -206,6 +309,25 @@ class Access(NamedTuple):
     end: int | None = None
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
+    role, action_type, apply, note = "event", ActionType.ACCESS, _record, _event_note
+
+    def text(self) -> str:
+        parts = [f"access {self.data} {self.subject} {self.recipient}"]
+        if self.start is not None:
+            parts.append(format_step(self.start))
+            if self.end is not None:
+                parts.append(format_step(self.end))
+        return " ".join(parts)
+
+    def interval(self) -> StepInterval | None:
+        if self.start is None:
+            return None  # all collected history, [T1, now+1)
+        if self.end is None:
+            return StepInterval.single(self.start)
+        if self.end <= self.start:
+            raise IntervalError(f"empty interval [{format_step(self.start)}, "
+                                f"{format_step(self.end)})")
+        return StepInterval(self.start, self.end)
 
 
 class Step(NamedTuple):
@@ -215,6 +337,16 @@ class Step(NamedTuple):
     count: int = 1
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
+    role = "clock"
+
+    def text(self) -> str:
+        return "\n".join(["step"] * self.count)
+
+    def apply(self, led: Ledger) -> None:
+        led.advance(self.count)
+
+    def note(self, led: Ledger, result: None) -> str:
+        return f"advanced to {format_step(led.now)}"
 
 
 class Assume(NamedTuple):
@@ -222,6 +354,23 @@ class Assume(NamedTuple):
     action: Union[Collect, Access]
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
+    role = "assume"
+
+    def text(self) -> str:
+        return f"assume {'true' if self.expected else 'false'} {self.action.text()}"
+
+    def apply(self, led: Ledger) -> AssumeResult:
+        """Decide the inner action as its event would be, recording nothing."""
+        inner = self.action
+        # Subjects spring into existence on first mention, even inside assume.
+        led.declare_subject(inner.subject)
+        _ensure_recipient(led, inner.recipient)
+        decision = led.decide_event(inner.action_type, inner.data, inner.subject,
+                                    inner.recipient, inner.interval())
+        return AssumeResult(self.line, self.expected, decision.authorized, self.text())
+
+    def note(self, led: Ledger, result: AssumeResult) -> str:
+        return "PASS" if result.passed else "FAIL"
 
 
 Statement = Union[
@@ -344,52 +493,22 @@ def _expected(what: str, words: list[str], at: int, line: int) -> ParseError:
 # -- canonical rendering -----------------------------------------------------
 
 
-def print_statement(stmt: Statement) -> str:
-    if isinstance(stmt, NewData):
-        return f"new data {stmt.name} {stmt.parent}"
-    if isinstance(stmt, NewRecipient):
-        return f"new recipient {stmt.name}"
-    if isinstance(stmt, NewDisjoint):
-        return "new disjoint " + " ".join(stmt.names)
-    if isinstance(stmt, NewEquiv):
-        return f"new equiv {stmt.a} {stmt.b}"
-    if isinstance(stmt, Grant):
-        retro = "retro " if stmt.retro else ""
-        return f"grant {retro}{stmt.data} {stmt.subject} {stmt.recipient} :{stmt.label}"
-    if isinstance(stmt, Withdraw):
-        retro = "retro " if stmt.retro else ""
-        return f"withdraw {retro}:{stmt.label}"
-    if isinstance(stmt, Collect):
-        return f"collect {stmt.data} {stmt.subject} {stmt.recipient}"
-    if isinstance(stmt, Access):
-        parts = [f"access {stmt.data} {stmt.subject} {stmt.recipient}"]
-        if stmt.start is not None:
-            parts.append(format_step(stmt.start))
-            if stmt.end is not None:
-                parts.append(format_step(stmt.end))
-        return " ".join(parts)
-    if isinstance(stmt, Step):
-        return "\n".join(["step"] * stmt.count)
-    if isinstance(stmt, Assume):
-        word = "true" if stmt.expected else "false"
-        return f"assume {word} {print_statement(stmt.action)}"
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
 def print_program(statements: Iterable[Statement]) -> str:
-    return "\n".join(print_statement(s) for s in statements) + "\n"
+    return "\n".join(s.text() for s in statements) + "\n"
 
 
 def unprintable_name(stmt: Statement) -> str | None:
-    """The first name or label of an action that would not read back as itself.
+    """The first name or label of a consent or event that would not read back
+    as itself.
 
     A label may be any word; a name must also be neither a keyword nor a
-    time token such as T3. Declarations are not checked.
+    time token such as T3. Declarations, steps and assumes are not checked.
     """
-    if isinstance(stmt, (Grant, Withdraw)) and _word_kind(":" + stmt.label) is None:
+    if stmt.role == "consent" and _word_kind(":" + stmt.label) is None:
         return stmt.label
-    if isinstance(stmt, (Grant, Collect, Access)):
-        for name in (stmt.data, stmt.subject, stmt.recipient):
+    # A withdrawal names its consent alone.
+    if stmt.role == "event" or (stmt.role == "consent" and "subject" in stmt._fields):
+        for name in stmt[:3]:  # data, subject and recipient, in that order
             if _word_kind(name) is not TokenKind.NAME:
                 return name
     return None
@@ -436,101 +555,15 @@ def execute(statements: list[Statement], ledger: Ledger | None = None) -> RunRep
     events: list[EventRecord] = []
     for stmt in statements:
         try:
-            result = apply(led, stmt)
+            result = stmt.apply(led)
         except ConsentryError as err:
             raise ExecutionError(stmt.line, str(err)) from err
-        if isinstance(result, AssumeResult):
+        if stmt.role == "assume":
             assumes.append(result)
         elif result is not None:
             events.append(result)
-        text = result.statement if isinstance(result, AssumeResult) else print_statement(stmt)
-        outcomes.append(StatementOutcome(stmt.line, text, _note(led, stmt, result)))
+        outcomes.append(StatementOutcome(stmt.line, stmt.text(), stmt.note(led, result)))
     return RunReport(outcomes, assumes, events, led.now, led)
-
-
-_ACTIONS = {Collect: ActionType.COLLECT, Access: ActionType.ACCESS}
-
-
-def _ensure_recipient(led: Ledger, name: str) -> None:
-    # Recipient roles spring into existence on first mention, like subjects:
-    # an undeclared one lands directly under the Recipient root, exactly what
-    # an explicit declaration would do. Data concepts never auto-declare;
-    # their place in the hierarchy carries meaning.
-    if name not in led.ontology:
-        led.declare_recipient(name)
-
-
-def apply(led: Ledger, stmt: Statement) -> EventRecord | AssumeResult | None:
-    """Apply one statement to the ledger.
-
-    Returns the recorded event for collect and access, the outcome for
-    assume, and None for every other statement.
-    """
-    if isinstance(stmt, NewData):
-        led.declare_data(stmt.name, stmt.parent)
-    elif isinstance(stmt, NewRecipient):
-        led.declare_recipient(stmt.name)
-    elif isinstance(stmt, NewDisjoint):
-        led.declare_disjoint(*stmt.names)
-    elif isinstance(stmt, NewEquiv):
-        led.declare_equivalent(stmt.a, stmt.b)
-    elif isinstance(stmt, Grant):
-        _ensure_recipient(led, stmt.recipient)
-        led.grant(stmt.data, stmt.subject, stmt.recipient,
-                  retroactive=stmt.retro, label=stmt.label)
-    elif isinstance(stmt, Withdraw):
-        led.withdraw(stmt.label, retroactive=stmt.retro)
-    elif isinstance(stmt, Step):
-        led.advance(stmt.count)
-    elif isinstance(stmt, (Collect, Access)):
-        _ensure_recipient(led, stmt.recipient)
-        return led.record_event(_ACTIONS[type(stmt)], stmt.data, stmt.subject,
-                                stmt.recipient, _access_interval(stmt))
-    elif isinstance(stmt, Assume):
-        inner = stmt.action
-        # Subjects spring into existence on first mention, even inside assume.
-        led.declare_subject(inner.subject)
-        _ensure_recipient(led, inner.recipient)
-        # The same query an event would record, decided without recording it.
-        query = led._event_query(_ACTIONS[type(inner)], inner.data, inner.subject,
-                                 inner.recipient, _access_interval(inner))
-        return AssumeResult(stmt.line, stmt.expected, led._decide(query).authorized,
-                            print_statement(stmt))
-    else:
-        raise TypeError(f"not a statement: {stmt!r}")
-    return None
-
-
-def _note(led: Ledger, stmt: Statement,
-          result: EventRecord | AssumeResult | None) -> str:
-    if isinstance(result, EventRecord):
-        verdict = "authorized" if result.verdict.authorized else \
-            f"denied ({result.verdict.reason.value})"
-        return f"event {result.id} {verdict}"
-    if isinstance(result, AssumeResult):
-        return "PASS" if result.passed else "FAIL"
-    if isinstance(stmt, NewDisjoint):
-        return "declared disjoint"
-    if isinstance(stmt, NewEquiv):
-        return "declared equivalent"
-    if isinstance(stmt, Grant):
-        return f"granted :{stmt.label} at {format_step(led.now)}"
-    if isinstance(stmt, Withdraw):
-        return f"withdrew :{stmt.label} at {format_step(led.now)}"
-    if isinstance(stmt, Step):
-        return f"advanced to {format_step(led.now)}"
-    return "declared"
-
-
-def _access_interval(stmt: Collect | Access) -> StepInterval | None:
-    if isinstance(stmt, Collect) or stmt.start is None:
-        return None  # a collect's own step, or all collected history [T1, now+1)
-    if stmt.end is None:
-        return StepInterval.single(stmt.start)
-    if stmt.end <= stmt.start:
-        raise IntervalError(f"empty interval [{format_step(stmt.start)}, "
-                            f"{format_step(stmt.end)})")
-    return StepInterval(stmt.start, stmt.end)
 
 
 def run_script(text: str) -> RunReport:

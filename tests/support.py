@@ -49,13 +49,27 @@ def build_ledger(scenario: FiniteScenario) -> Ledger:
     return ledger
 
 
+def covers_collection(consent: ConsentRecord, step: int) -> bool:
+    """Does the consent cover collecting at `step`? Read off its reach."""
+    lo, hi = consent.reach(ActionType.COLLECT, step)
+    return lo <= step and (hi is None or step < hi)
+
+
+def covers_access(consent: ConsentRecord, collected_at: int, accessed_at: int) -> bool:
+    """Does the consent cover reading, at `accessed_at`, data collected at
+    `collected_at`? Read off its reach; nothing is read before it is collected."""
+    lo, hi = consent.reach(ActionType.ACCESS, accessed_at)
+    return collected_at <= accessed_at and lo <= collected_at and \
+        (hi is None or collected_at < hi)
+
+
 def authorized_region(consent: ConsentRecord, horizon: int) -> set[tuple[int, int]]:
     """All (collection step, access step) pairs the consent covers up to horizon."""
     return {
         (t_c, t_a)
         for t_a in range(1, horizon + 1)
         for t_c in range(1, t_a + 1)
-        if consent.authorizes_access(t_c, t_a)
+        if covers_access(consent, t_c, t_a)
     }
 
 

@@ -1,4 +1,5 @@
 import gc
+import re
 from itertools import product
 
 import pytest
@@ -18,6 +19,7 @@ from consentry.core import (
 )
 from consentry.errors import (
     AlreadyWithdrawnError,
+    ConsentryError,
     ConsistencyError,
     DeclarationError,
     DuplicateLabelError,
@@ -31,7 +33,7 @@ from consentry.errors import (
 from consentry.ontology import ConceptKind
 from consentry.oracle import ConsentSpec, oracle_collection_steps, oracle_region
 
-from support import authorized_region, reference_decide
+from support import authorized_region, covers_access, covers_collection, reference_decide
 
 ALICE = "alice"
 BOB = "bob"
@@ -65,58 +67,58 @@ def fresh_ledger():
 
 class TestConsentRecordCollection:
     def test_not_before_grant(self):
-        assert not record(granted_at=3).authorizes_collection(2)
-        assert record(granted_at=3).authorizes_collection(3)
+        assert not covers_collection(record(granted_at=3), 2)
+        assert covers_collection(record(granted_at=3), 3)
 
     def test_open_ended_after_grant(self):
         c = record(granted_at=2)
-        assert all(c.authorizes_collection(s) for s in range(2, 50))
+        assert all(covers_collection(c, s) for s in range(2, 50))
 
     def test_withdrawal_step_itself_uncovered(self):
         c = record(withdrawal=Withdrawal(4, retroactive=False))
-        assert c.authorizes_collection(3)
-        assert not c.authorizes_collection(4)
-        assert not c.authorizes_collection(9)
+        assert covers_collection(c, 3)
+        assert not covers_collection(c, 4)
+        assert not covers_collection(c, 9)
 
     @given(g=steps_st, w=steps_st, step=steps_st)
     def test_withdrawal_flavor_is_irrelevant_for_collection(self, g, w, step):
         soft = record(g, withdrawal=Withdrawal(w, False))
         hard = record(g, withdrawal=Withdrawal(w, True))
-        assert soft.authorizes_collection(step) == hard.authorizes_collection(step)
+        assert covers_collection(soft, step) == covers_collection(hard, step)
 
     @given(g=steps_st, step=steps_st)
     def test_grant_retroactivity_is_irrelevant_for_collection(self, g, step):
-        assert record(g, False).authorizes_collection(step) == \
-            record(g, True).authorizes_collection(step)
+        assert covers_collection(record(g, False), step) == \
+            covers_collection(record(g, True), step)
 
 
 class TestConsentRecordAccess:
     def test_plain_grant_window(self):
         c = record(granted_at=3)
-        assert not c.authorizes_access(2, 4)   # collected before grant
-        assert not c.authorizes_access(3, 2)   # accessed before grant
-        assert c.authorizes_access(3, 3)
-        assert c.authorizes_access(4, 9)
+        assert not covers_access(c, 2, 4)   # collected before grant
+        assert not covers_access(c, 3, 2)   # accessed before grant
+        assert covers_access(c, 3, 3)
+        assert covers_access(c, 4, 9)
 
     def test_retroactive_grant_reaches_back(self):
         c = record(granted_at=3, grant_retroactive=True)
-        assert c.authorizes_access(1, 3)
-        assert not c.authorizes_access(1, 2)   # access still waits for grant
+        assert covers_access(c, 1, 3)
+        assert not covers_access(c, 1, 2)   # access still waits for grant
 
     def test_non_retroactive_withdrawal_keeps_old_data(self):
         c = record(withdrawal=Withdrawal(5, retroactive=False))
-        assert c.authorizes_access(4, 9)       # collected before the cut
-        assert not c.authorizes_access(5, 9)
+        assert covers_access(c, 4, 9)       # collected before the cut
+        assert not covers_access(c, 5, 9)
 
     def test_collection_after_the_access_is_never_covered(self):
-        assert not record(granted_at=1).authorizes_access(2, 1)
-        assert not record(granted_at=1, grant_retroactive=True).authorizes_access(3, 2)
+        assert not covers_access(record(granted_at=1), 2, 1)
+        assert not covers_access(record(granted_at=1, grant_retroactive=True), 3, 2)
 
     def test_retroactive_withdrawal_stops_all_access(self):
         c = record(withdrawal=Withdrawal(5, retroactive=True))
-        assert c.authorizes_access(4, 4)
-        assert not c.authorizes_access(4, 5)
-        assert not c.authorizes_access(1, 9)
+        assert covers_access(c, 4, 4)
+        assert not covers_access(c, 4, 5)
+        assert not covers_access(c, 1, 9)
 
 
 class TestAuthorizedRegion:
@@ -494,6 +496,51 @@ class TestEvents:
                              collected_interval=StepInterval(1, 3))
 
 
+class TestDecideEvent:
+    """`decide_event` gives the verdict `record_event` would attach, and
+    records nothing."""
+
+    @staticmethod
+    def state(led):
+        return led._next_event, set(led._event_concepts), dict(led._by_subject)
+
+    @pytest.mark.parametrize("action, data, subject, recipient, interval", [
+        (ActionType.COLLECT, "DeviceLocation", ALICE, "Advertiser", None),
+        (ActionType.COLLECT, "Contacts", ALICE, "Partner", None),
+        (ActionType.COLLECT, "Location", BOB, "Advertiser", None),
+        (ActionType.ACCESS, "DeviceLocation", ALICE, "Advertiser", None),
+        (ActionType.ACCESS, "CellLocation", ALICE, "Partner", StepInterval(2, 4)),
+        (ActionType.ACCESS, "Location", ALICE, "Advertiser", StepInterval.single(1)),
+        (ActionType.ACCESS, "Location", CAROL, "Advertiser", None),
+    ])
+    def test_the_verdict_record_event_then_records(self, action, data, subject,
+                                                   recipient, interval):
+        led = fresh_ledger()
+        cid = led.grant("Location", ALICE, "Advertiser", label="c1")
+        led.advance(2)
+        led.record_event(ActionType.COLLECT, "WalkingRoute", BOB, "Partner")
+        led.withdraw(cid)
+        led.grant("CellLocation", ALICE, "Partner", retroactive=True)
+        led.advance()
+        before = self.state(led)
+        decision = led.decide_event(action, data, subject, recipient, interval)
+        assert self.state(led) == before
+        event = led.record_event(action, data, subject, recipient, interval)
+        assert decision == event.verdict
+        assert event.id == before[0]
+
+    def test_refuses_a_bad_query_as_record_event_does(self):
+        led = fresh_ledger()
+        for args in [("fly", "Location", ALICE, "Partner"),
+                     (ActionType.COLLECT, "Nowhere", ALICE, "Partner"),
+                     (ActionType.ACCESS, "Location", ALICE, "Partner", StepInterval(1, 3))]:
+            with pytest.raises(ConsentryError) as refused:
+                led.decide_event(*args)
+            with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+                led.record_event(*args)
+        assert led._next_event == 1 and not led._event_concepts
+
+
 class TestArgumentsAreNotMisread:
     """An action, mode, retroactive flag, interval or concept id of the
     wrong type is refused with the library's own error, never read as
@@ -550,6 +597,44 @@ class TestArgumentsAreNotMisread:
         with pytest.raises(UnknownConceptError):
             led.grant(cid, "s", "R")
         assert len(led.consents) == 1
+
+    @pytest.mark.parametrize("subject", [None, 7, ("s",)])
+    def test_grant_refuses_a_subject_that_is_not_a_string(self, subject):
+        led = self.ledger()
+        with pytest.raises(InvalidValueError, match="subject must be a string"):
+            led.grant("D", subject, "R")
+        assert len(led.consents) == 1 and not led.knows_subject(subject)
+
+    @pytest.mark.parametrize("subject", [None, 7, ("s",)])
+    def test_record_event_refuses_a_subject_that_is_not_a_string(self, subject):
+        led = self.ledger()
+        for action in ActionType:
+            with pytest.raises(InvalidValueError, match="subject must be a string"):
+                led.record_event(action, "D", subject, "R")
+        assert not led.knows_subject(subject)
+        assert led.record_event(ActionType.COLLECT, "D", "s", "R").id == 1
+
+    @pytest.mark.parametrize("subject", [None, 7, ("s",)])
+    def test_declare_subject_refuses_a_subject_that_is_not_a_string(self, subject):
+        led = self.ledger()
+        with pytest.raises(InvalidValueError, match="subject must be a string"):
+            led.declare_subject(subject)
+        assert not led.knows_subject(subject)
+
+    @pytest.mark.parametrize("subject", [None, 7, ("s",)])
+    def test_decide_event_refuses_a_subject_that_is_not_a_string(self, subject):
+        led = self.ledger()
+        for action in ActionType:
+            with pytest.raises(InvalidValueError, match="subject must be a string"):
+                led.decide_event(action, "D", subject, "R")
+
+    @pytest.mark.parametrize("label", [1, True, b"c2", ("c2",)])
+    def test_grant_refuses_a_label_that_is_neither_a_string_nor_none(self, label):
+        led = self.ledger()
+        with pytest.raises(InvalidValueError, match="label must be a string or None"):
+            led.grant("D", "s", "R", label=label)
+        assert len(led.consents) == 1
+        assert led.consent(led.grant("D", "s", "R", label="c2")).label == "c2"
 
 
 class TestEquivalenceInQueries:

@@ -1,4 +1,5 @@
 import random
+from typing import get_args
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,8 @@ from consentry.script import (
     NewDisjoint,
     NewEquiv,
     NewRecipient,
+    ROLES,
+    Statement,
     Step,
     Token,
     TokenKind,
@@ -25,7 +28,6 @@ from consentry.script import (
     parse,
     parse_script,
     print_program,
-    print_statement,
     run_script,
     tokenize,
 )
@@ -405,6 +407,39 @@ step
         report = execute(parse_script("grant X s R :c1\n"), led)
         assert report.ledger is led
         assert led.consent("c1").granted_at == 1
+
+
+# One statement of each type, to run after STATEMENT_PRELUDE. A type added to
+# `Statement` without a sample here fails the table tests below.
+STATEMENT_PRELUDE = "new data D Data\nnew data E Data\nnew recipient R\ngrant D s R :c0\n"
+STATEMENT_SAMPLES = {
+    NewData: NewData("F", "D"),
+    NewRecipient: NewRecipient("Q"),
+    NewDisjoint: NewDisjoint(("D", "E")),
+    NewEquiv: NewEquiv("D", "E"),
+    Grant: Grant("D", "s", "R", "c1", True),
+    Withdraw: Withdraw("c0", True),
+    Collect: Collect("D", "s", "R"),
+    Access: Access("D", "s", "R", 1, 2),
+    Step: Step(),
+    Assume: Assume(False, Access("D", "s2", "R", 1)),
+}
+
+
+class TestStatementTable:
+    """Every statement type carries its role, its text and its note."""
+
+    def test_the_samples_are_the_statement_types(self):
+        assert set(STATEMENT_SAMPLES) == set(get_args(Statement))
+
+    @pytest.mark.parametrize("cls", get_args(Statement), ids=lambda cls: cls.__name__)
+    def test_role_text_and_note(self, cls):
+        stmt = STATEMENT_SAMPLES[cls]
+        assert type(stmt) is cls and cls.role in ROLES
+        assert parse(stmt.text()) == [stmt]
+        outcome = execute(parse(STATEMENT_PRELUDE) + [stmt]).outcomes[-1]
+        assert outcome.text == stmt.text()
+        assert isinstance(outcome.note, str) and outcome.note
 
 
 class TestImplicitCreation:
