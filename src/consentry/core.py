@@ -55,6 +55,9 @@ nothing needs dropping when the ontology grows.
 `Withdrawal` and the values built on every decision, `AuthzQuery`,
 `Decision` and `EventRecord`, are named tuples: immutable, equal to plain
 tuples with the same values, changed with `_replace` and built by position.
+The ledger builds these per-event values with `tuple.__new__`, as it builds
+intervals on its own clock, since their classes check nothing: a call to
+the class would only add a Python frame per value.
 `ConsentRecord` is a slotted class that `withdraw` marks in place.
 """
 
@@ -320,9 +323,10 @@ class Ledger:
                       mode: Mode = Mode.GUARANTEED) -> AuthzQuery:
         """Ask about collecting right now."""
         graph, now = self.ontology, self.now
-        return AuthzQuery(ActionType.COLLECT, graph.resolve(data, ConceptKind.DATA),
-                          subject, graph.resolve(recipient, ConceptKind.RECIPIENT),
-                          _interval(StepInterval, (now, now + 1)), now, mode)
+        return _by_position(AuthzQuery, (
+            ActionType.COLLECT, graph.resolve(data, ConceptKind.DATA), subject,
+            graph.resolve(recipient, ConceptKind.RECIPIENT),
+            _by_position(StepInterval, (now, now + 1)), now, mode))
 
     def access_query(self, data: int | str, subject: str, recipient: int | str,
                      collected_interval: StepInterval | None = None,
@@ -332,11 +336,11 @@ class Ledger:
         With no interval given the query spans all history, [T1, now+1).
         """
         graph, now = self.ontology, self.now
-        interval = _interval(StepInterval, (1, now + 1)) if collected_interval is None \
+        interval = _by_position(StepInterval, (1, now + 1)) if collected_interval is None \
             else collected_interval
-        return AuthzQuery(ActionType.ACCESS, graph.resolve(data, ConceptKind.DATA),
-                          subject, graph.resolve(recipient, ConceptKind.RECIPIENT),
-                          interval, now, mode)
+        return _by_position(AuthzQuery, (
+            ActionType.ACCESS, graph.resolve(data, ConceptKind.DATA), subject,
+            graph.resolve(recipient, ConceptKind.RECIPIENT), interval, now, mode))
 
     def check(self, query: AuthzQuery) -> Decision:
         """Decide a query against the current ledger. Pure: no reader sees a change."""
@@ -359,7 +363,8 @@ class Ledger:
         if graph.is_unsatisfiable(query.data_concept) or graph.is_unsatisfiable(
             query.recipient_concept
         ):
-            return Decision(((span, frozenset()),), Reason.CONCEPT_UNSATISFIABLE)
+            return _by_position(Decision, (((span, frozenset()),),
+                                           Reason.CONCEPT_UNSATISFIABLE))
 
         applies = self._concept_match(query)
         matching = [c for c in self._by_subject.get(query.subject, ())
@@ -370,7 +375,7 @@ class Ledger:
         # pairs all failed, so a distinct pair that applies is another's.
         reason = Reason.SUBJECT_MISMATCH if self._some_pair_applies(query, applies) \
             else Reason.NO_MATCHING_CONSENT
-        return Decision(((span, frozenset()),), reason)
+        return _by_position(Decision, (((span, frozenset()),), reason))
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
         interval = query.collected_interval
@@ -439,8 +444,8 @@ class Ledger:
         The event is returned, not kept; ids count up from 1 per ledger.
         """
         query = self._event_query(action, data, subject, recipient, collected_interval)
-        self.declare_subject(subject)
-        event = EventRecord(self._next_event, query, self._decide(query))
+        self._by_subject.setdefault(subject, [])  # `_event_query` checked the subject
+        event = _by_position(EventRecord, (self._next_event, query, self._decide(query)))
         self._next_event += 1
         self._event_concepts.update((query.data_concept, query.recipient_concept))
         return event
@@ -487,9 +492,11 @@ def _check_subject(subject: object) -> None:
         raise InvalidValueError(f"subject must be a string, got {subject!r}")
 
 
-# An interval on the ledger's own clock, or a run inside a query's span, which
-# was checked when it was built, skips StepInterval's check.
-_interval = tuple.__new__
+# Builds a named tuple from its values without a call to its `__new__`. An
+# interval on the ledger's own clock, or a run inside a query's span, which
+# was checked when it was built, skips StepInterval's check; `AuthzQuery`,
+# `Decision` and `EventRecord` check nothing, so a call would only cost a frame.
+_by_position = tuple.__new__
 
 
 def _sweep(span: StepInterval, matching: list[ConsentRecord], action: ActionType,
@@ -523,7 +530,7 @@ def _sweep(span: StepInterval, matching: list[ConsentRecord], action: ActionType
     for step, cid in ends:
         if step != at:
             ids = frozenset(live)
-            runs.append((_interval(StepInterval, (at, step)), ids))
+            runs.append((_by_position(StepInterval, (at, step)), ids))
             if not ids:
                 last = step - 1
             at = step
@@ -532,11 +539,11 @@ def _sweep(span: StepInterval, matching: list[ConsentRecord], action: ActionType
         else:
             live.discard(~cid)
     if at < end:  # every reach has stopped, so the tail is uncovered
-        runs.append((_interval(StepInterval, (at, end)), frozenset()))
+        runs.append((_by_position(StepInterval, (at, end)), frozenset()))
         last = end - 1
     if last is None:
-        return Decision(tuple(runs), Reason.OK)
+        return _by_position(Decision, (tuple(runs), Reason.OK))
     causes = {retro for hi, retro in withdrawn if hi <= last}
     reason = Reason.WITHDRAWN_RETRO if True in causes else \
         Reason.WITHDRAWN_NON_RETRO if causes else Reason.OUTSIDE_GRANT_WINDOW
-    return Decision(tuple(runs), reason)
+    return _by_position(Decision, (tuple(runs), reason))

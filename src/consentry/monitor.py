@@ -16,19 +16,22 @@ grant/withdraw records, the access log carries collect/access records:
      "collected_from": "2024-03-05T00:00:00Z",
      "collected_to": "2024-03-05T23:00:00Z"}
 
-Each parser turns a record straight into a row: its timestamp, the script
-statement it stands for (a Grant, Withdraw, Collect or Access carrying the
-record's line), and the collection window's two instants for an access
-that has one, else None. The manifest's statements, then both logs' rows
-merged by timestamp (consent rows first at equal timestamps), become one
-stream of script statements. Each wall-clock instant maps onto a 1-based
-step of fixed duration starting at an epoch; with no epoch given, the
-earliest instant either log mentions starts step 1, the start of a
-collection window included. A windowed access is the one statement that
-waits for the epoch: it is rebuilt with its window's steps as it is
-merged. Each clock gap between rows is one Step statement however many
-steps it spans, so a scan's cost follows its records, not the step
-duration.
+Each parser turns a record straight into a row: its timestamp, the
+script statement it stands for (a Grant, Withdraw, Collect or Access
+carrying the record's line), and the collection window's two instants
+for an access that has one, else None. A record costs one call to the
+JSON decoder's C scanner; a line the scanner fails on, or leaves more
+than whitespace after, goes through the full decoder, which reports the
+error. The manifest's statements, then both logs' rows merged by
+timestamp in one stable sort (consent rows first at equal timestamps),
+become one stream of script statements. Each wall-clock instant maps
+onto a 1-based step of fixed duration starting at an epoch; with no
+epoch given, the earliest instant either log mentions starts step 1, the
+start of a collection window included. A windowed access is the one
+statement that waits for the epoch: it is rebuilt with its window's
+steps as it is merged. Each clock gap between rows is one Step statement
+however many steps it spans, so a scan's cost follows its records, not
+the step duration.
 `scan` runs that stream through the script interpreter on a fresh ledger
 and reports each denied event as a Violation: its log line, event id,
 `EventRecord.fields` and reason. Scanning is replay: the same logs
@@ -50,7 +53,6 @@ from __future__ import annotations
 import json
 import re
 from datetime import datetime, timedelta, timezone
-from heapq import merge as _heap_merge
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -110,11 +112,25 @@ def _record_lines(text: str) -> Iterable[tuple[int, dict]]:
     # Records end at "\n" only: str.splitlines() also breaks at U+2028,
     # U+2029 and U+0085, which JSON strings may hold raw, and at control
     # characters, which JSON rejects on their own line. A "\r" left before
-    # the "\n" is JSON whitespace. `decode` skips `json.loads`'s per-call
-    # checks; of those, a leading BOM keeps its message.
-    decode = json.JSONDecoder().decode
+    # the "\n" is JSON whitespace. A line that opens an object costs one
+    # call to the decoder's C scanner, the call `decode` makes, and keeps its
+    # object when only JSON whitespace follows it, as `decode` would. A line
+    # the scanner fails on or leaves more after goes through `decode`, which
+    # reports the error. `decode` skips `json.loads`'s per-call checks; of
+    # those, a leading BOM keeps its message.
+    decoder = json.JSONDecoder()
+    scan_once, decode = decoder.scan_once, decoder.decode
     for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if line[:1] == "{":
+            try:
+                payload, end = scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):  # `decode` reports it
+                pass
+            else:
+                if end == len(line) or not line[end:].strip(" \t\r"):
+                    yield line_no, payload
+                    continue
+        elif not line.strip():
             continue
         try:
             payload = decode(line)
@@ -343,10 +359,10 @@ def _statements(manifest: str, consent_log: str, access_log: str,
         return (instant - epoch) // step_duration + 1
 
     now = 1
-    # Both row lists are timestamp-sorted; consent rows must win ties so a
-    # same-instant grant already counts for the event next to it. heapq.merge
-    # is stable and prefers the first iterable on equal keys.
-    for timestamp, stmt, window in _heap_merge(consents, accesses, key=itemgetter(0)):
+    # Both row lists are timestamp-sorted, so the sort merges two runs.
+    # Consent rows must win ties so a same-instant grant already counts for
+    # the event next to it: the sort is stable and they come first.
+    for timestamp, stmt, window in sorted(consents + accesses, key=itemgetter(0)):
         target = step_of(timestamp, stmt)
         if now < target:
             yield Step(target - now, stmt.line)
@@ -378,6 +394,7 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | Non
     ledger = Ledger()
     violations = []
     events = 0
+    new = tuple.__new__  # Violation checks nothing, so skip its __new__'s frame
     for stmt in _statements(manifest, consent_log, access_log, epoch, step_duration):
         try:
             event = stmt.apply(ledger)
@@ -388,8 +405,9 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | Non
         events += 1
         if event.verdict.authorized:
             continue
-        violations.append(Violation(stmt.line, event.id, event.fields(ledger.ontology),
-                                    event.verdict.reason))
+        violations.append(new(Violation, (stmt.line, event.id,
+                                          event.fields(ledger.ontology),
+                                          event.verdict.reason)))
     return ViolationReport(tuple(violations), events, ledger.now)
 
 

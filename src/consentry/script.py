@@ -560,9 +560,12 @@ def execute(statements: list[Statement], ledger: Ledger | None = None) -> RunRep
             raise ExecutionError(stmt.line, str(err)) from err
         if stmt.role == "assume":
             assumes.append(result)
-        elif result is not None:
-            events.append(result)
-        outcomes.append(StatementOutcome(stmt.line, stmt.text(), stmt.note(led, result)))
+            text = result.statement  # `Assume.apply` rendered it
+        else:
+            if result is not None:
+                events.append(result)
+            text = stmt.text()
+        outcomes.append(StatementOutcome(stmt.line, text, stmt.note(led, result)))
     return RunReport(outcomes, assumes, events, led.now, led)
 
 

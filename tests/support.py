@@ -9,6 +9,7 @@ its own naive code path; the two must agree.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import sys
@@ -20,7 +21,9 @@ from consentry.chronology import StepInterval, parse_step
 from consentry.core import (
     ActionType, AuthzQuery, ConsentRecord, Decision, Ledger, Mode, Reason, Run,
 )
-from consentry.errors import ConsistencyError, IntervalError, LexError, ParseError
+from consentry.errors import (
+    ConsistencyError, IntervalError, LexError, LogFormatError, ParseError,
+)
 from consentry.ontology import ConceptGraph, ConceptKind
 from consentry.oracle import FiniteScenario
 from consentry.script import (
@@ -253,6 +256,31 @@ def digit_limit(limit: int):
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def reference_record_lines(text: str) -> tuple[list[tuple[int, dict]], LogFormatError | None]:
+    """The records a log's lines hold, read with one `JSONDecoder.decode` per
+    non-blank line: the `(line, payload)` pairs before the first bad line,
+    and the LogFormatError that line gets, or None when every line is good."""
+    decode = json.JSONDecoder().decode
+    pairs = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            payload = decode(line)
+        except json.JSONDecodeError as err:
+            msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" \
+                if line.startswith("\ufeff") else err.msg
+            return pairs, LogFormatError(f"not valid JSON: {msg}", line_no)
+        except ValueError:
+            return pairs, LogFormatError("not valid JSON: an integer is too long", line_no)
+        except RecursionError:
+            return pairs, LogFormatError("not valid JSON: nested too deeply", line_no)
+        if not isinstance(payload, dict):
+            return pairs, LogFormatError("each record must be a JSON object", line_no)
+        pairs.append((line_no, payload))
+    return pairs, None
 
 
 _REF_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -369,6 +369,12 @@ class TestGoldenReports:
                      "--step-duration", "1d"]) == 1
         assert capsys.readouterr().out == self.golden("monitor_denied.1d.txt")
 
+    @pytest.mark.parametrize("fixture", ["monitor", "monitor_denied"])
+    def test_translation(self, fixture):
+        texts = [open(path, encoding="utf-8").read() for path in monitor_fixture(fixture)]
+        assert monitor.translate_to_script(*texts, None, DAY) == \
+            self.golden(f"{fixture}.1d.consent")
+
 
 class TestSimulate:
     def test_csv_on_stdout(self, capsys):

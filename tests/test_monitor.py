@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from consentry.core import Ledger, Reason
 from consentry.errors import InvalidValueError, LogFormatError, LogOrderError, MonitorError
 from consentry.monitor import (
+    _record_lines,
     parse_access_log,
     parse_consent_log,
     parse_instant,
@@ -17,6 +18,7 @@ from consentry.monitor import (
 )
 from consentry.script import Access, Grant, Withdraw, run_script
 from conftest import FIXTURES
+from support import reference_record_lines
 
 EPOCH = datetime(2026, 1, 1, tzinfo=timezone.utc)
 DAY = timedelta(days=1)
@@ -422,6 +424,84 @@ class TestRecordLines:
             json.loads(line)
         assert err.value.line == 1
         assert str(err.value).endswith(f"line 1: not valid JSON: {plain.value.msg}")
+
+
+# JSON whitespace; "\r" is the one a CRLF log leaves at a line's end.
+JSON_SPACE = st.text(alphabet=" \t\r", max_size=2)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6))
+# More digits than CPython converts by default, at any nesting.
+LONG_INT = "1" * 5000
+DEEP = 100_000  # past any interpreter's nesting limit
+
+
+@st.composite
+def json_objects(draw):
+    """An object's JSON text, random whitespace around each of its tokens."""
+    ascii_only = draw(st.booleans())
+
+    def dump(value):
+        return json.dumps(value, ensure_ascii=ascii_only)
+    members = [draw(JSON_SPACE) + dump(key) + draw(JSON_SPACE) + ":" + draw(JSON_SPACE)
+               + dump(value) + draw(JSON_SPACE)
+               for key, value in draw(st.dictionaries(st.text(max_size=4), SCALARS,
+                                                      max_size=3)).items()]
+    return "{" + ",".join(members) + draw(JSON_SPACE) + "}"
+
+
+def nested_arrays(depth):
+    return '{"a": ' + "[" * depth + "]" * depth + "}"
+
+
+GOOD_LINES = st.one_of(
+    # records, maybe with whitespace around them or a trailing "\r"
+    st.tuples(JSON_SPACE, json_objects(), JSON_SPACE).map("".join),
+    st.integers(1, 30).map(nested_arrays),
+    # blank lines, to Python's strip() and not only to JSON
+    st.text(alphabet=" \t\r\x0b\x0c", max_size=3),
+)
+# Each kind of bad line as likely as the others.
+BAD_LINES = st.sampled_from([
+    # trailing data, a second object included, or whitespace JSON does not allow
+    st.tuples(json_objects(), st.sampled_from(["x", "1", "]", ",", "{}", ' {"a": 1}',
+                                               "\x0c", " \u00a0"])).map("".join),
+    json_objects().map("\ufeff".__add__),
+    # values that are not objects
+    SCALARS.map(json.dumps),
+    st.lists(st.integers(), max_size=3).map(json.dumps),
+    st.just(nested_arrays(DEEP)),
+    st.sampled_from([LONG_INT, f'{{"n": {LONG_INT}}}', f'{{"n": [{LONG_INT}]}}']),
+    st.sampled_from(["{", "{oops", '{"a": }', '{"a" 1}', '{"a": 1,}', "{'a': 1}"]),
+]).flatmap(lambda kind: kind)
+
+
+@st.composite
+def logs(draw):
+    """Good lines with at most one bad line among them, "\n"-joined."""
+    lines = draw(st.lists(GOOD_LINES, max_size=8))
+    # whitespace after a bad line, "\r" included, leaves it bad
+    bad = draw(st.none() | st.tuples(BAD_LINES, JSON_SPACE).map("".join))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestScannerPath:
+    """`_record_lines` reads each line as one plain `decode` per line reads it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(logs())
+    def test_same_records_and_errors_as_decode(self, text):
+        expected, error = reference_record_lines(text)
+        got = []
+        if error is None:
+            got.extend(_record_lines(text))
+        else:
+            with pytest.raises(LogFormatError) as err:
+                for pair in _record_lines(text):
+                    got.append(pair)
+            assert (err.value.message, err.value.line) == (error.message, error.line)
+        assert got == expected
 
 
 class TestManifest:

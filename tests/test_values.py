@@ -6,10 +6,12 @@ plain tuple of its values. The other classes that load with the package
 keep the fields, defaults, `repr` and equality their dataclasses had.
 """
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
+from datetime import timedelta
 from inspect import signature
 
 import pytest
@@ -20,7 +22,7 @@ from consentry.core import (
     ActionType, AuthzQuery, ConsentRecord, Decision, EventRecord, Ledger, Mode, Reason,
     Withdrawal,
 )
-from consentry.monitor import Violation, ViolationReport
+from consentry.monitor import Violation, ViolationReport, scan
 from consentry.ontology import Concept, ConceptKind
 from consentry.script import (
     Access, Assume, AssumeResult, Collect, Grant, NewData, NewDisjoint, NewEquiv,
@@ -37,6 +39,11 @@ QUERY_REPR = ("AuthzQuery(action=<ActionType.ACCESS: 'access'>, data_concept=2, 
               f"subject='alice', recipient_concept=8, collected_interval={SPAN_REPR}, "
               "access_at=4, mode=<Mode.GUARANTEED: 'guaranteed'>)")
 DECISION_REPR = f"Decision(runs=(({SPAN_REPR}, frozenset({{0}})),), reason=<Reason.OK: 'Ok'>)"
+VIOLATION_REPR = (
+    "Violation(log_line={}, event_id=1, fields={{'action': 'access', "
+    "'data_concept': 'Location', 'subject': 'alice', 'recipient_concept': 'Partner', "
+    "'step': 4, 'collected_steps': (1, 3)}}, "
+    "reason=<Reason.WITHDRAWN_RETRO: 'WithdrawnRetro'>)")
 VALUES = [
     (SPAN, SPAN_REPR),
     (QUERY, QUERY_REPR),
@@ -46,10 +53,7 @@ VALUES = [
     (Violation(3, 1, {"action": "access", "data_concept": "Location", "subject": "alice",
                       "recipient_concept": "Partner", "step": 4, "collected_steps": (1, 3)},
                Reason.WITHDRAWN_RETRO),
-     "Violation(log_line=3, event_id=1, fields={'action': 'access', "
-     "'data_concept': 'Location', 'subject': 'alice', 'recipient_concept': 'Partner', "
-     "'step': 4, 'collected_steps': (1, 3)}, "
-     "reason=<Reason.WITHDRAWN_RETRO: 'WithdrawnRetro'>)"),
+     VIOLATION_REPR.format(3)),
     (AssumeResult(5, True, False, "assume true collect Location alice Partner"),
      "AssumeResult(line=5, expected=True, actual=False, "
      "statement='assume true collect Location alice Partner')"),
@@ -57,6 +61,49 @@ VALUES = [
      "StatementOutcome(line=2, text='step', note='advanced to T2')"),
 ]
 IDS = [type(value).__name__ for value, _ in VALUES]
+
+
+def recorded_event() -> EventRecord:
+    """An access event as `Ledger.record_event` returns it."""
+    ledger = Ledger()
+    ledger.declare_data("Location")
+    ledger.declare_recipient("Partner")
+    ledger.grant("Location", "alice", "Partner")
+    ledger.advance(3)
+    return ledger.record_event(ActionType.ACCESS, "Location", "alice", "Partner", SPAN)
+
+
+def scanned_violation() -> Violation:
+    """The one violation `scan` reports: an access after a retroactive
+    withdrawal, on the access log's line 1."""
+    def log(*records):
+        return "".join(json.dumps(record) + "\n" for record in records)
+    names = {"data_concept": "Location", "subject": "alice", "recipient_concept": "Partner"}
+    consents = log(
+        {"timestamp": "2026-01-01T00:00:00Z", "action": "grant", "consent_id": "c1", **names},
+        {"timestamp": "2026-01-03T00:00:00Z", "action": "withdraw", "consent_id": "c1",
+         "retroactive": True})
+    accesses = log({"timestamp": "2026-01-04T00:00:00Z", "action": "access", **names,
+                    "collected_from": "2026-01-01T00:00:00Z",
+                    "collected_to": "2026-01-02T12:00:00Z"})
+    report = scan("new data Location Data\nnew recipient Partner\n", consents, accesses,
+                  None, timedelta(days=1))
+    (violation,) = report.violations
+    return violation
+
+
+# The same types as the ledger and `scan` build them: by position, with
+# `tuple.__new__`, not by a call to the class.
+RECORDED = recorded_event()
+RECORDED_QUERY_REPR = QUERY_REPR.replace("recipient_concept=8", "recipient_concept=3")
+BUILT = [
+    (RECORDED.query, RECORDED_QUERY_REPR),
+    (RECORDED.verdict, DECISION_REPR),
+    (RECORDED, f"EventRecord(id=1, query={RECORDED_QUERY_REPR}, verdict={DECISION_REPR})"),
+    (scanned_violation(), VIOLATION_REPR.format(1)),
+]
+VALUES += BUILT
+IDS += [f"built-{type(value).__name__}" for value, _ in BUILT]
 
 
 @pytest.mark.parametrize("value, _", VALUES, ids=IDS)
