@@ -61,8 +61,9 @@ class BenchScenario(_Scenario):
         if name not in _SETUPS:
             known = ", ".join(scenario_names())
             raise InvalidValueError(f"unknown scenario {name!r} (known: {known})")
-        if steps < 1:
-            raise InvalidValueError(f"need at least one step, got {steps}")
+        # Exactly int: a bool is an int too, but counts no step.
+        if type(steps) is not int or steps < 1:
+            raise InvalidValueError(f"need at least one step, got {steps!r}")
         return tuple.__new__(cls, (name, steps, seed))
 
 
@@ -249,6 +250,8 @@ def run_scenario(scenario: BenchScenario, reps: int = REPS) -> TimingSeries:
 
     Each step's verdict is kept too, appended outside the timed window.
     """
+    if type(reps) is not int or reps < 1:
+        raise InvalidValueError(f"need at least one repetition, got {reps!r}")
     series = TimingSeries(scenario, [], [])
     for _ in range(reps):
         step_fn = _SETUPS[scenario.name](scenario)

@@ -151,8 +151,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.reps < 1:
-        raise InvalidValueError(f"need at least one repetition, got {args.reps}")
     scenario = bench.BenchScenario(args.scenario, args.steps, args.seed)
     series = bench.run_scenario(scenario, reps=args.reps)
     csv_text = bench.to_csv(series)

@@ -36,8 +36,9 @@ fills: the querying subject's own consents, and, only on the denial path,
 the distinct (data, recipient) pairs of all consents, filed by data
 concept, which decide whether the denial is a subject mismatch. The
 query's concepts are validated once at entry; after that one concept
-predicate, built from their ancestor sets, judges every candidate. So a
-check costs in proportion to the subject's consents, not the ledger's size.
+predicate, built from the ontology's masks for them, judges every
+candidate. So a check costs in proportion to the subject's consents, not
+the ledger's size.
 `record_event` and `decide_event`, which the script interpreter's `assume`
 calls, build their query in one place, `_event_query`: the resolving
 builders validate the concepts and an access's interval gets `check`'s
@@ -48,9 +49,11 @@ The subject-mismatch verdict ("does any distinct pair pass the predicate?")
 does not depend on the subject. In guaranteed mode a pair applies when its
 data concept is an ancestor of the query's data and its recipient one of
 the query's recipient, so the index answers with one lookup per ancestor
-of the query's data and no predicate call. Possible mode asks the
-predicate of every distinct pair. Both read the ancestor sets fresh, so
-nothing needs dropping when the ontology grows.
+of the query's data that files a pair, found with one AND of masks, and no
+predicate call.
+Possible mode asks the predicate of every distinct pair. Both read masks
+that each declaration sets, so nothing needs dropping when the ontology
+grows.
 
 `Withdrawal` and the values built on every decision, `AuthzQuery`,
 `Decision` and `EventRecord`, are named tuples: immutable, equal to plain
@@ -230,8 +233,10 @@ class Ledger:
         # shared record objects, so it needs no bookkeeping here. Every known
         # subject is a key, with its consents in id order, if any.
         self._by_subject: dict[str, list[ConsentRecord]] = {}
-        # The distinct (data, recipient) pairs: data -> its recipients.
+        # The distinct (data, recipient) pairs: data -> its recipients; and
+        # its keys as a mask, bit d for data concept d.
         self._by_data: dict[int, set[int]] = {}
+        self._data_keys = 0
         self._event_concepts: set[int] = set()  # concepts recorded events use
         self._next_event = 1
 
@@ -290,6 +295,7 @@ class Ledger:
         self.consents.append(record)
         self._by_subject.setdefault(subject, []).append(record)
         self._by_data.setdefault(data_id, set()).add(recipient_id)
+        self._data_keys |= 1 << data_id
         if label is not None:
             self._labels[label] = record.id
         return record.id
@@ -358,11 +364,12 @@ class Ledger:
 
     def _decide(self, query: AuthzQuery) -> Decision:
         """Decide a query whose concepts, subject and interval are valid."""
-        graph = self.ontology
+        # The ontology's unchecked clash test: a concept is unsatisfiable
+        # when it is disjoint from itself.
+        disjoint = self.ontology._disjoint
+        data, recipient = query.data_concept, query.recipient_concept
         span = query.collected_interval
-        if graph.is_unsatisfiable(query.data_concept) or graph.is_unsatisfiable(
-            query.recipient_concept
-        ):
+        if disjoint(data, data) or disjoint(recipient, recipient):
             return _by_position(Decision, (((span, frozenset()),),
                                            Reason.CONCEPT_UNSATISFIABLE))
 
@@ -397,40 +404,47 @@ class Ledger:
                 f"{chronology.format_step(query.access_at)}"
             )
 
-    def _concept_match(self, query: AuthzQuery) -> Callable[[int, int], bool]:
+    def _concept_match(self, query: AuthzQuery) -> Callable[[int, int], object]:
         """The matching predicate: does a consent's (data, recipient) apply?
 
         Concept applicability only, before any subject or time reasoning.
         The query's concepts were validated on entry, by `check` or by the
         query builders `_event_query` uses, and a consent's were at its
-        grant, so no kind is checked again per candidate.
+        grant, so the ontology's masks and clash test are read unchecked.
         """
         graph = self.ontology
-        data_up = graph.ancestors(query.data_concept)
-        recipient_up = graph.ancestors(query.recipient_concept)
+        data, recipient = query.data_concept, query.recipient_concept
         if query.mode is Mode.GUARANTEED:
             # The consent's concepts subsume the query's.
-            return lambda data, recipient: data in data_up and recipient in recipient_up
-        # Possible mode: nothing may rule the overlap out, i.e. no disjoint
-        # pair sits over the union of either axis's ancestors (this also
-        # treats an unsatisfiable side as disjoint from everything).
-        clashes, up = graph.clashes, graph.ancestors
-        return lambda data, recipient: not clashes(up(data) | data_up) and \
-            not clashes(up(recipient) | recipient_up)
+            data_up, recipient_up = graph._up[data], graph._up[recipient]
+            return lambda d, r: data_up & 1 << d and recipient_up & 1 << r
+        # Possible mode: nothing may rule the overlap out, i.e. neither axis
+        # is disjoint from the query's (this also treats an unsatisfiable
+        # side as disjoint from everything).
+        disjoint = graph._disjoint
+        return lambda d, r: not disjoint(d, data) and not disjoint(r, recipient)
 
     def _some_pair_applies(self, query: AuthzQuery,
-                           applies: Callable[[int, int], bool]) -> bool:
+                           applies: Callable[[int, int], object]) -> bool:
         """Does `applies` pass any distinct concept pair of the ledger?
 
         In guaranteed mode `applies` asks for both concepts among the
-        query's ancestors, so the index answers without calling it.
+        query's ancestors, so the index answers with one lookup per ancestor
+        of the query's data that files a pair, and one AND per recipient
+        filed there.
         """
         by_data = self._by_data
         if query.mode is Mode.GUARANTEED:
-            graph = self.ontology
-            recipient_up = graph.ancestors(query.recipient_concept)
-            return any(not recipient_up.isdisjoint(by_data[d])
-                       for d in graph.ancestors(query.data_concept) if d in by_data)
+            up = self.ontology._up
+            filed = up[query.data_concept] & self._data_keys
+            recipient_up = up[query.recipient_concept]
+            while filed:
+                lowest = filed & -filed
+                for recipient in by_data[lowest.bit_length() - 1]:
+                    if recipient_up & 1 << recipient:
+                        return True
+                filed ^= lowest
+            return False
         return any(applies(data, recipient)
                    for data, recipients in by_data.items() for recipient in recipients)
 

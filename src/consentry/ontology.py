@@ -3,8 +3,7 @@
 One graph holds two hierarchies that never mix: data categories under the
 Data root and recipient roles under the Recipient root. Declarations only
 ever add facts. Nothing is removed or renamed, so any subsumption answer
-that was once provable stays provable, and cached ancestor sets only need
-flushing when an existing concept gains edges.
+that was once provable stays provable.
 
 Reasoning model: a concept's ancestors are everything reachable from it
 over parent edges. An equivalence is two parent edges, each concept placed
@@ -14,25 +13,25 @@ recorded disjoint pair lie inside it: two concepts are disjoint when the
 union of their ancestors clashes, and a concept is unsatisfiable when its
 own ancestors do.
 
-Cost: disjoint pairs live in a partner index, concept -> the concepts
-declared disjoint from it, each pair filed under one of its sides. A
-clash test walks the smaller of the set and the index, with one lookup
-and one set intersection per step, so it costs O(min(|set|, |index|))
-steps, not O(|disjoint pairs|). Ancestor sets and satisfiability
-verdicts are cached per concept. A parent edge added to an existing
-concept, or rolled back, changes only the ancestor sets that hold that
-concept, so `_flush` drops just those entries and their verdicts. A
-rollback removes only the edges its declaration added, so an equivalence
-refused between a concept and its parent keeps the parent edge. A
-disjointness declaration changes no ancestor set, and it turns
-unsatisfiable exactly the satisfiable concepts with both sides of a new
-pair among their ancestors: one pass over the cached verdicts finds and
-sets those, and the rest stay. The guard on fresh parents and
-equivalences re-judges only the protected concepts whose ancestors hold a
-concept that gained a parent, for the same reason; an edge away from the
-recorded history costs no clash test at all. The guard on disjointness
-reads the same pass: each protected concept is judged beforehand, so the
-pass sees it.
+Cost: each concept keeps two closed forms, set when a declaration is made
+and never recomputed. Both are Python ints with bit i standing for concept
+i, the encoding of Aït-Kaci, Boyer, Lincoln & Nasr ("Efficient
+implementation of lattice operations", TOPLAS 1989): `_up[c]` holds c's
+ancestors, c included, and `_forbid[c]` the concepts declared disjoint
+from any of them. A set of ancestors clashes exactly when it meets the
+concepts forbidden to it, so two concepts are disjoint when the OR of their
+`_up` masks meets the OR of their `_forbid` masks, and a concept is
+unsatisfiable when it is disjoint from itself: one AND, with no walk, no
+cache and nothing to flush. The masks of a chain of N concepts take about
+N * N / 16 bytes in all.
+
+A fresh concept ORs its parents' masks. New parents, or an equivalence,
+OR the parents' masks into every concept whose `_up` holds a concept that
+gained a parent; a disjointness ORs the other sides into the `_forbid` of
+every concept below a side. Each is one pass over the concepts, one AND
+per concept. A guard judges only the protected concepts the pass reaches,
+before and after it, and a refusal restores the masks saved before the
+pass. A parent edge is recorded only once its declaration is accepted.
 """
 
 from __future__ import annotations
@@ -64,19 +63,19 @@ class Concept(NamedTuple):
 
 
 class ConceptGraph:
-    """Append-only store of concept declarations with cached reachability."""
+    """Append-only store of concept declarations with each concept's closed forms."""
 
     def __init__(self):
         self._concepts: list[Concept] = []
         self._by_name: dict[str, int] = {}
-        self._parents: dict[int, set[int]] = {}
-        self._partners: dict[int, set[int]] = {}
-        self._reach: dict[int, frozenset[int]] = {}
-        # A verdict is kept only while its concept's ancestor set is cached.
-        self._unsat: dict[int, bool] = {}
+        self._parents: list[set[int]] = []
+        # Bit i stands for concept i: a concept's ancestors, itself
+        # included, and the concepts declared disjoint from any of them.
+        self._up: list[int] = []
+        self._forbid: list[int] = []
         self._roots: dict[ConceptKind, int] = {}
         for kind in ConceptKind:
-            self._roots[kind] = self._add(_ROOT_NAMES[kind], kind)
+            self._roots[kind] = self._add(_ROOT_NAMES[kind], kind, ())
 
     # -- introspection -------------------------------------------------
 
@@ -123,11 +122,17 @@ class ConceptGraph:
 
     # -- declarations ----------------------------------------------------
 
-    def _add(self, name: str, kind: ConceptKind) -> int:
+    def _add(self, name: str, kind: ConceptKind, parents: Sequence[int]) -> int:
         cid = len(self._concepts)
+        up, forbid = 1 << cid, 0
+        for p in parents:
+            up |= self._up[p]
+            forbid |= self._forbid[p]
         self._concepts.append(Concept(cid, name, kind))
         self._by_name[name] = cid
-        self._parents[cid] = set()
+        self._parents.append(set(parents))
+        self._up.append(up)
+        self._forbid.append(forbid)
         return cid
 
     def declare_concept(self, name: str, kind: ConceptKind,
@@ -165,10 +170,7 @@ class ConceptGraph:
                                 f"placing {name!r} under {under}")
             return existing
 
-        cid = self._add(name, kind)
-        self._parents[cid].update(parent_ids or {self._roots[kind]})
-        # A fresh concept has no children yet, so no cached set can be stale.
-        return cid
+        return self._add(name, kind, parent_ids or [self._roots[kind]])
 
     def declare_equivalent(self, a: str, b: str, protected: Iterable[int] = ()) -> None:
         """Record that two same-kind concepts denote the same category: each
@@ -181,35 +183,46 @@ class ConceptGraph:
         aid, bid = self.lookup(a), self.lookup(b)
         if self.kind_of(aid) is not self.kind_of(bid):
             raise KindMismatchError(f"cannot equate {a!r} with {b!r}: different kinds")
-        if aid in self.ancestors(bid) and bid in self.ancestors(aid):
+        up = self._up
+        if up[bid] & 1 << aid and up[aid] & 1 << bid:
             return  # already mutually subsumed, nothing new to record
         self._add_edges([(aid, bid), (bid, aid)], protected, f"equating {a!r} with {b!r}")
 
     def _add_edges(self, edges: list[tuple[int, int]], protected: Iterable[int],
                    what: str) -> None:
-        """Add each (child, parent) edge not there yet, then flush the children;
-        roll back what was added and raise if a protected concept turned
-        unsatisfiable.
+        """Add each (child, parent) edge not there yet; restore the masks and
+        raise instead if a protected concept turned unsatisfiable.
 
-        Only concepts whose ancestors already hold a child gain ancestors by
-        the edges, so only those are re-judged.
+        Only concepts whose ancestors hold a child gain ancestors by the
+        edges: each gains what its children's new parents reach, read before
+        the pass. One pass is enough for the two edge shapes declarations
+        make, one concept's new parents and an equivalence's two edges: a
+        new path leaves a concept only through a child, and from there
+        reaches only what the child and its new parents reached before. In
+        an equivalence each child is the other's new parent, so a concept
+        below either child gains both.
         """
-        parents = self._parents
+        parents, up, forbid = self._parents, self._up, self._forbid
         added = [(child, parent) for child, parent in edges if parent not in parents[child]]
-        changed = {child for child, _ in added}
-        guarded = [p for p in protected
-                   if not self.ancestors(p).isdisjoint(changed)
-                   and not self.is_unsatisfiable(p)]
-        for child, parent in added:
-            parents[child].add(parent)
-        self._flush(changed)
-        broken = [p for p in guarded if self.is_unsatisfiable(p)]
+        gains = [(1 << child, up[parent], forbid[parent]) for child, parent in added]
+        changed = 0
+        for bit, _, _ in gains:
+            changed |= bit
+        guarded = [p for p in protected if up[p] & changed and not self._disjoint(p, p)]
+        saved_up, saved_forbid = up[:], forbid[:]
+        for c, mask in enumerate(saved_up):
+            if mask & changed:
+                for bit, up_gain, forbid_gain in gains:
+                    if mask & bit:
+                        up[c] |= up_gain
+                        forbid[c] |= forbid_gain
+        broken = [p for p in guarded if self._disjoint(p, p)]
         if broken:
-            for child, parent in added:
-                parents[child].remove(parent)
-            self._flush(changed)
+            up[:], forbid[:] = saved_up, saved_forbid
             names = ", ".join(sorted(self.name_of(p) for p in broken))
             raise ConsistencyError(f"{what} would contradict recorded events on: {names}")
+        for child, parent in added:
+            parents[child].add(parent)
 
     def declare_disjoint(self, names: Sequence[str], protected: Iterable[int] = ()) -> None:
         """Record pairwise disjointness over two or more same-kind concepts.
@@ -224,85 +237,55 @@ class ConceptGraph:
         kinds = {self.kind_of(i) for i in ids}
         if len(kinds) > 1:
             raise KindMismatchError("disjointness cannot mix data and recipient concepts")
-        pairs = []
+        up, forbid = self._up, self._forbid
         for (na, ia), (nb, ib) in combinations(zip(names, ids), 2):
-            related = ia in self.ancestors(ib) or ib in self.ancestors(ia)
-            if related and not (self.is_unsatisfiable(ia) or self.is_unsatisfiable(ib)):
+            related = up[ib] & 1 << ia or up[ia] & 1 << ib
+            if related and not (self._disjoint(ia, ia) or self._disjoint(ib, ib)):
                 raise ConsistencyError(
                     f"cannot declare {na!r} disjoint from {nb!r}: "
                     "they are related by subsumption"
                 )
-            pairs.append((ia, ib))
-        # No ancestor set changes and every two of the names form a pair, so
-        # the concepts that die are the satisfiable ones with two of the
-        # names among their ancestors. Every protected concept is judged
-        # first, so that the pass over the verdicts meets it.
-        sides, reach, verdicts = set(ids), self._reach, self._unsat
-        protected = set(protected)
-        for p in protected.difference(verdicts):
-            self.is_unsatisfiable(p)
-        dying = [c for c, dead in verdicts.items()
-                 if not dead and not sides.isdisjoint(reach[c])
-                 and len(sides.intersection(reach[c])) > 1]
-        broken = [p for p in dying if p in protected]
+        sides = 0
+        for i in ids:
+            sides |= 1 << i
+        guarded = [p for p in set(protected) if up[p] & sides and not self._disjoint(p, p)]
+        saved = forbid[:]
+        # Every two of the names form a pair, so a concept below one of them
+        # is forbidden the others, and a concept below two is forbidden all.
+        for c, mask in enumerate(up):
+            if mask & sides:
+                below = [i for i in ids if mask & 1 << i]
+                forbid[c] |= sides if len(below) > 1 else sides ^ 1 << below[0]
+        broken = [p for p in guarded if self._disjoint(p, p)]
         if broken:
+            forbid[:] = saved
             listed = ", ".join(repr(n) for n in names)
             culprits = ", ".join(sorted(self.name_of(p) for p in broken))
             raise ConsistencyError(
                 f"declaring {listed} disjoint would contradict recorded events on: "
                 f"{culprits}")
-        # Recorded only once all pairs check out, each under one side: a
-        # clash needs both sides inside the set, so a walk meets that side.
-        for ia, ib in pairs:
-            self._partners.setdefault(ia, set()).add(ib)
-        verdicts.update(dict.fromkeys(dying, True))
-
-    def _flush(self, changed: set[int]) -> None:
-        """Forget the cached ancestor sets holding a changed concept, and their verdicts."""
-        for cid in [c for c, anc in self._reach.items() if not anc.isdisjoint(changed)]:
-            del self._reach[cid]
-            self._unsat.pop(cid, None)
 
     # -- reasoning -------------------------------------------------------
 
     def ancestors(self, cid: int) -> frozenset[int]:
         """Every concept reachable from cid, itself included."""
-        cached = self._reach.get(cid)
-        if cached is not None:
-            return cached
         self.concept(cid)  # validate
-        seen = {cid}
-        frontier = [cid]
-        while frontier:
-            node = frontier.pop()
-            for nxt in self._parents[node]:
-                if nxt in seen:
-                    continue
-                hit = self._reach.get(nxt)
-                if hit is not None:
-                    seen |= hit  # cached sets are complete, no need to expand
-                else:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        result = frozenset(seen)
-        self._reach[cid] = result
-        return result
+        bits = bin(self._up[cid])[:1:-1]  # bit 0 first
+        return frozenset(i for i, bit in enumerate(bits) if bit == "1")
 
     def subsumes(self, general: int, specific: int) -> bool:
         """True when everything classified under specific also falls under general."""
         if self.kind_of(general) is not self.kind_of(specific):
             raise KindMismatchError("subsumption never crosses data/recipient kinds")
-        return general in self.ancestors(specific)
+        return self._up[specific] & 1 << general != 0
 
     def equivalent(self, a: int, b: int) -> bool:
         return self.subsumes(a, b) and self.subsumes(b, a)
 
     def is_unsatisfiable(self, cid: int) -> bool:
         """True when cid sits below both sides of some disjoint pair."""
-        verdict = self._unsat.get(cid)
-        if verdict is None:
-            verdict = self._unsat[cid] = self.clashes(self.ancestors(cid))
-        return verdict
+        self.concept(cid)  # validate
+        return self._disjoint(cid, cid)
 
     def are_disjoint(self, a: int, b: int) -> bool:
         """True when no individual can fall under both concepts.
@@ -312,17 +295,13 @@ class ConceptGraph:
         """
         if self.kind_of(a) is not self.kind_of(b):
             raise KindMismatchError("disjointness never crosses data/recipient kinds")
-        return self.clashes(self.ancestors(a) | self.ancestors(b))
+        return self._disjoint(a, b)
 
-    def clashes(self, anc: frozenset[int]) -> bool:
-        """True when some disjoint pair sits entirely inside anc.
-
-        No kind check: for callers that validated the concepts behind anc
-        once, as `Ledger.check` does per query.
+    def _disjoint(self, a: int, b: int) -> bool:
+        """The clash test: do a's and b's ancestors together meet a concept
+        forbidden to one of them? No check, for callers that validated a and
+        b, as `Ledger.check` does per query; a concept is unsatisfiable
+        when it is disjoint from itself.
         """
-        partners = self._partners
-        for p in anc if len(anc) <= len(partners) else partners:
-            others = partners.get(p)
-            if others is not None and p in anc and not anc.isdisjoint(others):
-                return True
-        return False
+        up, forbid = self._up, self._forbid
+        return (up[a] | up[b]) & (forbid[a] | forbid[b]) != 0

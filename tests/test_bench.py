@@ -10,6 +10,7 @@ from consentry.bench import (
     scenario_names,
     to_csv,
 )
+from consentry.errors import InvalidValueError
 
 
 class TestScenarioCatalog:
@@ -23,15 +24,21 @@ class TestScenarioCatalog:
         with pytest.raises(ValueError):
             BenchScenario("quantum", steps=5)
 
-    def test_zero_steps_rejected(self):
-        with pytest.raises(ValueError):
-            BenchScenario("steps", steps=0)
+    @pytest.mark.parametrize("steps", [0, -1, 2.5, 3.0, True])
+    def test_steps_that_are_not_a_positive_int_are_rejected(self, steps):
+        with pytest.raises(InvalidValueError):
+            BenchScenario("steps", steps=steps)
 
 
 class TestRunShape:
     def test_default_rep_count(self):
         series = run_scenario(BenchScenario("steps", steps=3))
         assert series.reps == REPS
+
+    @pytest.mark.parametrize("reps", [0, -1, 1.5, 2.0, True])
+    def test_reps_that_are_not_a_positive_int_are_rejected(self, reps):
+        with pytest.raises(InvalidValueError):
+            run_scenario(BenchScenario("steps", steps=2), reps=reps)
 
     def test_timings_are_nonnegative_ints(self):
         series = run_scenario(BenchScenario("query-collection", steps=4), reps=2)

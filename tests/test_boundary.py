@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from consentry import monitor
-from consentry.bench import BenchScenario, scenario_names
+from consentry.bench import BenchScenario, run_scenario, scenario_names
 from consentry.cli import parse_duration
 from consentry.errors import ConsentryError
 from consentry.script import KEYWORDS, run_script
@@ -129,6 +129,9 @@ def test_parse_instant(value, limit):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(scenario_names()) | st.text(), st.integers(), st.integers())
-def test_bench_scenario(name, steps, seed):
-    holds_or_rejects(4300, BenchScenario, name, steps, seed)
+@given(st.sampled_from(scenario_names()) | st.text(),
+       st.integers(max_value=20) | st.floats() | st.booleans(), st.integers(),
+       st.integers(max_value=2) | st.floats() | st.booleans())
+@example("steps", 2.5, 0, 1)
+def test_bench_scenario(name, steps, seed, reps):
+    holds_or_rejects(4300, lambda: run_scenario(BenchScenario(name, steps, seed), reps))
