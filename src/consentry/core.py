@@ -350,6 +350,8 @@ class Ledger:
 
     def check(self, query: AuthzQuery) -> Decision:
         """Decide a query against the current ledger. Pure: no reader sees a change."""
+        if not isinstance(query, AuthzQuery):
+            raise QueryError(f"expected an AuthzQuery, got {query!r}")
         if type(query.action) is not ActionType:
             raise QueryError(f"unknown action {query.action!r}, expected an ActionType")
         if type(query.mode) is not Mode:

@@ -260,7 +260,7 @@ def _parse_log(text: str, source: str, row: Callable[[int, dict], Row]) -> list[
 def parse_manifest(text: str) -> list[Statement]:
     """Parse the declarations manifest: new-statements only."""
     try:
-        statements = script_mod.parse_script(text)
+        statements = script_mod.parse(text)
     except ScriptError as err:
         raise MonitorError(err.message, err.line, "manifest") from None
     for stmt in statements:

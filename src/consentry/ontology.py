@@ -22,26 +22,29 @@ from any of them. A set of ancestors clashes exactly when it meets the
 concepts forbidden to it, so two concepts are disjoint when the OR of their
 `_up` masks meets the OR of their `_forbid` masks, and a concept is
 unsatisfiable when it is disjoint from itself: one AND, with no walk, no
-cache and nothing to flush. The masks of a chain of N concepts take about
-N * N / 16 bytes in all.
+cache and nothing to flush. Concept i's `_up` mask holds bit i, so the
+masks of any N concepts, flat or deep, take about N * N / 16 bytes in all.
 
 A fresh concept ORs its parents' masks. New parents, or an equivalence,
 OR the parents' masks into every concept whose `_up` holds a concept that
 gained a parent; a disjointness ORs the other sides into the `_forbid` of
 every concept below a side. Each is one pass over the concepts, one AND
-per concept. A guard judges only the protected concepts the pass reaches,
-before and after it, and a refusal restores the masks saved before the
-pass. A parent edge is recorded only once its declaration is accepted.
+per concept, into the touched concepts' new masks. `_commit` judges them
+while the old masks are still in place, and writes them only if no
+protected concept turns unsatisfiable, so a refusal has nothing to
+restore. No parent sets are kept: an edge is new when its parent's bit is
+not yet in the child's `_up`, since a parent already there adds nothing.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .errors import (
-    ConsistencyError, DeclarationError, KindMismatchError, UnknownConceptError,
+    ConsistencyError, DeclarationError, InvalidValueError, KindMismatchError,
+    UnknownConceptError,
 )
 
 
@@ -68,7 +71,6 @@ class ConceptGraph:
     def __init__(self):
         self._concepts: list[Concept] = []
         self._by_name: dict[str, int] = {}
-        self._parents: list[set[int]] = []
         # Bit i stands for concept i: a concept's ancestors, itself
         # included, and the concepts declared disjoint from any of them.
         self._up: list[int] = []
@@ -92,10 +94,10 @@ class ConceptGraph:
         return self._roots[kind]
 
     def lookup(self, name: str) -> int:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise UnknownConceptError(name) from None
+        cid = self._by_name.get(name) if isinstance(name, str) else None
+        if cid is None:
+            raise UnknownConceptError(name)
+        return cid
 
     def concept(self, cid: int) -> Concept:
         # Exactly int: a bool is an int too, but names no concept.
@@ -130,14 +132,13 @@ class ConceptGraph:
             forbid |= self._forbid[p]
         self._concepts.append(Concept(cid, name, kind))
         self._by_name[name] = cid
-        self._parents.append(set(parents))
         self._up.append(up)
         self._forbid.append(forbid)
         return cid
 
     def declare_concept(self, name: str, kind: ConceptKind,
                         parents: Sequence[str] = (),
-                        protected: Iterable[int] = ()) -> int:
+                        protected: Collection[int] = ()) -> int:
         """Declare a concept under the given parents (kind's root if none).
 
         Redeclaring an existing name adds any new parents to it; nothing is
@@ -145,11 +146,14 @@ class ConceptGraph:
         protected concept (one that recorded history relies on) from
         satisfiable to unsatisfiable.
         """
+        # A bare string as parents would read as one parent per letter.
+        if isinstance(parents, str) or not all(isinstance(n, str) for n in (name, *parents)):
+            raise InvalidValueError(f"names must be strings, got {name!r} under {parents!r}")
+        if not isinstance(kind, ConceptKind):
+            raise InvalidValueError(f"kind must be a ConceptKind, got {kind!r}")
         parent_ids = []
         for pname in parents:
-            pid = self._by_name.get(pname)
-            if pid is None:
-                raise UnknownConceptError(pname)
+            pid = self.lookup(pname)
             if self.kind_of(pid) is not kind:
                 raise KindMismatchError(
                     f"parent {pname!r} is a {self.kind_of(pid).value} concept, "
@@ -163,7 +167,8 @@ class ConceptGraph:
                 raise KindMismatchError(
                     f"{name!r} already declared as a {self.kind_of(existing).value} concept"
                 )
-            fresh = {p for p in parent_ids if p != existing} - self._parents[existing]
+            # A parent already above the concept adds nothing to any mask.
+            fresh = {p for p in parent_ids if not self._up[existing] & 1 << p}
             if fresh:
                 under = ", ".join(sorted(repr(self.name_of(p)) for p in fresh))
                 self._add_edges([(existing, p) for p in fresh], protected,
@@ -172,7 +177,7 @@ class ConceptGraph:
 
         return self._add(name, kind, parent_ids or [self._roots[kind]])
 
-    def declare_equivalent(self, a: str, b: str, protected: Iterable[int] = ()) -> None:
+    def declare_equivalent(self, a: str, b: str, protected: Collection[int] = ()) -> None:
         """Record that two same-kind concepts denote the same category: each
         becomes a parent of the other.
 
@@ -188,49 +193,36 @@ class ConceptGraph:
             return  # already mutually subsumed, nothing new to record
         self._add_edges([(aid, bid), (bid, aid)], protected, f"equating {a!r} with {b!r}")
 
-    def _add_edges(self, edges: list[tuple[int, int]], protected: Iterable[int],
+    def _add_edges(self, edges: list[tuple[int, int]], protected: Collection[int],
                    what: str) -> None:
-        """Add each (child, parent) edge not there yet; restore the masks and
-        raise instead if a protected concept turned unsatisfiable.
+        """Add the (child, parent) edges, unless `_commit` refuses them.
 
-        Only concepts whose ancestors hold a child gain ancestors by the
-        edges: each gains what its children's new parents reach, read before
-        the pass. One pass is enough for the two edge shapes declarations
-        make, one concept's new parents and an equivalence's two edges: a
-        new path leaves a concept only through a child, and from there
-        reaches only what the child and its new parents reached before. In
-        an equivalence each child is the other's new parent, so a concept
-        below either child gains both.
+        Every concept below a child gains what all the new parents reach.
+        One gain is right for the two edge shapes declarations make, one
+        concept's new parents and an equivalence's two edges: a new path
+        leaves a concept only through a child, and from there reaches only
+        what the child and its new parents reached before. In an equivalence
+        each side is the other's parent, so after it a concept below either
+        side is below both, and gains what both reach.
         """
-        parents, up, forbid = self._parents, self._up, self._forbid
-        added = [(child, parent) for child, parent in edges if parent not in parents[child]]
-        gains = [(1 << child, up[parent], forbid[parent]) for child, parent in added]
-        changed = 0
-        for bit, _, _ in gains:
-            changed |= bit
-        guarded = [p for p in protected if up[p] & changed and not self._disjoint(p, p)]
-        saved_up, saved_forbid = up[:], forbid[:]
-        for c, mask in enumerate(saved_up):
-            if mask & changed:
-                for bit, up_gain, forbid_gain in gains:
-                    if mask & bit:
-                        up[c] |= up_gain
-                        forbid[c] |= forbid_gain
-        broken = [p for p in guarded if self._disjoint(p, p)]
-        if broken:
-            up[:], forbid[:] = saved_up, saved_forbid
-            names = ", ".join(sorted(self.name_of(p) for p in broken))
-            raise ConsistencyError(f"{what} would contradict recorded events on: {names}")
-        for child, parent in added:
-            parents[child].add(parent)
+        up, forbid = self._up, self._forbid
+        children = up_gain = forbid_gain = 0
+        for child, parent in edges:
+            children |= 1 << child
+            up_gain |= up[parent]
+            forbid_gain |= forbid[parent]
+        self._commit({c: (mask | up_gain, forbid[c] | forbid_gain)
+                      for c, mask in enumerate(up) if mask & children}, protected, what)
 
-    def declare_disjoint(self, names: Sequence[str], protected: Iterable[int] = ()) -> None:
+    def declare_disjoint(self, names: Sequence[str], protected: Collection[int] = ()) -> None:
         """Record pairwise disjointness over two or more same-kind concepts.
 
         Nothing is recorded when two of them are related by subsumption, or
         when a protected concept (one that recorded history relies on) would
         turn unsatisfiable.
         """
+        if isinstance(names, str):  # would read as one name per letter
+            raise InvalidValueError(f"expected a sequence of names, got the string {names!r}")
         if len(names) < 2:
             raise DeclarationError("disjointness needs at least two concepts")
         ids = [self.lookup(n) for n in names]
@@ -245,25 +237,30 @@ class ConceptGraph:
                     f"cannot declare {na!r} disjoint from {nb!r}: "
                     "they are related by subsumption"
                 )
-        sides = 0
-        for i in ids:
-            sides |= 1 << i
-        guarded = [p for p in set(protected) if up[p] & sides and not self._disjoint(p, p)]
-        saved = forbid[:]
+        sides = sum(1 << i for i in set(ids))
         # Every two of the names form a pair, so a concept below one of them
         # is forbidden the others, and a concept below two is forbidden all.
+        masks = {}
         for c, mask in enumerate(up):
-            if mask & sides:
-                below = [i for i in ids if mask & 1 << i]
-                forbid[c] |= sides if len(below) > 1 else sides ^ 1 << below[0]
-        broken = [p for p in guarded if self._disjoint(p, p)]
+            below = mask & sides
+            if below:
+                masks[c] = mask, forbid[c] | (sides if below & (below - 1) else sides ^ below)
+        listed = ", ".join(repr(n) for n in names)
+        self._commit(masks, protected, f"declaring {listed} disjoint")
+
+    def _commit(self, masks: dict[int, tuple[int, int]], protected: Collection[int],
+                what: str) -> None:
+        """Write each concept's new (up, forbid) masks, unless a protected
+        concept among them turns unsatisfiable: judged while the old masks
+        are still in place, a refusal has written nothing."""
+        broken = [c for c, (new_up, new_forbid) in masks.items()
+                  if new_up & new_forbid and c in protected and not self._disjoint(c, c)]
         if broken:
-            forbid[:] = saved
-            listed = ", ".join(repr(n) for n in names)
-            culprits = ", ".join(sorted(self.name_of(p) for p in broken))
-            raise ConsistencyError(
-                f"declaring {listed} disjoint would contradict recorded events on: "
-                f"{culprits}")
+            names = ", ".join(sorted(self.name_of(c) for c in broken))
+            raise ConsistencyError(f"{what} would contradict recorded events on: {names}")
+        up, forbid = self._up, self._forbid
+        for c, (new_up, new_forbid) in masks.items():
+            up[c], forbid[c] = new_up, new_forbid
 
     # -- reasoning -------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Every deliberate failure at the input boundary is a ConsentryError.
 
-Fuzzed scripts, logs, durations, instants and bench scenarios either go
-through or raise a ConsentryError; no raw ValueError, OverflowError or
-RecursionError escapes. Each property runs with CPython's cap on
+Fuzzed scripts, logs, durations, instants, bench scenarios and ontology
+declarations either go through or raise a ConsentryError; no raw
+ValueError, TypeError, OverflowError or RecursionError escapes. Each property runs with CPython's cap on
 int-string digits and without it, since the cap decides where a long
 number fails.
 """
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from consentry import monitor
 from consentry.bench import BenchScenario, run_scenario, scenario_names
 from consentry.cli import parse_duration
+from consentry.core import Ledger
 from consentry.errors import ConsentryError
 from consentry.script import KEYWORDS, run_script
 
@@ -135,3 +136,38 @@ def test_parse_instant(value, limit):
 @example("steps", 2.5, 0, 1)
 def test_bench_scenario(name, steps, seed, reps):
     holds_or_rejects(4300, lambda: run_scenario(BenchScenario(name, steps, seed), reps))
+
+
+# -- declarations ----------------------------------------------------------------
+
+DECLARED_NAMES = st.one_of(
+    st.sampled_from(["A", "B", "C", "R", "Data", "Recipient", "AB", "BA", "ABC"]),
+    st.integers(-1, 9), st.none(), st.lists(st.sampled_from(["A", "B"]), max_size=2))
+declarations = st.lists(st.tuples(
+    st.sampled_from(["data", "recipient", "equivalent", "disjoint"]),
+    st.lists(DECLARED_NAMES, min_size=1, max_size=3)), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(declarations)
+@example([("data", [7])])
+@example([("data", [["x"]])])
+@example([("equivalent", [["x"], "A"])])
+@example([("disjoint", [["x"], "A"])])
+def test_declarations(steps):
+    """A declaration goes through or raises a ConsentryError, and a concept
+    it declares can be named afterwards by the name it was given."""
+    led = Ledger()
+    led.declare_data("A")
+    led.declare_data("B")
+    led.declare_recipient("R")
+    for kind, names in steps:
+        declare = {"data": led.declare_data, "recipient": led.declare_recipient,
+                   "equivalent": lambda a, b="A", *_: led.declare_equivalent(a, b),
+                   "disjoint": led.declare_disjoint}[kind]
+        try:
+            cid = declare(*names)
+        except ConsentryError:
+            continue
+        if kind in ("data", "recipient"):
+            assert led.ontology.resolve(names[0]) == cid

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -309,7 +310,7 @@ class TestReportFormat:
         main(["monitor", "--json", *files])
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and out.endswith("\n")
-        texts = [open(f, encoding="utf-8").read() for f in files]
+        texts = [Path(f).read_text(encoding="utf-8") for f in files]
         report = monitor.scan(*texts, None, DAY)
         assert json.loads(out) == report.to_json()
 
@@ -371,7 +372,7 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("fixture", ["monitor", "monitor_denied"])
     def test_translation(self, fixture):
-        texts = [open(path, encoding="utf-8").read() for path in monitor_fixture(fixture)]
+        texts = [Path(path).read_text(encoding="utf-8") for path in monitor_fixture(fixture)]
         assert monitor.translate_to_script(*texts, None, DAY) == \
             self.golden(f"{fixture}.1d.consent")
 

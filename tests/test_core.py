@@ -543,9 +543,9 @@ class TestDecideEvent:
 
 
 class TestArgumentsAreNotMisread:
-    """An action, mode, retroactive flag, interval or concept id of the
-    wrong type is refused with the library's own error, never read as
-    something else."""
+    """A query, action, mode, retroactive flag, interval, concept id or
+    concept name of the wrong type is refused with the library's own
+    error, never read as something else."""
 
     @staticmethod
     def ledger():
@@ -598,6 +598,27 @@ class TestArgumentsAreNotMisread:
         with pytest.raises(UnknownConceptError):
             led.grant(cid, "s", "R")
         assert len(led.consents) == 1
+
+    @pytest.mark.parametrize("query", [None, "q", "tuple"])
+    def test_a_query_that_is_not_an_authz_query_is_refused(self, query):
+        led = self.ledger()
+        if query == "tuple":  # the same values, without the type
+            query = tuple(led.collect_query("Sub", "s", "R"))
+        with pytest.raises(QueryError, match="expected an AuthzQuery"):
+            led.check(query)
+
+    @pytest.mark.parametrize("name", [7, None, ["x"]])
+    def test_a_concept_name_that_is_not_a_string_is_refused(self, name):
+        led = self.ledger()
+        size = len(led.ontology)
+        for declare in (led.declare_data, led.declare_recipient,
+                        lambda n: led.declare_data("X", n)):
+            with pytest.raises(InvalidValueError, match="names must be strings"):
+                declare(name)
+        assert len(led.ontology) == size
+        for declare in (led.declare_equivalent, led.declare_disjoint):
+            with pytest.raises(UnknownConceptError):
+                declare(name, "D")
 
     @pytest.mark.parametrize("subject", [None, 7, ("s",)])
     def test_grant_refuses_a_subject_that_is_not_a_string(self, subject):
@@ -1273,8 +1294,8 @@ class TestMismatchMemo:
 
 class TestDeepHierarchy:
     def test_a_deep_chain_stays_small(self):
-        # Each level holds its ancestors as bits: a chain of n levels costs
-        # about n * n / 16 bytes of masks, 0.25 MB at n = 2,000.
+        # Concept i's mask holds bit i, so any n concepts, deep or flat,
+        # cost about n * n / 16 bytes of masks, 0.25 MB at n = 2,000.
         led = Ledger()
         led.declare_data("Level0")
         led.declare_recipient("Partner")

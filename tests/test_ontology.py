@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from consentry.errors import (
     ConsistencyError,
     DeclarationError,
+    InvalidValueError,
     KindMismatchError,
     UnknownConceptError,
 )
@@ -88,6 +89,40 @@ class TestDeclarations:
                     lambda c: graph.are_disjoint(c, x), lambda c: graph.are_disjoint(x, c)):
             with pytest.raises(UnknownConceptError):
                 ask(cid)
+
+    @pytest.mark.parametrize("name", [7, None, ["X"], b"X"])
+    def test_lookup_of_a_name_that_is_not_a_string_is_unknown(self, graph, name):
+        with pytest.raises(UnknownConceptError):
+            graph.lookup(name)
+
+    @pytest.mark.parametrize("name, parents", [
+        (7, []), (None, []), (["X"], []), ("X", [7]), ("X", ["A", None]), ("X", "AB")])
+    def test_names_that_are_not_strings_are_refused(self, graph, name, parents):
+        # A bare string as parents would read as one parent per letter.
+        for letter in "AB":
+            graph.declare_concept(letter, DATA, [])
+        size = len(graph)
+        with pytest.raises(InvalidValueError):
+            graph.declare_concept(name, DATA, parents)
+        assert len(graph) == size and "X" not in graph
+
+    @pytest.mark.parametrize("kind", ["data", None, 0])
+    def test_a_kind_that_is_not_a_concept_kind_is_refused(self, graph, kind):
+        with pytest.raises(InvalidValueError, match="kind must be a ConceptKind"):
+            graph.declare_concept("C", kind)
+        assert "C" not in graph
+
+    def test_a_refused_redeclaration_names_only_the_parents_not_yet_above(self, graph):
+        # A is above D through C, so placing D under it adds nothing: only E
+        # is a new parent, and only E is named.
+        declare_chain(graph, "A", "C", "D")
+        graph.declare_concept("E", DATA, [])
+        graph.declare_disjoint(("A", "E"))
+        d = graph.lookup("D")
+        with pytest.raises(ConsistencyError, match=r"^placing 'D' under 'E' would contradict "
+                                                   r"recorded events on: D$"):
+            graph.declare_concept("D", DATA, ["A", "E"], protected=[d])
+        assert not graph.is_unsatisfiable(d)
 
 
 class TestEquivalence:
@@ -206,6 +241,13 @@ class TestDisjointness:
         graph.declare_concept("C", DATA, ["A"])
         with pytest.raises(ConsistencyError):
             graph.declare_disjoint(("A", "B", "C"))  # (A, C) related
+        assert not graph.are_disjoint(graph.lookup("A"), graph.lookup("B"))
+
+    def test_a_bare_string_is_refused(self, graph):
+        for letter in "AB":
+            graph.declare_concept(letter, DATA, [])
+        with pytest.raises(InvalidValueError, match="got the string 'AB'"):
+            graph.declare_disjoint("AB")
         assert not graph.are_disjoint(graph.lookup("A"), graph.lookup("B"))
 
     def test_needs_two_names(self, graph):
@@ -338,7 +380,8 @@ class NaiveGraph:
 
 
 class TestCachesNeverStale:
-    """Interleaved declarations keep every cached verdict equal to a rescan."""
+    """Interleaved declarations keep every verdict the stored masks give
+    equal to a rescan."""
 
     @staticmethod
     def step(graph, naive, op):
@@ -349,7 +392,7 @@ class TestCachesNeverStale:
             *sides, guard = args
             protected = POOL if guard else []
             ids = [graph.lookup(p) for p in protected]
-        if kind in ("parents", "equivalent"):  # fresh edges flush
+        if kind in ("parents", "equivalent"):  # new edges widen the masks
             edges, equivs = naive.edges, naive.equivs
             if kind == "parents":
                 name, parents = sides
@@ -386,7 +429,7 @@ class TestCachesNeverStale:
 
     @staticmethod
     def agree(graph, naive):
-        """Every verdict the graph gives, cached or not, equals the rescan."""
+        """Every verdict the graph gives equals the rescan."""
         up = naive.closure()
         ids = {n: graph.lookup(n) for n in POOL}
         for n in POOL:
@@ -409,11 +452,19 @@ class TestCachesNeverStale:
     # A and B disjoint kill C and D, which sit under both: refused when guarded.
     @example([("disjoint", ["E", "A", "B"], True), ("query", "C"),
               ("disjoint", ["E", "A", "B"], False), ("query", "D")])
+    # C equated with its own ancestor A, which then gains C's ancestor B;
+    # equating E with C would kill them all and must be refused.
+    @example([("disjoint", ["B", "E"], False), ("equivalent", "C", "A", True),
+              ("equivalent", "E", "C", True), ("query", "A")])
+    # D's parents mix A, already above it through C, with a new E: E kills
+    # D, refused when guarded and kept when not.
+    @example([("disjoint", ["A", "E"], False), ("parents", "D", ["A", "E"], True),
+              ("parents", "D", ["A", "E"], False), ("query", "D")])
     def test_verdicts_match_a_rescan_after_every_step(self, ops):
         graph, naive = ConceptGraph(), NaiveGraph()
         for name, parents in BASE.items():
             graph.declare_concept(name, DATA, parents)
-        self.agree(graph, naive)  # fills the caches the first step may stale
+        self.agree(graph, naive)  # the verdicts the first step may change
         for op in ops:
             self.step(graph, naive, op)
             self.agree(graph, naive)
