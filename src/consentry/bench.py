@@ -58,7 +58,7 @@ class BenchScenario(_Scenario):
     __slots__ = ()
 
     def __new__(cls, name: str, steps: int, seed: int = 0) -> "BenchScenario":
-        if name not in _SETUPS:
+        if name not in scenario_names():
             known = ", ".join(scenario_names())
             raise InvalidValueError(f"unknown scenario {name!r} (known: {known})")
         # Exactly int: a bool is an int too, but counts no step.
@@ -83,110 +83,71 @@ class TimingSeries(NamedTuple):
 StepFn = Callable[[int], tuple]
 
 
-def _setup_steps(scenario: BenchScenario) -> StepFn:
-    ledger = Ledger()
-
-    def step(_: int) -> tuple:
-        ledger.advance()
-        return ()
-
-    return step
-
-
-def _setup_nested_data(scenario: BenchScenario) -> StepFn:
-    ledger = Ledger()
-    ledger.declare_data(BASE_DATA)
-    tip = [BASE_DATA]
-
-    def step(i: int) -> tuple:
-        name = f"DataLevel{i}"
-        ledger.declare_data(name, tip[0])
-        tip[0] = name
-        ledger.advance()
-        return ()
-
-    return step
+# The plain scenarios, in `scenario_names()` order: whether each step nests
+# the data chain one level deeper, whether it nests the recipient chain, and
+# which query, if any, it then asks about the newest data concept.
+_PLAIN: dict[str, tuple[bool, bool, ActionType | None]] = {
+    "steps": (False, False, None),
+    "nested-data": (True, False, None),
+    "nested-data-recipients": (True, True, None),
+    "query-collection": (False, False, ActionType.COLLECT),
+    "refine-query-collection": (True, False, ActionType.COLLECT),
+    "query-access": (False, False, ActionType.ACCESS),
+    "refine-query-access": (True, False, ActionType.ACCESS),
+}
 
 
-def _setup_nested_both(scenario: BenchScenario) -> StepFn:
-    ledger = Ledger()
-    ledger.declare_data(BASE_DATA)
-    ledger.declare_recipient(BASE_RECIPIENT)
-    data_tip = [BASE_DATA]
-    rec_tip = [BASE_RECIPIENT]
-
-    def step(i: int) -> tuple:
-        dname, rname = f"DataLevel{i}", f"RecipientLevel{i}"
-        ledger.declare_data(dname, data_tip[0])
-        ledger.declare_recipient(rname, rec_tip[0])
-        data_tip[0], rec_tip[0] = dname, rname
-        ledger.advance()
-        return ()
-
-    return step
+def scenario_names() -> tuple[str, ...]:
+    return (*_PLAIN, "realistic")
 
 
-def _consent_fixture() -> Ledger:
+def _consent_fixture(collected: bool = False) -> Ledger:
+    """One subject's consent to the base pair, and when `collected`, its
+    data collected at step 1."""
     ledger = Ledger()
     ledger.declare_data(BASE_DATA)
     ledger.declare_recipient(BASE_RECIPIENT)
     ledger.declare_subject(SUBJECT)
     ledger.grant(BASE_DATA, SUBJECT, BASE_RECIPIENT, label="baseline")
+    if collected:
+        ledger.record_event(ActionType.COLLECT, BASE_DATA, SUBJECT, BASE_RECIPIENT)
     return ledger
 
 
-def _setup_query_collection(scenario: BenchScenario) -> StepFn:
-    ledger = _consent_fixture()
-
-    def step(_: int) -> tuple:
-        verdict = ledger.check(ledger.collect_query(BASE_DATA, SUBJECT, BASE_RECIPIENT))
-        ledger.advance()
-        return (verdict.authorized,)
-
-    return step
-
-
-def _setup_refine_query_collection(scenario: BenchScenario) -> StepFn:
-    ledger = _consent_fixture()
-    tip = [BASE_DATA]
+def _setup_plain(nest_data: bool, nest_recipient: bool,
+                 query: ActionType | None) -> StepFn:
+    # The flags are tested inline: a helper call per grown chain shows in
+    # the per-step times of the short scenarios.
+    if query is None:
+        ledger = Ledger()
+        if nest_data:
+            ledger.declare_data(BASE_DATA)
+        if nest_recipient:
+            ledger.declare_recipient(BASE_RECIPIENT)
+    else:
+        ledger = _consent_fixture(collected=query is ActionType.ACCESS)
+    first = StepInterval.single(1)
+    collect = query is ActionType.COLLECT
+    data_tip, rec_tip = BASE_DATA, BASE_RECIPIENT
 
     def step(i: int) -> tuple:
-        name = f"DataLevel{i}"
-        ledger.declare_data(name, tip[0])
-        tip[0] = name
-        verdict = ledger.check(ledger.collect_query(name, SUBJECT, BASE_RECIPIENT))
-        ledger.advance()
-        return (verdict.authorized,)
-
-    return step
-
-
-def _setup_query_access(scenario: BenchScenario) -> StepFn:
-    ledger = _consent_fixture()
-    ledger.record_event(ActionType.COLLECT, BASE_DATA, SUBJECT, BASE_RECIPIENT)
-    first = StepInterval.single(1)
-
-    def step(_: int) -> tuple:
-        verdict = ledger.check(
-            ledger.access_query(BASE_DATA, SUBJECT, BASE_RECIPIENT, first))
-        ledger.advance()
-        return (verdict.authorized,)
-
-    return step
-
-
-def _setup_refine_query_access(scenario: BenchScenario) -> StepFn:
-    ledger = _consent_fixture()
-    ledger.record_event(ActionType.COLLECT, BASE_DATA, SUBJECT, BASE_RECIPIENT)
-    first = StepInterval.single(1)
-    tip = [BASE_DATA]
-
-    def step(i: int) -> tuple:
-        name = f"DataLevel{i}"
-        ledger.declare_data(name, tip[0])
-        tip[0] = name
-        verdict = ledger.check(
-            ledger.access_query(name, SUBJECT, BASE_RECIPIENT, first))
+        nonlocal data_tip, rec_tip
+        if nest_data:
+            name = f"DataLevel{i}"
+            ledger.declare_data(name, data_tip)
+            data_tip = name
+        if nest_recipient:
+            name = f"RecipientLevel{i}"
+            ledger.declare_recipient(name, rec_tip)
+            rec_tip = name
+        if query is None:
+            ledger.advance()
+            return ()
+        if collect:
+            verdict = ledger.check(ledger.collect_query(data_tip, SUBJECT, BASE_RECIPIENT))
+        else:
+            verdict = ledger.check(
+                ledger.access_query(data_tip, SUBJECT, BASE_RECIPIENT, first))
         ledger.advance()
         return (verdict.authorized,)
 
@@ -196,53 +157,37 @@ def _setup_refine_query_access(scenario: BenchScenario) -> StepFn:
 def _setup_realistic(scenario: BenchScenario) -> StepFn:
     rng = random.Random(scenario.seed)
     ledger = _consent_fixture()
-    data_tip = [BASE_DATA]
-    rec_tip = [BASE_RECIPIENT]
-    consent_serial = [0]
+    data_tip, rec_tip = BASE_DATA, BASE_RECIPIENT
+    consent_serial = 0
 
     def step(i: int) -> tuple:
+        nonlocal data_tip, rec_tip, consent_serial
         if i % REFINE_EVERY == 0:
             dname, rname = f"DataLevel{i}", f"RecipientLevel{i}"
-            ledger.declare_data(dname, data_tip[0])
-            ledger.declare_recipient(rname, rec_tip[0])
-            data_tip[0], rec_tip[0] = dname, rname
+            ledger.declare_data(dname, data_tip)
+            ledger.declare_recipient(rname, rec_tip)
+            data_tip, rec_tip = dname, rname
         if i % CHURN_EVERY == 0:
-            label = "baseline" if consent_serial[0] == 0 else f"renewal{consent_serial[0]}"
+            label = "baseline" if consent_serial == 0 else f"renewal{consent_serial}"
             ledger.withdraw(label, retroactive=rng.random() < 0.5)
-            consent_serial[0] += 1
+            consent_serial += 1
             ledger.grant(BASE_DATA, SUBJECT, BASE_RECIPIENT,
                          retroactive=rng.random() < 0.5,
-                         label=f"renewal{consent_serial[0]}")
+                         label=f"renewal{consent_serial}")
         collect = ledger.check(
-            ledger.collect_query(data_tip[0], SUBJECT, rec_tip[0]))
+            ledger.collect_query(data_tip, SUBJECT, rec_tip))
         yesterday = StepInterval.single(max(1, i - 1))
         access = ledger.check(
-            ledger.access_query(data_tip[0], SUBJECT, rec_tip[0], yesterday))
-        collected = ledger.record_event(ActionType.COLLECT, data_tip[0], SUBJECT,
-                                        rec_tip[0])
-        accessed = ledger.record_event(ActionType.ACCESS, data_tip[0], SUBJECT,
-                                       rec_tip[0], yesterday)
+            ledger.access_query(data_tip, SUBJECT, rec_tip, yesterday))
+        collected = ledger.record_event(ActionType.COLLECT, data_tip, SUBJECT,
+                                        rec_tip)
+        accessed = ledger.record_event(ActionType.ACCESS, data_tip, SUBJECT,
+                                       rec_tip, yesterday)
         ledger.advance()
         return (collect.authorized, access.authorized,
                 collected.verdict.authorized, accessed.verdict.authorized)
 
     return step
-
-
-_SETUPS: dict[str, Callable[[BenchScenario], StepFn]] = {
-    "steps": _setup_steps,
-    "nested-data": _setup_nested_data,
-    "nested-data-recipients": _setup_nested_both,
-    "query-collection": _setup_query_collection,
-    "refine-query-collection": _setup_refine_query_collection,
-    "query-access": _setup_query_access,
-    "refine-query-access": _setup_refine_query_access,
-    "realistic": _setup_realistic,
-}
-
-
-def scenario_names() -> tuple[str, ...]:
-    return tuple(_SETUPS)
 
 
 def run_scenario(scenario: BenchScenario, reps: int = REPS) -> TimingSeries:
@@ -254,7 +199,8 @@ def run_scenario(scenario: BenchScenario, reps: int = REPS) -> TimingSeries:
         raise InvalidValueError(f"need at least one repetition, got {reps!r}")
     series = TimingSeries(scenario, [], [])
     for _ in range(reps):
-        step_fn = _SETUPS[scenario.name](scenario)
+        plain = _PLAIN.get(scenario.name)
+        step_fn = _setup_realistic(scenario) if plain is None else _setup_plain(*plain)
         row: list[int] = []
         verdicts: list[tuple] = []
         gc.collect()

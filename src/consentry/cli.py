@@ -45,6 +45,8 @@ _DURATION = re.compile(r"(?:(?P<days>[0-9]+)d)?(?:(?P<hours>[0-9]+)h)?"
 def parse_duration(text: str) -> timedelta:
     from datetime import timedelta  # here, so that `run` never loads datetime
 
+    if not isinstance(text, str):
+        raise InvalidValueError(f"a duration must be a str, got {text!r}")
     raw = text.strip()
     if raw.isascii() and raw.isdigit():
         parts = {"seconds": raw}

@@ -253,7 +253,7 @@ class Ledger:
         return subject
 
     def knows_subject(self, subject: str) -> bool:
-        return subject in self._by_subject
+        return isinstance(subject, str) and subject in self._by_subject
 
     def declare_data(self, name: str, *parents: str) -> int:
         return self.ontology.declare_concept(name, ConceptKind.DATA, parents,

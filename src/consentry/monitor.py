@@ -245,6 +245,8 @@ def _parse_log(text: str, source: str, row: Callable[[int, dict], Row]) -> list[
     """Each record's row, a format error naming `source`. Order is checked
     once every record has parsed, so a malformed record anywhere outranks
     a backwards timestamp."""
+    if not isinstance(text, str):
+        raise InvalidValueError(f"the {source} must be a str, got {text!r:.40}")
     try:
         rows = [row(line_no, payload) for line_no, payload in _record_lines(text)]
     except LogFormatError as err:
@@ -340,8 +342,12 @@ def _statements(manifest: str, consent_log: str, access_log: str,
     fault. After that an instant is only checked against the epoch, since
     `parse_instant` returns aware UTC instants alone.
     """
+    if not isinstance(step_duration, timedelta):
+        raise InvalidValueError(f"step duration must be a timedelta, got {step_duration!r}")
     if step_duration <= timedelta(0):
         raise InvalidValueError(f"step duration must be positive, got {step_duration}")
+    if epoch is not None and not isinstance(epoch, datetime):
+        raise InvalidValueError(f"epoch must be a datetime or None, got {epoch!r}")
     if epoch is not None and epoch.utcoffset() is None:
         raise InvalidValueError(f"{_NO_OFFSET}, got the epoch {epoch.isoformat()}")
     yield from parse_manifest(manifest)

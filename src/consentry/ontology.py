@@ -65,6 +65,17 @@ class Concept(NamedTuple):
     kind: ConceptKind
 
 
+def _name_tuple(names: object) -> tuple:
+    """`names` read once into a tuple. A bare string, which would read as one
+    name per letter, and a value that is not iterable are refused."""
+    if isinstance(names, str):
+        raise InvalidValueError(f"expected a sequence of names, got the string {names!r}")
+    try:
+        return tuple(names)
+    except TypeError:
+        raise InvalidValueError(f"expected a sequence of names, got {names!r}") from None
+
+
 class ConceptGraph:
     """Append-only store of concept declarations with each concept's closed forms."""
 
@@ -85,7 +96,7 @@ class ConceptGraph:
         return len(self._concepts)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return isinstance(name, str) and name in self._by_name
 
     def concepts(self) -> Iterator[Concept]:
         return iter(self._concepts)
@@ -116,6 +127,8 @@ class ConceptGraph:
         concept = self._concepts[self.lookup(ref)] if isinstance(ref, str) \
             else self.concept(ref)
         if kind is not None and concept.kind is not kind:
+            if type(kind) is not ConceptKind:  # a kind that matched is a ConceptKind
+                raise InvalidValueError(f"kind must be a ConceptKind or None, got {kind!r}")
             raise KindMismatchError(
                 f"{concept.name!r} is a {concept.kind.value} concept, "
                 f"expected {kind.value}"
@@ -146,8 +159,8 @@ class ConceptGraph:
         protected concept (one that recorded history relies on) from
         satisfiable to unsatisfiable.
         """
-        # A bare string as parents would read as one parent per letter.
-        if isinstance(parents, str) or not all(isinstance(n, str) for n in (name, *parents)):
+        parents = _name_tuple(parents)
+        if not all(isinstance(n, str) for n in (name, *parents)):
             raise InvalidValueError(f"names must be strings, got {name!r} under {parents!r}")
         if not isinstance(kind, ConceptKind):
             raise InvalidValueError(f"kind must be a ConceptKind, got {kind!r}")
@@ -221,8 +234,7 @@ class ConceptGraph:
         when a protected concept (one that recorded history relies on) would
         turn unsatisfiable.
         """
-        if isinstance(names, str):  # would read as one name per letter
-            raise InvalidValueError(f"expected a sequence of names, got the string {names!r}")
+        names = _name_tuple(names)
         if len(names) < 2:
             raise DeclarationError("disjointness needs at least two concepts")
         ids = [self.lookup(n) for n in names]

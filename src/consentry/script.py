@@ -54,7 +54,9 @@ from typing import Iterable, NamedTuple, Union
 
 from .chronology import STEP_TOKEN, StepInterval, format_step, parse_step
 from .core import ActionType, EventRecord, Ledger
-from .errors import ConsentryError, ExecutionError, IntervalError, LexError, ParseError
+from .errors import (
+    ConsentryError, ExecutionError, IntervalError, InvalidValueError, LexError, ParseError,
+)
 
 KEYWORDS = frozenset({
     "new", "data", "recipient", "disjoint", "equiv",
@@ -125,6 +127,8 @@ def _lines(text: str) -> list[str]:
     holding one; here they stay in their line, an illegal character unless
     a comment holds them.
     """
+    if not isinstance(text, str):
+        raise InvalidValueError(f"expected the text as a str, got {text!r:.40}")
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 

@@ -1,8 +1,12 @@
 import csv
+import hashlib
 import io
+import re
+from pathlib import Path
 
 import pytest
 
+from consentry import bench
 from consentry.bench import (
     REPS,
     BenchScenario,
@@ -19,6 +23,13 @@ class TestScenarioCatalog:
             series = run_scenario(BenchScenario(name, steps=5), reps=1)
             assert len(series.micros) == 1
             assert len(series.micros[0]) == 5
+
+    def test_the_docs_list_every_scenario_in_order(self):
+        docstring = bench.__doc__.split("Scenarios:", 1)[1]
+        assert tuple(re.findall(r"^\* ([\w-]+):", docstring, re.M)) == scenario_names()
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### `consentry simulate", 1)[1].split("\n### ", 1)[0]
+        assert tuple(re.findall(r"^- `([\w-]+)`:", section, re.M)) == scenario_names()
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -50,9 +61,14 @@ class TestRunShape:
         series = run_scenario(BenchScenario("realistic", steps=30, seed=7), reps=3)
         assert series.verdicts[0] == series.verdicts[1] == series.verdicts[2]
 
-    def test_query_scenarios_decide_every_step(self):
-        series = run_scenario(BenchScenario("query-collection", steps=6), reps=1)
-        assert series.verdicts[0] == [(True,)] * 6
+    @pytest.mark.parametrize("name, verdict", [
+        ("steps", ()), ("nested-data", ()), ("nested-data-recipients", ()),
+        ("query-collection", (True,)), ("refine-query-collection", (True,)),
+        ("query-access", (True,)), ("refine-query-access", (True,))])
+    def test_query_scenarios_decide_every_step(self, name, verdict):
+        # Growth alone decides nothing; each query is authorized every step.
+        series = run_scenario(BenchScenario(name, steps=6), reps=1)
+        assert series.verdicts[0] == [verdict] * 6
 
 
 class TestRealistic:
@@ -73,6 +89,15 @@ class TestRealistic:
         # Retroactivity coin flips differ across seeds; at least two of
         # these four runs must disagree somewhere.
         assert len(set(runs.values())) > 1
+
+    # Digests of repr(verdicts) over 185 steps. Seed 7 is authorized
+    # throughout; seed 3 is denied around the churn at steps 90 and 180.
+    @pytest.mark.parametrize("seed, digest", [
+        (7, "30d25f9e18b86eab362ce4691b365ab8cd67e7f6bb7993eb2789d2d017b2fb48"),
+        (3, "975b70b81ade6e96ec7e8f28bbeb5d9b150fcd7717ca8364e1477f2c0aa45fd1")])
+    def test_verdict_series_is_pinned(self, seed, digest):
+        series = run_scenario(BenchScenario("realistic", steps=185, seed=seed), reps=1)
+        assert hashlib.sha256(repr(series.verdicts[0]).encode()).hexdigest() == digest
 
     def test_same_seed_reproduces(self):
         a = run_scenario(BenchScenario("realistic", steps=95, seed=5), reps=1)

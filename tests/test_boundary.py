@@ -4,7 +4,8 @@ Fuzzed scripts, logs, durations, instants, bench scenarios and ontology
 declarations either go through or raise a ConsentryError; no raw
 ValueError, TypeError, OverflowError or RecursionError escapes. Each property runs with CPython's cap on
 int-string digits and without it, since the cap decides where a long
-number fails.
+number fails. Arguments of the wrong type, such as None for a script or
+an int for a step duration, raise InvalidValueError.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 from datetime import datetime, timedelta, timezone
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +21,9 @@ from consentry import monitor
 from consentry.bench import BenchScenario, run_scenario, scenario_names
 from consentry.cli import parse_duration
 from consentry.core import Ledger
-from consentry.errors import ConsentryError
-from consentry.script import KEYWORDS, run_script
+from consentry.errors import ConsentryError, InvalidValueError
+from consentry.ontology import ConceptGraph, ConceptKind
+from consentry.script import KEYWORDS, parse, run_script, tokenize
 
 from support import digit_limit
 
@@ -171,3 +174,49 @@ def test_declarations(steps):
             continue
         if kind in ("data", "recipient"):
             assert led.ontology.resolve(names[0]) == cid
+
+
+# -- arguments of the wrong type -----------------------------------------------
+
+DAY = timedelta(days=1)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda g: g.resolve("Data", "recipient"), id="resolve-kind"),
+    pytest.param(lambda g: g.declare_concept("X", ConceptKind.DATA, 7), id="parents"),
+    pytest.param(lambda g: g.declare_disjoint(7), id="disjoint-names"),
+])
+def test_the_ontology_refuses_a_wrong_type(call):
+    graph = ConceptGraph()
+    size = len(graph)
+    with pytest.raises(InvalidValueError):
+        call(graph)
+    assert len(graph) == size and "X" not in graph
+
+
+def test_a_name_that_is_not_a_string_is_not_present():
+    led = Ledger()
+    led.declare_subject("s")
+    assert ["x"] not in led.ontology
+    assert not led.knows_subject([1])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: parse(None), id="parse"),
+    pytest.param(lambda: tokenize(None), id="tokenize"),
+    pytest.param(lambda: run_script(None), id="run-none"),
+    pytest.param(lambda: run_script(b"step"), id="run-bytes"),
+    pytest.param(lambda: monitor.scan(None, "", "", None, DAY), id="scan-manifest"),
+    pytest.param(lambda: monitor.scan("", b"", "", None, DAY), id="scan-consent-log"),
+    pytest.param(lambda: monitor.scan("", "", None, None, DAY), id="scan-access-log"),
+    pytest.param(lambda: monitor.scan("", "", "", None, 1), id="scan-duration"),
+    pytest.param(lambda: monitor.scan("", "", "", "2024-01-01", DAY), id="scan-epoch"),
+    pytest.param(lambda: monitor.translate_to_script("", "", "", None, 1),
+                 id="translate-duration"),
+    pytest.param(lambda: monitor.translate_to_script("", "", "", "2024-01-01", DAY),
+                 id="translate-epoch"),
+    pytest.param(lambda: parse_duration(5), id="parse-duration"),
+])
+def test_a_text_or_time_argument_of_the_wrong_type_is_refused(call):
+    with pytest.raises(InvalidValueError):
+        call()

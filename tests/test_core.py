@@ -1240,7 +1240,7 @@ memo_steps = st.lists(st.one_of(
 ), min_size=3, max_size=15)
 
 
-class TestMismatchMemo:
+class TestPairIndexMatchesARescan:
     """The denial reason read from the pair index always equals a fresh full
     scan, as grants, declarations and withdrawals come and go."""
 

@@ -106,6 +106,11 @@ class TestDeclarations:
             graph.declare_concept(name, DATA, parents)
         assert len(graph) == size and "X" not in graph
 
+    def test_parents_given_as_an_iterator_are_all_read(self, graph):
+        graph.declare_concept("A", DATA, [])
+        x = graph.declare_concept("X", DATA, iter(["A"]))
+        assert graph.subsumes(graph.lookup("A"), x)
+
     @pytest.mark.parametrize("kind", ["data", None, 0])
     def test_a_kind_that_is_not_a_concept_kind_is_refused(self, graph, kind):
         with pytest.raises(InvalidValueError, match="kind must be a ConceptKind"):
@@ -379,7 +384,7 @@ class NaiveGraph:
                    for p, q in (self.pairs if pairs is None else pairs))
 
 
-class TestCachesNeverStale:
+class TestMasksMatchARescan:
     """Interleaved declarations keep every verdict the stored masks give
     equal to a rescan."""
 
