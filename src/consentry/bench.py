@@ -64,6 +64,9 @@ class BenchScenario(_Scenario):
         # Exactly int: a bool is an int too, but counts no step.
         if type(steps) is not int or steps < 1:
             raise InvalidValueError(f"need at least one step, got {steps!r}")
+        # A seed of None would seed `realistic` from the OS, so runs would differ.
+        if type(seed) is not int:
+            raise InvalidValueError(f"seed must be an int, got {seed!r}")
         return tuple.__new__(cls, (name, steps, seed))
 
 

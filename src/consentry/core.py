@@ -31,14 +31,15 @@ A denial's cause is read off the same reaches: a consent fails an uncovered
 step at or past its hi because it was withdrawn, and below it because the
 step is outside its grant window.
 
-`Ledger.check` finds candidate consents through two indexes that `grant`
-fills: the querying subject's own consents, and, only on the denial path,
-the distinct (data, recipient) pairs of all consents, filed by data
+`Ledger.check` finds candidates through two indexes that `grant` fills:
+the querying subject's own consents, filed by (data, recipient) pair, and,
+only on the denial path, the distinct pairs of all consents, filed by data
 concept, which decide whether the denial is a subject mismatch. The
 query's concepts are validated once at entry; after that one concept
 predicate, built from the ontology's masks for them, judges every
-candidate. So a check costs in proportion to the subject's consents, not
-the ledger's size.
+candidate, and a candidate is always a (data, recipient) pair: each of the
+subject's own pairs once, however many consents it files. So a check costs
+in proportion to the subject's pairs and consents, not the ledger's size.
 `record_event` and `decide_event`, which the script interpreter's `assume`
 calls, build their query in one place, `_event_query`: the resolving
 builders validate the concepts and an access's interval gets `check`'s
@@ -46,12 +47,12 @@ shape test, so both skip the rest of `check`'s entry validation and report
 a bad query alike.
 
 The subject-mismatch verdict ("does any distinct pair pass the predicate?")
-does not depend on the subject. In guaranteed mode a pair applies when its
-data concept is an ancestor of the query's data and its recipient one of
-the query's recipient, so the index answers with one lookup per ancestor
-of the query's data that files a pair, found with one AND of masks, and no
-predicate call.
-Possible mode asks the predicate of every distinct pair. Both read masks
+does not depend on the subject. It is one walk over the filed data
+concepts, asking the predicate of each recipient filed under one. The mode
+only narrows the walk: in guaranteed mode a pair can pass only when its
+data concept is an ancestor of the query's, so the walk visits just the
+ancestors that file a pair, found with one AND of masks; possible mode
+visits every filed data concept. The predicate and the walk read masks
 that each declaration sets, so nothing needs dropping when the ontology
 grows.
 
@@ -231,8 +232,9 @@ class Ledger:
         self._labels: dict[str, int] = {}
         # Indexes over `consents`, filled in `grant`; withdrawal marks the
         # shared record objects, so it needs no bookkeeping here. Every known
-        # subject is a key, with its consents in id order, if any.
-        self._by_subject: dict[str, list[ConsentRecord]] = {}
+        # subject is a key, with its consents filed by (data, recipient)
+        # pair, each pair's in id order.
+        self._by_subject: dict[str, dict[tuple[int, int], list[ConsentRecord]]] = {}
         # The distinct (data, recipient) pairs: data -> its recipients; and
         # its keys as a mask, bit d for data concept d.
         self._by_data: dict[int, set[int]] = {}
@@ -249,7 +251,7 @@ class Ledger:
 
     def declare_subject(self, subject: str) -> str:
         _check_subject(subject)
-        self._by_subject.setdefault(subject, [])
+        self._by_subject.setdefault(subject, {})
         return subject
 
     def knows_subject(self, subject: str) -> bool:
@@ -293,7 +295,8 @@ class Ledger:
             grant_retroactive=retroactive,
         )
         self.consents.append(record)
-        self._by_subject.setdefault(subject, []).append(record)
+        self._by_subject.setdefault(subject, {}).setdefault(
+            (data_id, recipient_id), []).append(record)
         self._by_data.setdefault(data_id, set()).add(recipient_id)
         self._data_keys |= 1 << data_id
         if label is not None:
@@ -356,6 +359,10 @@ class Ledger:
             raise QueryError(f"unknown action {query.action!r}, expected an ActionType")
         if type(query.mode) is not Mode:
             raise QueryError(f"unknown mode {query.mode!r}, expected a Mode")
+        # Exactly int: a bool is an int too, but names no step.
+        if type(query.access_at) is not int or query.access_at < 1:
+            raise QueryError(f"access step must be an int of at least 1, "
+                             f"got {query.access_at!r}")
         graph = self.ontology
         graph.resolve(query.data_concept, ConceptKind.DATA)
         graph.resolve(query.recipient_concept, ConceptKind.RECIPIENT)
@@ -365,7 +372,11 @@ class Ledger:
         return self._decide(query)
 
     def _decide(self, query: AuthzQuery) -> Decision:
-        """Decide a query whose concepts, subject and interval are valid."""
+        """Decide a query whose concepts, subject and interval are valid.
+
+        The predicate judges each of the subject's own pairs once; the
+        consents filed under the pairs that pass are swept.
+        """
         # The ontology's unchecked clash test: a concept is unsatisfiable
         # when it is disjoint from itself.
         disjoint = self.ontology._disjoint
@@ -376,8 +387,8 @@ class Ledger:
                                            Reason.CONCEPT_UNSATISFIABLE))
 
         applies = self._concept_match(query)
-        matching = [c for c in self._by_subject.get(query.subject, ())
-                    if applies(c.data_concept, c.recipient_concept)]
+        matching = [c for pair, filed in self._by_subject.get(query.subject, {}).items()
+                    if applies(*pair) for c in filed]
         if matching:
             return _sweep(span, matching, query.action, query.access_at)
         # No consent matches, so the cause is structural: the subject's own
@@ -428,27 +439,23 @@ class Ledger:
 
     def _some_pair_applies(self, query: AuthzQuery,
                            applies: Callable[[int, int], object]) -> bool:
-        """Does `applies` pass any distinct concept pair of the ledger?
+        """Does `applies` pass any distinct (data, recipient) pair of the ledger?
 
-        In guaranteed mode `applies` asks for both concepts among the
-        query's ancestors, so the index answers with one lookup per ancestor
-        of the query's data that files a pair, and one AND per recipient
-        filed there.
+        One walk over the filed data concepts asks `applies` of each
+        recipient filed under one. The mode only narrows the walk: a pair
+        passes in guaranteed mode only when its data concept is an ancestor
+        of the query's, so only those are visited.
         """
-        by_data = self._by_data
+        filed = self._data_keys
         if query.mode is Mode.GUARANTEED:
-            up = self.ontology._up
-            filed = up[query.data_concept] & self._data_keys
-            recipient_up = up[query.recipient_concept]
-            while filed:
-                lowest = filed & -filed
-                for recipient in by_data[lowest.bit_length() - 1]:
-                    if recipient_up & 1 << recipient:
-                        return True
-                filed ^= lowest
-            return False
-        return any(applies(data, recipient)
-                   for data, recipients in by_data.items() for recipient in recipients)
+            filed &= self.ontology._up[query.data_concept]
+        while filed:
+            data = (filed & -filed).bit_length() - 1
+            for recipient in self._by_data[data]:
+                if applies(data, recipient):
+                    return True
+            filed ^= 1 << data
+        return False
 
     # -- events --------------------------------------------------------------
 
@@ -460,7 +467,7 @@ class Ledger:
         The event is returned, not kept; ids count up from 1 per ledger.
         """
         query = self._event_query(action, data, subject, recipient, collected_interval)
-        self._by_subject.setdefault(subject, [])  # `_event_query` checked the subject
+        self._by_subject.setdefault(subject, {})  # `_event_query` checked the subject
         event = _by_position(EventRecord, (self._next_event, query, self._decide(query)))
         self._next_event += 1
         self._event_concepts.update((query.data_concept, query.recipient_concept))

@@ -87,21 +87,32 @@ _DENIAL_RANK = {
 }
 
 
+def concepts_match(graph: ConceptGraph, consent: ConsentRecord, query: AuthzQuery) -> bool:
+    """Do the consent's concepts apply to the query's? Asked of the graph's
+    public tests, one consent at a time, so no engine index or mask is read."""
+    if query.mode is Mode.GUARANTEED:
+        return graph.subsumes(consent.data_concept, query.data_concept) and \
+            graph.subsumes(consent.recipient_concept, query.recipient_concept)
+    return not graph.are_disjoint(consent.data_concept, query.data_concept) and \
+        not graph.are_disjoint(consent.recipient_concept, query.recipient_concept)
+
+
 def reference_decide(ledger: Ledger, query: AuthzQuery) -> Decision:
     """The decision kernel as cuts and rescans, kept as the reference that
     `Ledger._decide`'s one sweep must agree with: runs, verdict and reason.
-    The runs come from every reach end inside the span, each run's ids from
-    a scan of every reach, and a denial's cause from a second reach per
-    consent at the last uncovered step."""
+    The candidates are every consent in `ledger.consents`, judged one by one
+    by `concepts_match`, so none of the engine's indexes is trusted. The runs
+    come from every reach end inside the span, each run's ids from a scan of
+    every reach, and a denial's cause from a second reach per consent at the
+    last uncovered step."""
     graph = ledger.ontology
     span = query.collected_interval
     if graph.is_unsatisfiable(query.data_concept) or graph.is_unsatisfiable(
         query.recipient_concept
     ):
         return Decision(((span, frozenset()),), Reason.CONCEPT_UNSATISFIABLE)
-    applies = ledger._concept_match(query)
-    matching = [c for c in ledger._by_subject.get(query.subject, ())
-                if applies(c.data_concept, c.recipient_concept)]
+    applying = [c for c in ledger.consents if concepts_match(graph, c, query)]
+    matching = [c for c in applying if c.subject == query.subject]
     runs = reference_runs(span, matching, query.action, query.access_at)
     if all(ids for _, ids in runs):
         return Decision(runs, Reason.OK)
@@ -118,8 +129,9 @@ def reference_decide(ledger: Ledger, query: AuthzQuery) -> Decision:
                 causes.add(Reason.WITHDRAWN_NON_RETRO)
         reason = min(causes, key=_DENIAL_RANK.__getitem__)
     else:
-        reason = Reason.SUBJECT_MISMATCH if ledger._some_pair_applies(query, applies) \
-            else Reason.NO_MATCHING_CONSENT
+        # None of the subject's own consents applies, so any that does is
+        # another subject's.
+        reason = Reason.SUBJECT_MISMATCH if applying else Reason.NO_MATCHING_CONSENT
     return Decision(runs, reason)
 
 

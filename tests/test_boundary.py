@@ -134,9 +134,12 @@ def test_parse_instant(value, limit):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(scenario_names()) | st.text(),
-       st.integers(max_value=20) | st.floats() | st.booleans(), st.integers(),
+       st.integers(max_value=20) | st.floats() | st.booleans(),
+       st.integers() | st.floats() | st.booleans() | st.none() | st.text()
+       | st.lists(st.integers(), max_size=2),
        st.integers(max_value=2) | st.floats() | st.booleans())
 @example("steps", 2.5, 0, 1)
+@example("realistic", 3, [1], 1)
 def test_bench_scenario(name, steps, seed, reps):
     holds_or_rejects(4300, lambda: run_scenario(BenchScenario(name, steps, seed), reps))
 

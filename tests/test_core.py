@@ -34,7 +34,9 @@ from consentry.errors import (
 from consentry.ontology import ConceptKind
 from consentry.oracle import ConsentSpec, oracle_collection_steps, oracle_region
 
-from support import authorized_region, covers_access, covers_collection, reference_decide
+from support import (
+    authorized_region, concepts_match, covers_access, covers_collection, reference_decide,
+)
 
 ALICE = "alice"
 BOB = "bob"
@@ -592,6 +594,14 @@ class TestArgumentsAreNotMisread:
         with pytest.raises(QueryError, match="must be a StepInterval"):
             led.check(query._replace(collected_interval=interval))
 
+    @pytest.mark.parametrize("step", ["x", None, 1.5, 1.0, True, 0, -1])
+    def test_an_access_step_that_is_not_a_positive_int_is_refused(self, step):
+        led = self.ledger()
+        for query in (led.collect_query("Sub", "s", "R"), led.access_query("Sub", "s", "R")):
+            assert led.check(query).authorized
+            with pytest.raises(QueryError, match="access step must be an int of at least 1"):
+                led.check(query._replace(access_at=step))
+
     @pytest.mark.parametrize("cid", [None, 1.5, True])
     def test_a_concept_id_that_is_not_an_int_is_unknown(self, cid):
         led = self.ledger()
@@ -743,13 +753,6 @@ def per_step_check(led, query):
             g.is_unsatisfiable(query.recipient_concept):
         return {s: frozenset() for s in steps}, Reason.CONCEPT_UNSATISFIABLE
 
-    def concepts_match(c):
-        if query.mode is Mode.GUARANTEED:
-            return g.subsumes(c.data_concept, query.data_concept) and \
-                g.subsumes(c.recipient_concept, query.recipient_concept)
-        return not g.are_disjoint(c.data_concept, query.data_concept) and \
-            not g.are_disjoint(c.recipient_concept, query.recipient_concept)
-
     def covered_steps(c):
         # Uncached: even the oracle's bounded cache would keep dozens of
         # T400 regions, of 80k cells each, from the long-history property.
@@ -776,14 +779,14 @@ def per_step_check(led, query):
         return found
 
     matching = [c for c in led.consents
-                if c.subject == query.subject and concepts_match(c)]
+                if c.subject == query.subject and concepts_match(g, c, query)]
     covered = {c.id: covered_steps(c) for c in matching}
     coverage = {s: frozenset(cid for cid, cells in covered.items() if s in cells)
                 for s in steps}
     if all(coverage.values()):
         return coverage, Reason.OK
     if not matching:
-        if any(c.subject != query.subject and concepts_match(c)
+        if any(c.subject != query.subject and concepts_match(g, c, query)
                for c in led.consents):
             return coverage, Reason.SUBJECT_MISMATCH
         return coverage, Reason.NO_MATCHING_CONSENT
@@ -1077,8 +1080,9 @@ def crowded_ledger(others=1000):
 
 
 def count_work(led, monkeypatch):
-    """Record each call of the check's concept predicate and each kind check."""
-    calls = {"predicate": 0, "kind": 0}
+    """Record each pair the check's concept predicate is asked, and count
+    each kind check."""
+    calls = {"pairs": [], "kind": 0}
     build = led._concept_match
     kind_of = led.ontology.kind_of
 
@@ -1086,7 +1090,7 @@ def count_work(led, monkeypatch):
         applies = build(query)
 
         def counted(data, recipient):
-            calls["predicate"] += 1
+            calls["pairs"].append((data, recipient))
             return applies(data, recipient)
         return counted
 
@@ -1097,6 +1101,24 @@ def count_work(led, monkeypatch):
     monkeypatch.setattr(led, "_concept_match", counted_build)
     monkeypatch.setattr(led.ontology, "kind_of", counted_kind_of)
     return calls
+
+
+def pairs_of(led, subject=None):
+    """The distinct (data, recipient) pairs of the ledger's consents, or of
+    one subject's."""
+    return {(c.data_concept, c.recipient_concept) for c in led.consents
+            if subject is None or c.subject == subject}
+
+
+def assert_asks_only_own_and_ancestor_pairs(led, query, asked):
+    """Every pair the predicate was asked is one of the subject's own pairs,
+    or, in guaranteed mode, a filed pair whose data concept is an ancestor
+    of the query's data."""
+    own, filed = pairs_of(led, query.subject), pairs_of(led)
+    for pair in asked:
+        assert pair in own or (
+            query.mode is Mode.GUARANTEED and pair in filed
+            and led.ontology.subsumes(pair[0], query.data_concept)), pair
 
 
 QUERIES = (  # (data, subject, recipient, expected reason)
@@ -1116,11 +1138,21 @@ class TestCheckWork:
         calls = count_work(led, monkeypatch)
         decision = led.check(led.collect_query(data, subject, recipient))
         assert decision.reason is reason
-        own = sum(c.subject == subject for c in led.consents)
+        own = pairs_of(led, subject)
         if reason is Reason.OK:
-            assert calls["predicate"] == own
+            assert sorted(calls["pairs"]) == sorted(own)
         else:
-            assert calls["predicate"] <= own + len(OTHER_PAIRS)
+            assert len(calls["pairs"]) <= len(own) + len(OTHER_PAIRS)
+
+    def test_a_pair_is_judged_once_however_many_consents_it_files(self, monkeypatch):
+        led = crowded_ledger()
+        ids = {led.grant("Location", "erin", "Partner") for _ in range(3)}
+        calls = count_work(led, monkeypatch)
+        decision = led.check(led.collect_query("DeviceLocation", "erin", "Advertiser"))
+        assert decision.runs == ((StepInterval.single(1), frozenset(ids)),)
+        assert decision.reason is Reason.OK
+        graph = led.ontology
+        assert calls["pairs"] == [(graph.lookup("Location"), graph.lookup("Partner"))]
 
     @pytest.mark.parametrize("data, subject, recipient, reason", QUERIES)
     def test_kinds_are_checked_once_per_query(self, monkeypatch, data, subject,
@@ -1134,37 +1166,43 @@ class TestCheckWork:
             counts.append(calls["kind"])
         assert counts[0] == counts[1]
 
-    def test_repeated_denial_tests_no_pair_again(self, monkeypatch):
+    def test_repeated_denials_ask_only_own_and_ancestor_pairs(self, monkeypatch):
         led = crowded_ledger()
         calls = count_work(led, monkeypatch)
         for data, subject, recipient, reason in QUERIES:
             if reason is Reason.OK:
                 continue
-            own = sum(c.subject == subject for c in led.consents)
             query = led.collect_query(data, subject, recipient)
-            assert led.check(query).reason is reason
-            calls["predicate"] = 0
-            assert led.check(query).reason is reason
-            assert calls["predicate"] == own  # the subject's own consents only
+            asked = []
+            for _ in range(2):
+                calls["pairs"].clear()
+                assert led.check(query).reason is reason
+                assert_asks_only_own_and_ancestor_pairs(led, query, calls["pairs"])
+                assert pairs_of(led, subject) <= set(calls["pairs"])
+                asked.append(calls["pairs"][:])
+            assert asked[0] == asked[1]
 
-    def test_a_grant_is_seen_by_the_next_denial_without_a_predicate_call(
+    def test_a_grant_is_seen_by_the_next_denial_asking_only_ancestor_pairs(
             self, monkeypatch):
         led = crowded_ledger()
         led.declare_data("Email")
         calls = count_work(led, monkeypatch)
         query = led.collect_query("Data", CAROL, "Partner")
-        assert led.check(query).reason is Reason.NO_MATCHING_CONSENT
+
+        def check(reason):
+            calls["pairs"].clear()
+            assert led.check(query).reason is reason
+            assert_asks_only_own_and_ancestor_pairs(led, query, calls["pairs"])
+
+        check(Reason.NO_MATCHING_CONSENT)
         led.grant("Contacts", "s1", "Partner")  # a pair already granted
-        assert led.check(query).reason is Reason.NO_MATCHING_CONSENT
+        check(Reason.NO_MATCHING_CONSENT)
         led.grant("Email", "s1", "Partner")  # a new pair, which fails
-        assert led.check(query).reason is Reason.NO_MATCHING_CONSENT
+        check(Reason.NO_MATCHING_CONSENT)
         led.grant("Data", "s1", "Partner")  # a new pair, which passes
-        assert led.check(query).reason is Reason.SUBJECT_MISMATCH
+        check(Reason.SUBJECT_MISMATCH)
         led.grant("Email", "s2", "Advertiser")
-        assert led.check(query).reason is Reason.SUBJECT_MISMATCH
-        # Carol holds no consent, and in guaranteed mode the pair index
-        # answers every denial without the predicate.
-        assert calls["predicate"] == 0
+        check(Reason.SUBJECT_MISMATCH)
 
     @pytest.mark.parametrize("action", ActionType)
     def test_one_reach_per_matching_consent(self, monkeypatch, action):
