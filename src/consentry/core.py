@@ -24,12 +24,24 @@ single consent must cover a given collection step outright.
 
 A decision therefore stores coverage in closed form: the query interval
 cut into maximal runs of steps, each with the ids of the consents that
-cover all of it. Cost and size depend on the number of matching consents,
-not on how many steps the query spans: a decision costs one `reach` per
-matching consent plus a sort of the 2k reach ends for k matching consents.
-A denial's cause is read off the same reaches: a consent fails an uncovered
-step at or past its hi because it was withdrawn, and below it because the
-step is outside its grant window.
+cover all of it. It is read off a cover: one pass over the matching
+consents' reaches cuts [T1, oo) into maximal runs, and keeps the least hi
+that a withdrawal ends a reach at, and the least that a retroactive one
+does. Clipping the cover to the query interval finds the runs that meet it
+by bisection, and the last uncovered step by one more. A consent fails an
+uncovered step at or past its hi because it was withdrawn, and below it
+because the step is outside its grant window, so the two least his give a
+denial's cause.
+
+Once every grant and withdrawal on a pair is in force, no reach moves with
+the access step. So each subject's pair keeps, per action, the cover built
+at or after its latest grant or withdrawal, and a decision on that one pair
+costs a clip: bisections, and a slice of the cover's runs. A grant or
+withdrawal on the pair drops its covers; declarations drop nothing, since
+they change which pairs match, not what a pair covers. A query that
+matches several pairs, or is asked at an access step before the pair's
+latest write, builds its cover on the spot. Covers follow the consents, at
+most two per pair, not the history.
 
 `Ledger.check` finds candidates through two indexes that `grant` fills:
 the querying subject's own consents, filed by (data, recipient) pair, and,
@@ -37,9 +49,11 @@ only on the denial path, the distinct pairs of all consents, filed by data
 concept, which decide whether the denial is a subject mismatch. The
 query's concepts are validated once at entry; after that one concept
 predicate, built from the ontology's masks for them, judges every
-candidate, and a candidate is always a (data, recipient) pair: each of the
-subject's own pairs once, however many consents it files. So a check costs
-in proportion to the subject's pairs and consents, not the ledger's size.
+candidate, and a candidate is always a (data, recipient) pair, asked at
+most once per decision: each of the subject's own pairs once, however many
+consents it files. So a check costs in proportion to the subject's pairs
+and the runs it returns, plus its matching consents when it builds a
+cover, not the ledger's size.
 `record_event` and `decide_event`, which the script interpreter's `assume`
 calls, build their query in one place, `_event_query`: the resolving
 builders validate the concepts and an access's interval gets `check`'s
@@ -48,7 +62,8 @@ a bad query alike.
 
 The subject-mismatch verdict ("does any distinct pair pass the predicate?")
 does not depend on the subject. It is one walk over the filed data
-concepts, asking the predicate of each recipient filed under one. The mode
+concepts, asking the predicate of each recipient filed under one, except
+the subject's own pairs, which have just failed it. The mode
 only narrows the walk: in guaranteed mode a pair can pass only when its
 data concept is an ancestor of the query's, so the walk visits just the
 ancestors that file a pair, found with one AND of masks; possible mode
@@ -67,6 +82,7 @@ the class would only add a Python frame per value.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -186,6 +202,39 @@ class Decision(NamedTuple):
         return self.reason is Reason.OK
 
 
+# A set of consents' coverage of [T1, oo) at one access step, as `_cover`
+# builds it: (starts, runs, gaps, first_cut, first_retro_cut). `runs` tiles
+# [T1, oo) with maximal runs, the last one unbounded, and `starts` holds
+# their first steps, for bisection; `gaps` holds the indexes of the empty
+# ones. `first_cut` is the least hi of a reach that a withdrawal ends, and
+# `first_retro_cut` the least of one a retroactive withdrawal ends; None
+# when there is none.
+_Cover = tuple[list[int], tuple[Run, ...], list[int], int | None, int | None]
+
+
+class _PairFile:
+    """One subject's consents on one (data, recipient) pair, in id order,
+    and the covers decided from them.
+
+    `since` is the step of the latest grant or withdrawal on the pair; from
+    then on no consent's reach moves with the access step. `covers` keeps
+    one cover per action, indexed by `action is ActionType.ACCESS`, built at
+    an access step of at least `since`.
+    """
+
+    __slots__ = ("consents", "since", "covers")
+
+    def __init__(self) -> None:
+        self.consents: list[ConsentRecord] = []
+        self.since = 1
+        self.covers: list[_Cover | None] = [None, None]
+
+    def changed(self, step: int) -> None:
+        """A grant or withdrawal on the pair at `step`: its covers go."""
+        self.since = step
+        self.covers[0] = self.covers[1] = None
+
+
 class EventRecord(NamedTuple):
     """A collection or access that actually happened: its query and verdict.
 
@@ -231,10 +280,9 @@ class Ledger:
         self.consents: list[ConsentRecord] = []
         self._labels: dict[str, int] = {}
         # Indexes over `consents`, filled in `grant`; withdrawal marks the
-        # shared record objects, so it needs no bookkeeping here. Every known
-        # subject is a key, with its consents filed by (data, recipient)
-        # pair, each pair's in id order.
-        self._by_subject: dict[str, dict[tuple[int, int], list[ConsentRecord]]] = {}
+        # shared record objects and drops its pair's covers. Every known
+        # subject is a key, with its consents filed by (data, recipient) pair.
+        self._by_subject: dict[str, dict[tuple[int, int], _PairFile]] = {}
         # The distinct (data, recipient) pairs: data -> its recipients; and
         # its keys as a mask, bit d for data concept d.
         self._by_data: dict[int, set[int]] = {}
@@ -295,8 +343,12 @@ class Ledger:
             grant_retroactive=retroactive,
         )
         self.consents.append(record)
-        self._by_subject.setdefault(subject, {}).setdefault(
-            (data_id, recipient_id), []).append(record)
+        own = self._by_subject.setdefault(subject, {})
+        filed = own.get((data_id, recipient_id))
+        if filed is None:
+            filed = own[data_id, recipient_id] = _PairFile()
+        filed.consents.append(record)
+        filed.changed(self.now)
         self._by_data.setdefault(data_id, set()).add(recipient_id)
         self._data_keys |= 1 << data_id
         if label is not None:
@@ -324,6 +376,8 @@ class Ledger:
                 f"at {chronology.format_step(record.withdrawal.step)}"
             )
         record.withdrawal = Withdrawal(self.now, retroactive)
+        self._by_subject[record.subject][
+            record.data_concept, record.recipient_concept].changed(self.now)
         return record
 
     # -- queries -----------------------------------------------------------
@@ -374,8 +428,11 @@ class Ledger:
     def _decide(self, query: AuthzQuery) -> Decision:
         """Decide a query whose concepts, subject and interval are valid.
 
-        The predicate judges each of the subject's own pairs once; the
-        consents filed under the pairs that pass are swept.
+        The predicate judges each of the subject's own pairs once. When one
+        pair passes, its cover is clipped to the query, built first if the
+        pair keeps none for the action; a query at an access step before
+        the pair's latest write builds its own. When several pass, their
+        consents' cover is built for this query alone.
         """
         # The ontology's unchecked clash test: a concept is unsatisfiable
         # when it is disjoint from itself.
@@ -387,15 +444,26 @@ class Ledger:
                                            Reason.CONCEPT_UNSATISFIABLE))
 
         applies = self._concept_match(query)
-        matching = [c for pair, filed in self._by_subject.get(query.subject, {}).items()
-                    if applies(*pair) for c in filed]
-        if matching:
-            return _sweep(span, matching, query.action, query.access_at)
-        # No consent matches, so the cause is structural: the subject's own
-        # pairs all failed, so a distinct pair that applies is another's.
-        reason = Reason.SUBJECT_MISMATCH if self._some_pair_applies(query, applies) \
-            else Reason.NO_MATCHING_CONSENT
-        return _by_position(Decision, (((span, frozenset()),), reason))
+        own = self._by_subject.get(query.subject, {})
+        matched = [filed for pair, filed in own.items() if applies(*pair)]
+        if not matched:
+            # No consent matches, so the cause is structural: the subject's
+            # own pairs all failed, so a distinct pair that applies is another's.
+            reason = Reason.SUBJECT_MISMATCH if self._some_pair_applies(query, applies, own) \
+                else Reason.NO_MATCHING_CONSENT
+            return _by_position(Decision, (((span, frozenset()),), reason))
+        action, access_at = query.action, query.access_at
+        filed = matched[0]
+        if len(matched) > 1:
+            cover = _cover([c for each in matched for c in each.consents], action, access_at)
+        elif access_at < filed.since:  # some reach still moves with the access step
+            cover = _cover(filed.consents, action, access_at)
+        else:
+            covers, slot = filed.covers, action is ActionType.ACCESS
+            cover = covers[slot]
+            if cover is None:
+                cover = covers[slot] = _cover(filed.consents, action, access_at)
+        return _clip(cover, span)
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
         interval = query.collected_interval
@@ -437,11 +505,12 @@ class Ledger:
         disjoint = graph._disjoint
         return lambda d, r: not disjoint(d, data) and not disjoint(r, recipient)
 
-    def _some_pair_applies(self, query: AuthzQuery,
-                           applies: Callable[[int, int], object]) -> bool:
-        """Does `applies` pass any distinct (data, recipient) pair of the ledger?
+    def _some_pair_applies(self, query: AuthzQuery, applies: Callable[[int, int], object],
+                           own: dict[tuple[int, int], _PairFile]) -> bool:
+        """Does `applies` pass any distinct (data, recipient) pair outside `own`?
 
-        One walk over the filed data concepts asks `applies` of each
+        `own` holds the subject's pairs, which `applies` has just failed. One
+        walk over the filed data concepts asks `applies` of each other
         recipient filed under one. The mode only narrows the walk: a pair
         passes in guaranteed mode only when its data concept is an ancestor
         of the query's, so only those are visited.
@@ -452,7 +521,7 @@ class Ledger:
         while filed:
             data = (filed & -filed).bit_length() - 1
             for recipient in self._by_data[data]:
-                if applies(data, recipient):
+                if (data, recipient) not in own and applies(data, recipient):
                     return True
             filed ^= 1 << data
         return False
@@ -522,51 +591,79 @@ def _check_subject(subject: object) -> None:
 _by_position = tuple.__new__
 
 
-def _sweep(span: StepInterval, matching: list[ConsentRecord], action: ActionType,
-           accessed_at: int) -> Decision:
-    """Decide a query from one pass over its matching consents' reaches.
+def _cover(consents: list[ConsentRecord], action: ActionType, accessed_at: int) -> _Cover:
+    """The consents' coverage of [T1, oo) at one access step, in one pass.
 
-    The ends of the reaches, clipped to span, are sorted and walked with one
-    live id set. A run is emitted only where the step moves, so runs are
-    maximal and at most 2k + 1. A denial's cause is judged at the last
-    uncovered step against each consent's unclipped hi, even if its clipped
-    reach is empty: at or past hi it was withdrawn, a retroactive withdrawal
-    outranking a plain one, and below hi the step is outside its window.
+    The ends of the reaches are sorted and walked with one live id set. A run
+    is emitted only where the step moves, so runs are maximal and at most
+    2k + 1. The his of the reaches that a withdrawal ends count towards a
+    denial's cause, even of an empty reach.
     """
-    start, end = span
     ends: list[tuple[int, int]] = []  # (step, id) starts, (step, ~id) stops
-    withdrawn: list[tuple[int, bool]] = []  # (unclipped hi, retroactive)
-    for c in matching:
+    cuts: list[int] = []  # the his of withdrawn reaches
+    retro_cuts: list[int] = []  # of those a retroactive withdrawal ends
+    for c in consents:
         lo, hi = c.reach(action, accessed_at)
         if hi is None:
-            hi = end
+            ends.append((lo, c.id))
         else:
-            withdrawn.append((hi, c.withdrawal.retroactive))
-            hi = hi if hi < end else end
-        lo = lo if lo > start else start
-        if lo < hi:
-            ends += (lo, c.id), (hi, ~c.id)
+            cuts.append(hi)
+            if c.withdrawal.retroactive:
+                retro_cuts.append(hi)
+            if lo < hi:
+                ends += (lo, c.id), (hi, ~c.id)
     ends.sort()
-    runs: list[Run] = []
+    starts, runs, gaps = [1], [], []
     live: set[int] = set()
-    at, last = start, None  # last: the last uncovered step so far
+    at = 1
     for step, cid in ends:
         if step != at:
-            ids = frozenset(live)
-            runs.append((_by_position(StepInterval, (at, step)), ids))
-            if not ids:
-                last = step - 1
+            if not live:
+                gaps.append(len(runs))
+            runs.append((_by_position(StepInterval, (at, step)), frozenset(live)))
+            starts.append(step)
             at = step
         if cid >= 0:
             live.add(cid)
         else:
             live.discard(~cid)
-    if at < end:  # every reach has stopped, so the tail is uncovered
-        runs.append((_by_position(StepInterval, (at, end)), frozenset()))
-        last = end - 1
-    if last is None:
-        return _by_position(Decision, (tuple(runs), Reason.OK))
-    causes = {retro for hi, retro in withdrawn if hi <= last}
-    reason = Reason.WITHDRAWN_RETRO if True in causes else \
-        Reason.WITHDRAWN_NON_RETRO if causes else Reason.OUTSIDE_GRANT_WINDOW
-    return _by_position(Decision, (tuple(runs), reason))
+    if not live:  # else the open-ended reaches cover the rest
+        gaps.append(len(runs))
+    runs.append((_by_position(StepInterval, (at, None)), frozenset(live)))
+    return starts, tuple(runs), gaps, min(cuts, default=None), min(retro_cuts, default=None)
+
+
+def _clip(cover: _Cover, span: StepInterval) -> Decision:
+    """The decision for one span, read off a cover.
+
+    The runs that meet the span are found by bisection. The inner ones are
+    the cover's own tuples; only the first and last are trimmed to the span.
+    A denial's cause is judged at the last uncovered step, the last step of
+    the last empty run that meets the span: a consent whose withdrawn reach
+    ends at or below it was withdrawn, a retroactive withdrawal outranking a
+    plain one, and without one the step is outside every grant window.
+    """
+    starts, runs, gaps, first_cut, first_retro_cut = cover
+    start, end = span
+    i = bisect_right(starts, start) - 1
+    j = bisect_left(starts, end, i + 1)
+    run, ids = runs[i]
+    if j == i + 1:
+        clipped: tuple[Run, ...] = ((span, ids),)
+    else:
+        head = runs[i] if run.start == start else \
+            (_by_position(StepInterval, (start, run.end)), ids)
+        run, ids = runs[j - 1]
+        tail = runs[j - 1] if run.end == end else \
+            (_by_position(StepInterval, (run.start, end)), ids)
+        clipped = (head, *runs[i + 1:j - 1], tail)
+    # Of the empty runs before run j, only the last can meet the span.
+    k = bisect_left(gaps, j) - 1
+    if k < 0 or gaps[k] < i:
+        return _by_position(Decision, (clipped, Reason.OK))
+    gap_end = runs[gaps[k]][0].end
+    last = end - 1 if gap_end is None or gap_end > end else gap_end - 1
+    reason = Reason.WITHDRAWN_RETRO if first_retro_cut is not None and first_retro_cut <= last \
+        else Reason.WITHDRAWN_NON_RETRO if first_cut is not None and first_cut <= last \
+        else Reason.OUTSIDE_GRANT_WINDOW
+    return _by_position(Decision, (clipped, reason))

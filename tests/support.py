@@ -99,7 +99,7 @@ def concepts_match(graph: ConceptGraph, consent: ConsentRecord, query: AuthzQuer
 
 def reference_decide(ledger: Ledger, query: AuthzQuery) -> Decision:
     """The decision kernel as cuts and rescans, kept as the reference that
-    `Ledger._decide`'s one sweep must agree with: runs, verdict and reason.
+    `Ledger._decide`'s covers and clips must agree with: runs, verdict and reason.
     The candidates are every consent in `ledger.consents`, judged one by one
     by `concepts_match`, so none of the engine's indexes is trusted. The runs
     come from every reach end inside the span, each run's ids from a scan of

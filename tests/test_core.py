@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consentry import bench
 from consentry.chronology import StepInterval
 from consentry.core import (
     ActionType,
@@ -919,11 +920,11 @@ class TestClosedFormCoverage:
         assert (per_step_coverage(decision), decision.reason) == per_step_check(led, query)
 
 
-# -- the one-sweep kernel against the cut-and-rescan reference ------------------
+# -- the cover-and-clip kernel against the cut-and-rescan reference -------------
 
 def draw_sweep_query(data):
     """A ledger of two subjects' grants and withdrawals crowding one span,
-    and a query over that span: the sweep's hardest cases."""
+    and a query over that span: the kernel's hardest cases."""
     led = fresh_ledger()
     led.declare_data("Impossible", "WalkingRoute", "DrivingRoute")
     led.declare_subject(CAROL)
@@ -984,7 +985,7 @@ class TestSweepKernel:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_every_run_is_a_valid_interval_inside_the_span(self, data):
-        # Runs skip StepInterval's check, so the sweep must keep it itself.
+        # Runs skip StepInterval's check, so the cover and the clip must keep it.
         led, query = draw_sweep_query(data)
         span = query.collected_interval
         for run, _ in led._decide(query).runs:
@@ -1010,7 +1011,7 @@ class TestSweepKernel:
 
     def test_retro_withdrawal_with_an_empty_clipped_reach_still_counts(self):
         # At T5 the second consent's reach is [T3, T1): no end of it enters
-        # the sweep, yet its retroactive withdrawal outranks the first's.
+        # the cover's runs, yet its retroactive withdrawal outranks the first's.
         led = fresh_ledger()
         kept = led.grant("Location", ALICE, "Partner")             # T1
         led.advance()
@@ -1026,6 +1027,34 @@ class TestSweepKernel:
         assert decision.runs == ((StepInterval(1, 2), frozenset({kept})),
                                  (StepInterval(2, 3), frozenset()))
         assert decision.reason is Reason.WITHDRAWN_RETRO
+        assert decision == reference_decide(led, query)
+
+    def test_a_gap_that_starts_where_the_span_ends_leaves_it_covered(self):
+        led = fresh_ledger()
+        cid = led.grant("Location", ALICE, "Partner")              # T1
+        led.advance(2)
+        led.withdraw(cid)                                          # T3
+        led.advance(2)                                             # T5
+        query = led.access_query("Location", ALICE, "Partner", StepInterval(1, 3))
+        decision = led.check(query)
+        assert decision == Decision(((StepInterval(1, 3), frozenset({cid})),), Reason.OK)
+        assert decision == reference_decide(led, query)
+
+    def test_a_withdrawal_where_the_gap_ends_does_not_explain_it(self):
+        # Over [T1, T4) at T5 the last uncovered step is T2. The consent
+        # granted and withdrawn at T3 reaches [T3, T3): it was withdrawn
+        # only past T2, so T2 is outside every grant window.
+        led = fresh_ledger()
+        led.advance(2)
+        empty = led.grant("Location", ALICE, "Partner")            # T3
+        led.withdraw(empty)                                        # T3
+        kept = led.grant("Location", ALICE, "Partner")             # T3
+        led.advance(2)                                             # T5
+        query = led.access_query("Location", ALICE, "Partner", StepInterval(1, 4))
+        decision = led.check(query)
+        assert decision == Decision(((StepInterval(1, 3), frozenset()),
+                                     (StepInterval(3, 4), frozenset({kept}))),
+                                    Reason.OUTSIDE_GRANT_WINDOW)
         assert decision == reference_decide(led, query)
 
     @pytest.mark.parametrize("causes, reason", [
@@ -1204,6 +1233,22 @@ class TestCheckWork:
         led.grant("Email", "s2", "Advertiser")
         check(Reason.SUBJECT_MISMATCH)
 
+    @pytest.mark.parametrize("mode", Mode)
+    def test_no_pair_is_asked_twice_in_one_decision(self, monkeypatch, mode):
+        # Alice's one pair is filed under Location, an ancestor of the first
+        # query's data, so a guaranteed denial's walk reaches it after
+        # `_decide` has judged it.
+        lone = fresh_ledger()
+        lone.grant("Location", ALICE, "Advertiser")
+        for led, queries in ((lone, [("DeviceLocation", ALICE, "Partner")]),
+                             (crowded_ledger(), [query[:3] for query in QUERIES])):
+            calls = count_work(led, monkeypatch)
+            for data, subject, recipient in queries:
+                calls["pairs"].clear()
+                led.check(led.collect_query(data, subject, recipient, mode))
+                asked = calls["pairs"]
+                assert len(asked) == len(set(asked)), (data, subject, recipient)
+
     @pytest.mark.parametrize("action", ActionType)
     def test_one_reach_per_matching_consent(self, monkeypatch, action):
         led = crowded_ledger()
@@ -1259,6 +1304,66 @@ class TestCheckWork:
             led.check(query._replace(collected_interval=StepInterval(1, 3)))
 
 
+# -- covers kept per pair ------------------------------------------------------------
+
+class TestPairCovers:
+    @pytest.mark.parametrize("historical_first", [True, False])
+    def test_a_historical_check_never_reads_a_cover(self, historical_first):
+        # At T3 the retroactive withdrawal at T5 is not yet in force, so the
+        # grant still covers [T1, T3); from T5 on it covers nothing.
+        led = fresh_ledger()
+        cid = led.grant("Location", ALICE, "Partner")              # T1
+        led.advance(4)
+        led.withdraw(cid, retroactive=True)                        # T5
+        now = led.access_query("Location", ALICE, "Partner", StepInterval(1, 3))
+        then = now._replace(access_at=3)
+        order = [then, now] if historical_first else [now, then]
+        decisions = {query.access_at: led.check(query) for query in order}
+        assert decisions[3] == Decision(((StepInterval(1, 3), frozenset({cid})),), Reason.OK)
+        assert decisions[5].reason is Reason.WITHDRAWN_RETRO
+        for query in order:
+            assert decisions[query.access_at] == reference_decide(led, query)
+
+    def test_realistic_decisions_reach_only_to_rebuild_a_cover(self, monkeypatch):
+        # `realistic` files every consent on one pair, so each action's first
+        # decision after a grant or withdrawal rebuilds the pair's cover, one
+        # reach per consent, and every other decision clips a kept cover.
+        stale = set(ActionType)  # the actions whose cover a write dropped
+        reaches = []
+        reach, decide = ConsentRecord.reach, Ledger._decide
+        rebuilt = []
+
+        def on_write(write):
+            def written(led, *args, **kwargs):
+                stale.update(ActionType)
+                return write(led, *args, **kwargs)
+            return written
+
+        def counted(consent, *args):
+            reaches.append(consent.id)
+            return reach(consent, *args)
+
+        def decided(led, query):
+            reaches.clear()
+            decision = decide(led, query)
+            if query.action in stale:
+                stale.discard(query.action)
+                assert sorted(reaches) == [c.id for c in led.consents]
+                rebuilt.append(query.action)
+            else:
+                assert reaches == [], query
+            return decision
+        monkeypatch.setattr(Ledger, "grant", on_write(Ledger.grant))
+        monkeypatch.setattr(Ledger, "withdraw", on_write(Ledger.withdraw))
+        monkeypatch.setattr(ConsentRecord, "reach", counted)
+        monkeypatch.setattr(Ledger, "_decide", decided)
+        step = bench._setup_realistic(bench.BenchScenario("realistic", 2000, seed=7))
+        for i in range(1, 2001):
+            step(i)
+        # The baseline grant and 22 withdraw-and-regrant cycles, both actions.
+        assert len(rebuilt) == 2 * (1 + 2000 // bench.CHURN_EVERY)
+
+
 # -- the subject-mismatch index against a full rescan ------------------------------
 
 MEMO_DATA = ["A", "B", "C", "D", "E"]
@@ -1267,27 +1372,31 @@ MEMO_SUBJECTS = [ALICE, BOB]
 memo_data_st = st.sampled_from(MEMO_DATA)
 memo_steps = st.lists(st.one_of(
     st.tuples(st.just("grant"), memo_data_st, st.sampled_from(MEMO_SUBJECTS),
-              st.sampled_from(MEMO_RECIPIENTS)),
+              st.sampled_from(MEMO_RECIPIENTS), st.booleans()),
+    st.tuples(st.just("advance"), st.integers(1, 3)),
     st.tuples(st.just("concept"), memo_data_st),
     st.tuples(st.just("parents"), memo_data_st,
               st.lists(memo_data_st, min_size=1, max_size=2)),
     st.tuples(st.just("equivalent"), memo_data_st, memo_data_st),
     st.tuples(st.just("disjoint"), st.lists(memo_data_st, min_size=2, max_size=3)),
     st.tuples(st.just("event"), memo_data_st, st.sampled_from(MEMO_SUBJECTS)),
-    st.tuples(st.just("withdraw"), st.integers(0, 20)),
+    st.tuples(st.just("withdraw"), st.integers(0, 20), st.booleans()),
 ), min_size=3, max_size=15)
 
 
 class TestPairIndexMatchesARescan:
-    """The denial reason read from the pair index always equals a fresh full
-    scan, as grants, declarations and withdrawals come and go."""
+    """Every decision read from the pair index and its covers equals a fresh
+    full scan, as the clock, grants, declarations and withdrawals come and go."""
 
     @staticmethod
     def step(led, op, fresh):
         kind, *args = op
         try:
             if kind == "grant":
-                led.grant(*args)
+                data, subject, recipient, retro = args
+                led.grant(data, subject, recipient, retroactive=retro)
+            elif kind == "advance":
+                led.advance(args[0])
             elif kind == "concept":  # a new concept, under an existing one
                 led.declare_data(f"N{next(fresh)}", args[0])
             elif kind == "parents":  # fresh parents widen the ancestor masks
@@ -1300,23 +1409,36 @@ class TestPairIndexMatchesARescan:
             elif kind == "event":
                 led.record_event(ActionType.COLLECT, args[0], args[1], "Partner")
             elif args[0] < len(led.consents):
-                led.withdraw(args[0])
+                led.withdraw(args[0], retroactive=args[1])
         except (ConsistencyError, AlreadyWithdrawnError):
             pass
 
     @staticmethod
-    def agree(led):
+    def queries(led, data, subject, recipient, mode):
+        """A collect now; accesses now over the head, middle and tail thirds
+        of history; and an access over its first half, at that half's end."""
+        now = led.now
+        yield led.collect_query(data, subject, recipient, mode)
+        cuts = sorted({1, 1 + now // 3, 1 + 2 * now // 3, now + 1})
+        for start, end in zip(cuts, cuts[1:]):
+            yield led.access_query(data, subject, recipient, StepInterval(start, end), mode)
+        half = max(1, now // 2)
+        if half < now:
+            query = led.access_query(data, subject, recipient, StepInterval(1, half + 1), mode)
+            yield query._replace(access_at=half)
+
+    @classmethod
+    def agree(cls, led):
         names = [c.name for c in led.ontology.concepts()
                  if c.kind is ConceptKind.DATA]
         for data, recipient, mode, subject in product(
                 names, MEMO_RECIPIENTS, Mode, (ALICE, CAROL)):
-            query = led.collect_query(data, subject, recipient, mode)
-            expected = per_step_check(led, query)[1]
-            assert led.check(query).reason is expected, (data, recipient, mode, subject)
+            for query in cls.queries(led, data, subject, recipient, mode):
+                assert led.check(query) == reference_decide(led, query), query
 
     @settings(max_examples=60, deadline=None)
     @given(memo_steps)
-    def test_reasons_match_a_rescan_after_every_step(self, ops):
+    def test_decisions_match_a_rescan_after_every_step(self, ops):
         led = fresh_ledger()
         led.declare_subject(CAROL)
         for name in MEMO_DATA:
