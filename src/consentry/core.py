@@ -33,15 +33,14 @@ uncovered step at or past its hi because it was withdrawn, and below it
 because the step is outside its grant window, so the two least his give a
 denial's cause.
 
-Once every grant and withdrawal on a pair is in force, no reach moves with
-the access step. So each subject's pair keeps, per action, the cover built
-at or after its latest grant or withdrawal, and a decision on that one pair
-costs a clip: bisections, and a slice of the cover's runs. A grant or
-withdrawal on the pair drops its covers; declarations drop nothing, since
-they change which pairs match, not what a pair covers. A query that
-matches several pairs, or is asked at an access step before the pair's
-latest write, builds its cover on the spot. Covers follow the consents, at
-most two per pair, not the history.
+Every grant and withdrawal happens at a step no later than the present, so
+from the present on no reach moves with the access step. Each subject's
+pair keeps, per action, the cover built at the present, and a decision on
+that one pair costs a clip: bisections, and a slice of the cover's runs.
+A grant or withdrawal on the pair drops its covers; declarations drop
+nothing, since they change which pairs match, not what a pair covers. A
+query that matches several pairs, or is asked before the present, builds
+its cover on the spot. Covers follow the consents, at most two per pair.
 
 `Ledger.check` finds candidates through two indexes that `grant` fills:
 the querying subject's own consents, filed by (data, recipient) pair, and,
@@ -84,7 +83,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from . import chronology
 from .chronology import StepInterval
@@ -216,23 +216,21 @@ class _PairFile:
     """One subject's consents on one (data, recipient) pair, in id order,
     and the covers decided from them.
 
-    `since` is the step of the latest grant or withdrawal on the pair; from
-    then on no consent's reach moves with the access step. `covers` keeps
-    one cover per action, indexed by `action is ActionType.ACCESS`, built at
-    an access step of at least `since`.
+    `covers` keeps a cover per action, keyed by `action is
+    ActionType.ACCESS`, built at the present: at an access step no earlier
+    than the ledger's clock, past every grant and withdrawal on the pair.
+    A grant or withdrawal on the pair clears them.
     """
 
-    __slots__ = ("consents", "since", "covers")
+    __slots__ = ("consents", "covers")
 
     def __init__(self) -> None:
         self.consents: list[ConsentRecord] = []
-        self.since = 1
-        self.covers: list[_Cover | None] = [None, None]
+        self.covers: dict[bool, _Cover] = {}
 
-    def changed(self, step: int) -> None:
-        """A grant or withdrawal on the pair at `step`: its covers go."""
-        self.since = step
-        self.covers[0] = self.covers[1] = None
+
+# An unknown subject's pairs: none, in one shared mapping that nothing writes.
+_NO_PAIRS: Mapping[tuple[int, int], _PairFile] = MappingProxyType({})
 
 
 class EventRecord(NamedTuple):
@@ -299,7 +297,8 @@ class Ledger:
 
     def declare_subject(self, subject: str) -> str:
         _check_subject(subject)
-        self._by_subject.setdefault(subject, {})
+        if subject not in self._by_subject:
+            self._by_subject[subject] = {}
         return subject
 
     def knows_subject(self, subject: str) -> bool:
@@ -348,7 +347,7 @@ class Ledger:
         if filed is None:
             filed = own[data_id, recipient_id] = _PairFile()
         filed.consents.append(record)
-        filed.changed(self.now)
+        filed.covers.clear()
         self._by_data.setdefault(data_id, set()).add(recipient_id)
         self._data_keys |= 1 << data_id
         if label is not None:
@@ -377,7 +376,7 @@ class Ledger:
             )
         record.withdrawal = Withdrawal(self.now, retroactive)
         self._by_subject[record.subject][
-            record.data_concept, record.recipient_concept].changed(self.now)
+            record.data_concept, record.recipient_concept].covers.clear()
         return record
 
     # -- queries -----------------------------------------------------------
@@ -429,10 +428,10 @@ class Ledger:
         """Decide a query whose concepts, subject and interval are valid.
 
         The predicate judges each of the subject's own pairs once. When one
-        pair passes, its cover is clipped to the query, built first if the
-        pair keeps none for the action; a query at an access step before
-        the pair's latest write builds its own. When several pass, their
-        consents' cover is built for this query alone.
+        pair passes and the query is asked at the present or later, the
+        pair's kept cover is clipped to it, built first if there is none. A
+        query that several pairs pass, or asked before the present, builds
+        its cover from their consents for itself alone.
         """
         # The ontology's unchecked clash test: a concept is unsatisfiable
         # when it is disjoint from itself.
@@ -444,7 +443,7 @@ class Ledger:
                                            Reason.CONCEPT_UNSATISFIABLE))
 
         applies = self._concept_match(query)
-        own = self._by_subject.get(query.subject, {})
+        own = self._by_subject.get(query.subject, _NO_PAIRS)
         matched = [filed for pair, filed in own.items() if applies(*pair)]
         if not matched:
             # No consent matches, so the cause is structural: the subject's
@@ -453,16 +452,13 @@ class Ledger:
                 else Reason.NO_MATCHING_CONSENT
             return _by_position(Decision, (((span, frozenset()),), reason))
         action, access_at = query.action, query.access_at
-        filed = matched[0]
-        if len(matched) > 1:
-            cover = _cover([c for each in matched for c in each.consents], action, access_at)
-        elif access_at < filed.since:  # some reach still moves with the access step
-            cover = _cover(filed.consents, action, access_at)
-        else:
-            covers, slot = filed.covers, action is ActionType.ACCESS
-            cover = covers[slot]
+        if len(matched) == 1 and access_at >= self.now:
+            covers, slot = matched[0].covers, action is ActionType.ACCESS
+            cover = covers.get(slot)
             if cover is None:
-                cover = covers[slot] = _cover(filed.consents, action, access_at)
+                cover = covers[slot] = _cover(matched[0].consents, action, access_at)
+        else:
+            cover = _cover([c for each in matched for c in each.consents], action, access_at)
         return _clip(cover, span)
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
@@ -506,7 +502,7 @@ class Ledger:
         return lambda d, r: not disjoint(d, data) and not disjoint(r, recipient)
 
     def _some_pair_applies(self, query: AuthzQuery, applies: Callable[[int, int], object],
-                           own: dict[tuple[int, int], _PairFile]) -> bool:
+                           own: Mapping[tuple[int, int], _PairFile]) -> bool:
         """Does `applies` pass any distinct (data, recipient) pair outside `own`?
 
         `own` holds the subject's pairs, which `applies` has just failed. One
@@ -536,7 +532,8 @@ class Ledger:
         The event is returned, not kept; ids count up from 1 per ledger.
         """
         query = self._event_query(action, data, subject, recipient, collected_interval)
-        self._by_subject.setdefault(subject, {})  # `_event_query` checked the subject
+        if subject not in self._by_subject:  # `_event_query` checked the subject
+            self._by_subject[subject] = {}
         event = _by_position(EventRecord, (self._next_event, query, self._decide(query)))
         self._next_event += 1
         self._event_concepts.update((query.data_concept, query.recipient_concept))

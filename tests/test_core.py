@@ -1324,6 +1324,30 @@ class TestPairCovers:
         for query in order:
             assert decisions[query.access_at] == reference_decide(led, query)
 
+    def test_a_past_check_builds_its_own_cover_and_keeps_the_present_one(self, monkeypatch):
+        led = fresh_ledger()
+        first = led.grant("Location", ALICE, "Partner")                     # T1
+        led.advance(2)
+        second = led.grant("Location", ALICE, "Partner", retroactive=True)  # T3
+        led.advance(3)                                                      # T6
+        now = led.access_query("Location", ALICE, "Partner")
+        then = led.access_query("Location", ALICE, "Partner", StepInterval(1, 5))
+        then = then._replace(access_at=4)
+        expected = {query: reference_decide(led, query) for query in (now, then)}
+        assert led.check(now) == expected[now]  # builds the pair's kept cover
+        reach = ConsentRecord.reach
+        calls = []
+
+        def counted(consent, *args):
+            calls.append(consent.id)
+            return reach(consent, *args)
+        monkeypatch.setattr(ConsentRecord, "reach", counted)
+        assert led.check(then) == expected[then]
+        assert sorted(calls) == [first, second]
+        calls.clear()
+        assert led.check(now) == expected[now]
+        assert calls == []
+
     def test_realistic_decisions_reach_only_to_rebuild_a_cover(self, monkeypatch):
         # `realistic` files every consent on one pair, so each action's first
         # decision after a grant or withdrawal rebuilds the pair's cover, one
@@ -1415,10 +1439,15 @@ class TestPairIndexMatchesARescan:
 
     @staticmethod
     def queries(led, data, subject, recipient, mode):
-        """A collect now; accesses now over the head, middle and tail thirds
-        of history; and an access over its first half, at that half's end."""
+        """A collect now; an access asked two steps past now over every step
+        up to it, put before the accesses now so that it is the one to fill
+        a kept cover; accesses now over the head, middle and tail thirds of
+        history; an access over its first half, at that half's end; and one
+        asked between the ledger's latest grant or withdrawal and now."""
         now = led.now
         yield led.collect_query(data, subject, recipient, mode)
+        ahead = led.access_query(data, subject, recipient, StepInterval(1, now + 3), mode)
+        yield ahead._replace(access_at=now + 2)
         cuts = sorted({1, 1 + now // 3, 1 + 2 * now // 3, now + 1})
         for start, end in zip(cuts, cuts[1:]):
             yield led.access_query(data, subject, recipient, StepInterval(start, end), mode)
@@ -1426,6 +1455,12 @@ class TestPairIndexMatchesARescan:
         if half < now:
             query = led.access_query(data, subject, recipient, StepInterval(1, half + 1), mode)
             yield query._replace(access_at=half)
+        written = max([c.granted_at for c in led.consents]
+                      + [c.withdrawal.step for c in led.consents if c.withdrawal], default=1)
+        if written < now:
+            between = (written + now) // 2
+            query = led.access_query(data, subject, recipient, StepInterval(1, between + 1), mode)
+            yield query._replace(access_at=between)
 
     @classmethod
     def agree(cls, led):
