@@ -42,33 +42,38 @@ nothing, since they change which pairs match, not what a pair covers. A
 query that matches several pairs, or is asked before the present, builds
 its cover on the spot. Covers follow the consents, at most two per pair.
 
-`Ledger.check` finds candidates through two indexes that `grant` fills:
-the querying subject's own consents, filed by (data, recipient) pair, and,
-only on the denial path, the distinct pairs of all consents, filed by data
-concept, which decide whether the denial is a subject mismatch. The
-query's concepts are validated once at entry; after that one concept
-predicate, built from the ontology's masks for them, judges every
-candidate, and a candidate is always a (data, recipient) pair, asked at
-most once per decision: each of the subject's own pairs once, however many
-consents it files. So a check costs in proportion to the subject's pairs
-and the runs it returns, plus its matching consents when it builds a
-cover, not the ledger's size.
+`Ledger.check` finds candidates through two indexes of one shape, which
+`grant` fills: a mask with bit d for each data concept d that files a
+(data, recipient) pair, and per such concept the mask of the recipients
+paired with it. One index per subject holds its own pairs, next to their
+consents filed by pair; the other holds the distinct pairs of all
+consents and is read only on the denial path, where it tells a subject
+mismatch from no matching consent. The query's concepts are validated
+once at entry; after that one matching rule, `_matching`, walks an index
+with mask ANDs. In guaranteed mode a pair applies when both its concepts
+are ancestors of the query's, so the walk visits the data concepts in
+`data_keys & _up[data]` and keeps, under each, the recipients in
+`by_data[d] & _up[recipient]`. Possible mode walks every filed data
+concept and recipient and keeps those not disjoint from the query's, one
+clash test per concept. A pair is visited once, however many consents it
+files, so a check costs in proportion to the subject's filed data
+concepts and the runs it returns, plus its matching consents when it
+builds a cover, not the ledger's size.
+
+The denial path walks the index of all pairs after the subject's own
+pairs have failed the rule, so a pair that applies there is another
+subject's: the subject-mismatch verdict needs no exclusion and does not
+depend on the subject. In guaranteed mode that walk visits just the
+ancestors of the query's data concept that file a pair. The rule reads
+masks that each declaration sets, so nothing needs dropping when the
+ontology grows.
+
 `record_event` and `decide_event`, which the script interpreter's `assume`
 calls, build their query in one place, `_event_query`: the resolving
-builders validate the concepts and an access's interval gets `check`'s
-shape test, so both skip the rest of `check`'s entry validation and report
-a bad query alike.
-
-The subject-mismatch verdict ("does any distinct pair pass the predicate?")
-does not depend on the subject. It is one walk over the filed data
-concepts, asking the predicate of each recipient filed under one, except
-the subject's own pairs, which have just failed it. The mode
-only narrows the walk: in guaranteed mode a pair can pass only when its
-data concept is an ancestor of the query's, so the walk visits just the
-ancestors that file a pair, found with one AND of masks; possible mode
-visits every filed data concept. The predicate and the walk read masks
-that each declaration sets, so nothing needs dropping when the ontology
-grows.
+builders validate the concepts, a name of the kind asked with one lookup,
+and an access's interval, when the caller gives one, gets `check`'s shape
+test; the ledger builds the others on its own clock. So both skip the rest
+of `check`'s entry validation and report a bad query alike.
 
 `Withdrawal` and the values built on every decision, `AuthzQuery`,
 `Decision` and `EventRecord`, are named tuples: immutable, equal to plain
@@ -83,8 +88,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from . import chronology
 from .chronology import StepInterval
@@ -209,7 +213,11 @@ class Decision(NamedTuple):
 # ones. `first_cut` is the least hi of a reach that a withdrawal ends, and
 # `first_retro_cut` the least of one a retroactive withdrawal ends; None
 # when there is none.
-_Cover = tuple[list[int], tuple[Run, ...], list[int], int | None, int | None]
+_Cover = tuple[tuple[int, ...], tuple[Run, ...], tuple[int, ...], int | None, int | None]
+
+# The ids of no consent: one shared value for every empty run, since
+# `frozenset()` builds a new object each time.
+_NOTHING: frozenset[int] = frozenset()
 
 
 class _PairFile:
@@ -229,8 +237,33 @@ class _PairFile:
         self.covers: dict[bool, _Cover] = {}
 
 
-# An unknown subject's pairs: none, in one shared mapping that nothing writes.
-_NO_PAIRS: Mapping[tuple[int, int], _PairFile] = MappingProxyType({})
+class _SubjectFile:
+    """One subject's consents, filed by (data, recipient) pair, and indexed
+    as the ledger indexes all pairs: `data_keys` has bit d for each data
+    concept d the subject holds a pair on, and `by_data[d]` bit r for each
+    recipient r paired with it."""
+
+    __slots__ = ("data_keys", "by_data", "pairs")
+
+    def __init__(self) -> None:
+        self.data_keys = 0
+        self.by_data: dict[int, int] = {}
+        self.pairs: dict[tuple[int, int], _PairFile] = {}
+
+    def file(self, record: ConsentRecord) -> None:
+        data, recipient = record.data_concept, record.recipient_concept
+        filed = self.pairs.get((data, recipient))
+        if filed is None:
+            filed = self.pairs[data, recipient] = _PairFile()
+            self.data_keys |= 1 << data
+            self.by_data[data] = self.by_data.get(data, 0) | 1 << recipient
+        filed.consents.append(record)
+        filed.covers.clear()
+
+
+# An unknown subject's file: no pairs, in one shared file that only
+# `_decide` reads, and its walk over no data keys reads nothing from it.
+_NO_PAIRS = _SubjectFile()
 
 
 class EventRecord(NamedTuple):
@@ -280,10 +313,11 @@ class Ledger:
         # Indexes over `consents`, filled in `grant`; withdrawal marks the
         # shared record objects and drops its pair's covers. Every known
         # subject is a key, with its consents filed by (data, recipient) pair.
-        self._by_subject: dict[str, dict[tuple[int, int], _PairFile]] = {}
-        # The distinct (data, recipient) pairs: data -> its recipients; and
-        # its keys as a mask, bit d for data concept d.
-        self._by_data: dict[int, set[int]] = {}
+        self._by_subject: dict[str, _SubjectFile] = {}
+        # The distinct (data, recipient) pairs of all subjects: data -> the
+        # mask of its recipients, bit r for recipient r; and its keys as a
+        # mask, bit d for data concept d.
+        self._by_data: dict[int, int] = {}
         self._data_keys = 0
         self._event_concepts: set[int] = set()  # concepts recorded events use
         self._next_event = 1
@@ -298,7 +332,7 @@ class Ledger:
     def declare_subject(self, subject: str) -> str:
         _check_subject(subject)
         if subject not in self._by_subject:
-            self._by_subject[subject] = {}
+            self._by_subject[subject] = _SubjectFile()
         return subject
 
     def knows_subject(self, subject: str) -> bool:
@@ -342,13 +376,11 @@ class Ledger:
             grant_retroactive=retroactive,
         )
         self.consents.append(record)
-        own = self._by_subject.setdefault(subject, {})
-        filed = own.get((data_id, recipient_id))
-        if filed is None:
-            filed = own[data_id, recipient_id] = _PairFile()
-        filed.consents.append(record)
-        filed.covers.clear()
-        self._by_data.setdefault(data_id, set()).add(recipient_id)
+        own = self._by_subject.get(subject)
+        if own is None:
+            own = self._by_subject[subject] = _SubjectFile()
+        own.file(record)
+        self._by_data[data_id] = self._by_data.get(data_id, 0) | 1 << recipient_id
         self._data_keys |= 1 << data_id
         if label is not None:
             self._labels[label] = record.id
@@ -375,7 +407,7 @@ class Ledger:
                 f"at {chronology.format_step(record.withdrawal.step)}"
             )
         record.withdrawal = Withdrawal(self.now, retroactive)
-        self._by_subject[record.subject][
+        self._by_subject[record.subject].pairs[
             record.data_concept, record.recipient_concept].covers.clear()
         return record
 
@@ -427,38 +459,40 @@ class Ledger:
     def _decide(self, query: AuthzQuery) -> Decision:
         """Decide a query whose concepts, subject and interval are valid.
 
-        The predicate judges each of the subject's own pairs once. When one
-        pair passes and the query is asked at the present or later, the
+        The matching rule picks the subject's own pairs that apply. When
+        one applies and the query is asked at the present or later, the
         pair's kept cover is clipped to it, built first if there is none. A
-        query that several pairs pass, or asked before the present, builds
-        its cover from their consents for itself alone.
+        query that several pairs match, or asked before the present, builds
+        its cover from their consents for itself alone. When none applies,
+        the same rule over every subject's pairs tells a subject mismatch
+        from no matching consent: the subject's own pairs have just failed
+        it, so a pair that applies is another subject's.
         """
-        # The ontology's unchecked clash test: a concept is unsatisfiable
-        # when it is disjoint from itself.
-        disjoint = self.ontology._disjoint
+        graph = self.ontology
+        up, forbid = graph._up, graph._forbid
         data, recipient = query.data_concept, query.recipient_concept
         span = query.collected_interval
-        if disjoint(data, data) or disjoint(recipient, recipient):
-            return _by_position(Decision, (((span, frozenset()),),
-                                           Reason.CONCEPT_UNSATISFIABLE))
+        # A concept is unsatisfiable when its ancestors meet the concepts
+        # forbidden to them.
+        if up[data] & forbid[data] or up[recipient] & forbid[recipient]:
+            return _by_position(Decision, (((span, _NOTHING),), Reason.CONCEPT_UNSATISFIABLE))
 
-        applies = self._concept_match(query)
         own = self._by_subject.get(query.subject, _NO_PAIRS)
-        matched = [filed for pair, filed in own.items() if applies(*pair)]
+        matched = self._matching(query, own.data_keys, own.by_data)
         if not matched:
-            # No consent matches, so the cause is structural: the subject's
-            # own pairs all failed, so a distinct pair that applies is another's.
-            reason = Reason.SUBJECT_MISMATCH if self._some_pair_applies(query, applies, own) \
+            reason = Reason.SUBJECT_MISMATCH \
+                if self._matching(query, self._data_keys, self._by_data) \
                 else Reason.NO_MATCHING_CONSENT
-            return _by_position(Decision, (((span, frozenset()),), reason))
-        action, access_at = query.action, query.access_at
+            return _by_position(Decision, (((span, _NOTHING),), reason))
+        pairs, action, access_at = own.pairs, query.action, query.access_at
         if len(matched) == 1 and access_at >= self.now:
-            covers, slot = matched[0].covers, action is ActionType.ACCESS
+            covers, slot = pairs[matched[0]].covers, action is ActionType.ACCESS
             cover = covers.get(slot)
             if cover is None:
-                cover = covers[slot] = _cover(matched[0].consents, action, access_at)
+                cover = covers[slot] = _cover(pairs[matched[0]].consents, action, access_at)
         else:
-            cover = _cover([c for each in matched for c in each.consents], action, access_at)
+            cover = _cover([c for pair in matched for c in pairs[pair].consents],
+                           action, access_at)
         return _clip(cover, span)
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
@@ -481,46 +515,46 @@ class Ledger:
                 f"{chronology.format_step(query.access_at)}"
             )
 
-    def _concept_match(self, query: AuthzQuery) -> Callable[[int, int], object]:
-        """The matching predicate: does a consent's (data, recipient) apply?
+    def _matching(self, query: AuthzQuery, data_keys: int,
+                  by_data: Mapping[int, int]) -> list[tuple[int, int]]:
+        """The matching rule: the filed (data, recipient) pairs that apply to
+        the query's concepts, before any subject or time reasoning.
 
-        Concept applicability only, before any subject or time reasoning.
-        The query's concepts were validated on entry, by `check` or by the
-        query builders `_event_query` uses, and a consent's were at its
-        grant, so the ontology's masks and clash test are read unchecked.
+        The pairs are indexed as the ledger indexes them: `data_keys` has
+        bit d for each filed data concept d, and `by_data[d]` bit r for each
+        recipient r filed with it. The query's concepts were validated on
+        entry, by `check` or by the query builders `_event_query` uses, and
+        a consent's were at its grant, so the ontology's masks are read
+        unchecked.
         """
         graph = self.ontology
         data, recipient = query.data_concept, query.recipient_concept
         if query.mode is Mode.GUARANTEED:
-            # The consent's concepts subsume the query's.
-            data_up, recipient_up = graph._up[data], graph._up[recipient]
-            return lambda d, r: data_up & 1 << d and recipient_up & 1 << r
-        # Possible mode: nothing may rule the overlap out, i.e. neither axis
-        # is disjoint from the query's (this also treats an unsatisfiable
-        # side as disjoint from everything).
-        disjoint = graph._disjoint
-        return lambda d, r: not disjoint(d, data) and not disjoint(r, recipient)
-
-    def _some_pair_applies(self, query: AuthzQuery, applies: Callable[[int, int], object],
-                           own: Mapping[tuple[int, int], _PairFile]) -> bool:
-        """Does `applies` pass any distinct (data, recipient) pair outside `own`?
-
-        `own` holds the subject's pairs, which `applies` has just failed. One
-        walk over the filed data concepts asks `applies` of each other
-        recipient filed under one. The mode only narrows the walk: a pair
-        passes in guaranteed mode only when its data concept is an ancestor
-        of the query's, so only those are visited.
-        """
-        filed = self._data_keys
-        if query.mode is Mode.GUARANTEED:
-            filed &= self.ontology._up[query.data_concept]
-        while filed:
-            data = (filed & -filed).bit_length() - 1
-            for recipient in self._by_data[data]:
-                if (data, recipient) not in own and applies(data, recipient):
-                    return True
-            filed ^= 1 << data
-        return False
+            # The pair's concepts subsume the query's: each is among the
+            # query concept's ancestors, found with one AND per axis.
+            up = graph._up
+            walk, wanted, disjoint = data_keys & up[data], up[recipient], None
+        else:
+            # Possible mode: nothing may rule the overlap out, i.e. neither
+            # of the pair's concepts is disjoint from the query's (this also
+            # treats an unsatisfiable side as disjoint from everything). Every
+            # filed concept is walked, and each is tested on its own.
+            walk, wanted, disjoint = data_keys, -1, graph._disjoint
+        found = []
+        while walk:  # the set bits, lowest first
+            low = walk & -walk
+            walk ^= low
+            d = low.bit_length() - 1
+            if disjoint and disjoint(d, data):
+                continue
+            hits = by_data[d] & wanted
+            while hits:
+                bit = hits & -hits
+                hits ^= bit
+                r = bit.bit_length() - 1
+                if not (disjoint and disjoint(r, recipient)):
+                    found.append((d, r))
+        return found
 
     # -- events --------------------------------------------------------------
 
@@ -533,7 +567,7 @@ class Ledger:
         """
         query = self._event_query(action, data, subject, recipient, collected_interval)
         if subject not in self._by_subject:  # `_event_query` checked the subject
-            self._by_subject[subject] = {}
+            self._by_subject[subject] = _SubjectFile()
         event = _by_position(EventRecord, (self._next_event, query, self._decide(query)))
         self._next_event += 1
         self._event_concepts.update((query.data_concept, query.recipient_concept))
@@ -556,8 +590,10 @@ class Ledger:
         """The query `record_event` and `decide_event` ask, ready to decide.
 
         The builders resolve both concepts, so an unknown one is reported
-        before a bad interval; an access's interval is then checked as
-        `check` checks it. The subject is the caller's to declare.
+        before a bad interval; an access's interval, when the caller gives
+        one, is then checked as `check` checks it. The ledger builds the
+        others on its own clock, in shape. The subject is the caller's to
+        declare.
         """
         if type(action) is not ActionType:
             raise QueryError(f"unknown action {action!r}, expected an ActionType")
@@ -567,7 +603,8 @@ class Ledger:
                 raise QueryError("collection events do not take a collected interval")
             return self.collect_query(data, subject, recipient)
         query = self.access_query(data, subject, recipient, collected_interval)
-        self._validate_query_shape(query)
+        if collected_interval is not None:
+            self._validate_query_shape(query)
         return query
 
 
@@ -610,6 +647,8 @@ def _cover(consents: list[ConsentRecord], action: ActionType, accessed_at: int) 
             if lo < hi:
                 ends += (lo, c.id), (hi, ~c.id)
     ends.sort()
+    # `starts` and `gaps` are kept as tuples of ints, which the collector
+    # stops tracking once they survive a collection.
     starts, runs, gaps = [1], [], []
     live: set[int] = set()
     at = 1
@@ -617,7 +656,8 @@ def _cover(consents: list[ConsentRecord], action: ActionType, accessed_at: int) 
         if step != at:
             if not live:
                 gaps.append(len(runs))
-            runs.append((_by_position(StepInterval, (at, step)), frozenset(live)))
+            runs.append((_by_position(StepInterval, (at, step)),
+                         frozenset(live) if live else _NOTHING))
             starts.append(step)
             at = step
         if cid >= 0:
@@ -626,8 +666,9 @@ def _cover(consents: list[ConsentRecord], action: ActionType, accessed_at: int) 
             live.discard(~cid)
     if not live:  # else the open-ended reaches cover the rest
         gaps.append(len(runs))
-    runs.append((_by_position(StepInterval, (at, None)), frozenset(live)))
-    return starts, tuple(runs), gaps, min(cuts, default=None), min(retro_cuts, default=None)
+    runs.append((_by_position(StepInterval, (at, None)), frozenset(live) if live else _NOTHING))
+    return (tuple(starts), tuple(runs), tuple(gaps),
+            min(cuts, default=None), min(retro_cuts, default=None))
 
 
 def _clip(cover: _Cover, span: StepInterval) -> Decision:

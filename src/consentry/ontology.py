@@ -124,6 +124,10 @@ class ConceptGraph:
 
     def resolve(self, ref: int | str, kind: ConceptKind | None = None) -> int:
         """Map a name or id to an id, optionally insisting on a kind."""
+        if type(ref) is str:  # the common case: a known name of the kind asked
+            cid = self._by_name.get(ref)
+            if cid is not None and self._concepts[cid].kind is kind:
+                return cid
         concept = self._concepts[self.lookup(ref)] if isinstance(ref, str) \
             else self.concept(ref)
         if kind is not None and concept.kind is not kind:

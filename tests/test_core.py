@@ -1108,28 +1108,42 @@ def crowded_ledger(others=1000):
     return led
 
 
+class VisitLog(dict):
+    """A data -> recipients-mask index that logs each data concept the
+    matching walk reads from it."""
+
+    def __init__(self, masks, visits):
+        super().__init__(masks)
+        self.visits = visits
+
+    def __getitem__(self, data):
+        self.visits.append(data)
+        return super().__getitem__(data)
+
+
 def count_work(led, monkeypatch):
-    """Record each pair the check's concept predicate is asked, and count
-    each kind check."""
-    calls = {"pairs": [], "kind": 0}
-    build = led._concept_match
+    """Log the data concepts the matching walk visits in each subject's own
+    index ("own", by subject) and in the index of every subject's pairs
+    ("all"), and count each kind check."""
+    calls = {"own": {}, "all": [], "kind": 0}
+    monkeypatch.setattr(led, "_by_data", VisitLog(led._by_data, calls["all"]))
+    for subject, own in led._by_subject.items():
+        calls["own"][subject] = []
+        monkeypatch.setattr(own, "by_data", VisitLog(own.by_data, calls["own"][subject]))
     kind_of = led.ontology.kind_of
-
-    def counted_build(query):
-        applies = build(query)
-
-        def counted(data, recipient):
-            calls["pairs"].append((data, recipient))
-            return applies(data, recipient)
-        return counted
 
     def counted_kind_of(cid):
         calls["kind"] += 1
         return kind_of(cid)
 
-    monkeypatch.setattr(led, "_concept_match", counted_build)
     monkeypatch.setattr(led.ontology, "kind_of", counted_kind_of)
     return calls
+
+
+def clear_visits(calls):
+    calls["all"].clear()
+    for visits in calls["own"].values():
+        visits.clear()
 
 
 def pairs_of(led, subject=None):
@@ -1139,15 +1153,10 @@ def pairs_of(led, subject=None):
             if subject is None or c.subject == subject}
 
 
-def assert_asks_only_own_and_ancestor_pairs(led, query, asked):
-    """Every pair the predicate was asked is one of the subject's own pairs,
-    or, in guaranteed mode, a filed pair whose data concept is an ancestor
-    of the query's data."""
-    own, filed = pairs_of(led, query.subject), pairs_of(led)
-    for pair in asked:
-        assert pair in own or (
-            query.mode is Mode.GUARANTEED and pair in filed
-            and led.ontology.subsumes(pair[0], query.data_concept)), pair
+def filed_ancestors(led, data, subject=None):
+    """The data concepts that file a pair, of all subjects or of one, and
+    are ancestors of `data`: all that a guaranteed-mode walk may visit."""
+    return {d for d, _ in pairs_of(led, subject) if led.ontology.subsumes(d, data)}
 
 
 QUERIES = (  # (data, subject, recipient, expected reason)
@@ -1160,28 +1169,37 @@ QUERIES = (  # (data, subject, recipient, expected reason)
 
 
 class TestCheckWork:
-    @pytest.mark.parametrize("data, subject, recipient, reason", QUERIES)
-    def test_predicate_runs_on_own_consents_and_distinct_pairs(
-            self, monkeypatch, data, subject, recipient, reason):
-        led = crowded_ledger()
-        calls = count_work(led, monkeypatch)
-        decision = led.check(led.collect_query(data, subject, recipient))
-        assert decision.reason is reason
-        own = pairs_of(led, subject)
-        if reason is Reason.OK:
-            assert sorted(calls["pairs"]) == sorted(own)
-        else:
-            assert len(calls["pairs"]) <= len(own) + len(OTHER_PAIRS)
+    """The matching walk's work, as the data concepts it visits: one read of
+    a data concept's recipients mask from an index per visit."""
 
-    def test_a_pair_is_judged_once_however_many_consents_it_files(self, monkeypatch):
+    @pytest.mark.parametrize("data, subject, recipient, reason", QUERIES)
+    def test_own_work_is_flat_and_a_denial_visits_only_filed_ancestors(
+            self, monkeypatch, data, subject, recipient, reason):
+        visited = []
+        for others in (0, 1000):
+            led = crowded_ledger(others)
+            calls = count_work(led, monkeypatch)
+            query = led.collect_query(data, subject, recipient)
+            decision = led.check(query)
+            visited.append(calls["own"][subject])
+        assert decision.reason is reason
+        assert visited[0] == visited[1]
+        assert sorted(visited[1]) == sorted(filed_ancestors(led, query.data_concept, subject))
+        if reason is Reason.OK:
+            assert calls["all"] == []
+        else:
+            assert len(calls["all"]) == len(set(calls["all"]))
+            assert set(calls["all"]) <= filed_ancestors(led, query.data_concept)
+
+    def test_a_pair_is_visited_once_however_many_consents_it_files(self, monkeypatch):
         led = crowded_ledger()
         ids = {led.grant("Location", "erin", "Partner") for _ in range(3)}
         calls = count_work(led, monkeypatch)
         decision = led.check(led.collect_query("DeviceLocation", "erin", "Advertiser"))
         assert decision.runs == ((StepInterval.single(1), frozenset(ids)),)
         assert decision.reason is Reason.OK
-        graph = led.ontology
-        assert calls["pairs"] == [(graph.lookup("Location"), graph.lookup("Partner"))]
+        assert calls["own"]["erin"] == [led.ontology.lookup("Location")]
+        assert calls["all"] == []
 
     @pytest.mark.parametrize("data, subject, recipient, reason", QUERIES)
     def test_kinds_are_checked_once_per_query(self, monkeypatch, data, subject,
@@ -1195,23 +1213,25 @@ class TestCheckWork:
             counts.append(calls["kind"])
         assert counts[0] == counts[1]
 
-    def test_repeated_denials_ask_only_own_and_ancestor_pairs(self, monkeypatch):
+    def test_repeated_denials_visit_only_filed_ancestors_and_do_the_same_work(
+            self, monkeypatch):
         led = crowded_ledger()
         calls = count_work(led, monkeypatch)
         for data, subject, recipient, reason in QUERIES:
             if reason is Reason.OK:
                 continue
             query = led.collect_query(data, subject, recipient)
-            asked = []
+            work = []
             for _ in range(2):
-                calls["pairs"].clear()
+                clear_visits(calls)
                 assert led.check(query).reason is reason
-                assert_asks_only_own_and_ancestor_pairs(led, query, calls["pairs"])
-                assert pairs_of(led, subject) <= set(calls["pairs"])
-                asked.append(calls["pairs"][:])
-            assert asked[0] == asked[1]
+                own, every = calls["own"][subject], calls["all"]
+                assert set(own) == filed_ancestors(led, query.data_concept, subject)
+                assert set(every) <= filed_ancestors(led, query.data_concept)
+                work.append((own[:], every[:]))
+            assert work[0] == work[1]
 
-    def test_a_grant_is_seen_by_the_next_denial_asking_only_ancestor_pairs(
+    def test_a_grant_is_seen_by_the_next_denial_visiting_only_filed_ancestors(
             self, monkeypatch):
         led = crowded_ledger()
         led.declare_data("Email")
@@ -1219,9 +1239,9 @@ class TestCheckWork:
         query = led.collect_query("Data", CAROL, "Partner")
 
         def check(reason):
-            calls["pairs"].clear()
+            clear_visits(calls)
             assert led.check(query).reason is reason
-            assert_asks_only_own_and_ancestor_pairs(led, query, calls["pairs"])
+            assert set(calls["all"]) == filed_ancestors(led, query.data_concept)
 
         check(Reason.NO_MATCHING_CONSENT)
         led.grant("Contacts", "s1", "Partner")  # a pair already granted
@@ -1234,20 +1254,20 @@ class TestCheckWork:
         check(Reason.SUBJECT_MISMATCH)
 
     @pytest.mark.parametrize("mode", Mode)
-    def test_no_pair_is_asked_twice_in_one_decision(self, monkeypatch, mode):
+    def test_no_data_concept_is_visited_twice_in_one_index(self, monkeypatch, mode):
         # Alice's one pair is filed under Location, an ancestor of the first
-        # query's data, so a guaranteed denial's walk reaches it after
-        # `_decide` has judged it.
+        # query's data, so a guaranteed denial's walk over every subject's
+        # pairs visits it after her own walk has.
         lone = fresh_ledger()
         lone.grant("Location", ALICE, "Advertiser")
         for led, queries in ((lone, [("DeviceLocation", ALICE, "Partner")]),
                              (crowded_ledger(), [query[:3] for query in QUERIES])):
             calls = count_work(led, monkeypatch)
             for data, subject, recipient in queries:
-                calls["pairs"].clear()
+                clear_visits(calls)
                 led.check(led.collect_query(data, subject, recipient, mode))
-                asked = calls["pairs"]
-                assert len(asked) == len(set(asked)), (data, subject, recipient)
+                for visits in (calls["own"][subject], calls["all"]):
+                    assert len(visits) == len(set(visits)), (data, subject, recipient)
 
     @pytest.mark.parametrize("action", ActionType)
     def test_one_reach_per_matching_consent(self, monkeypatch, action):
@@ -1391,20 +1411,24 @@ class TestPairCovers:
 # -- the subject-mismatch index against a full rescan ------------------------------
 
 MEMO_DATA = ["A", "B", "C", "D", "E"]
-MEMO_RECIPIENTS = ["Partner", "Advertiser"]
+MEMO_RECIPIENTS = ["Partner", "Advertiser", "Broker"]
 MEMO_SUBJECTS = [ALICE, BOB]
 memo_data_st = st.sampled_from(MEMO_DATA)
+memo_recipient_st = st.sampled_from(MEMO_RECIPIENTS)
 memo_steps = st.lists(st.one_of(
     st.tuples(st.just("grant"), memo_data_st, st.sampled_from(MEMO_SUBJECTS),
-              st.sampled_from(MEMO_RECIPIENTS), st.booleans()),
+              memo_recipient_st, st.booleans()),
     st.tuples(st.just("advance"), st.integers(1, 3)),
     st.tuples(st.just("concept"), memo_data_st),
     st.tuples(st.just("parents"), memo_data_st,
               st.lists(memo_data_st, min_size=1, max_size=2)),
     st.tuples(st.just("equivalent"), memo_data_st, memo_data_st),
     st.tuples(st.just("disjoint"), st.lists(memo_data_st, min_size=2, max_size=3)),
+    st.tuples(st.just("recipient_parent"), memo_recipient_st, memo_recipient_st),
+    st.tuples(st.just("recipient_disjoint"), st.lists(memo_recipient_st, min_size=2,
+                                                      max_size=3)),
     st.tuples(st.just("event"), memo_data_st, st.sampled_from(MEMO_SUBJECTS)),
-    st.tuples(st.just("withdraw"), st.integers(0, 20), st.booleans()),
+    st.tuples(st.just("withdraw"), st.booleans()),  # the consent is drawn as it runs
 ), min_size=3, max_size=15)
 
 
@@ -1413,7 +1437,7 @@ class TestPairIndexMatchesARescan:
     full scan, as the clock, grants, declarations and withdrawals come and go."""
 
     @staticmethod
-    def step(led, op, fresh):
+    def step(led, op, fresh, draw):
         kind, *args = op
         try:
             if kind == "grant":
@@ -1430,10 +1454,15 @@ class TestPairIndexMatchesARescan:
                 led.declare_equivalent(*args)
             elif kind == "disjoint":
                 led.declare_disjoint(*args[0])
+            elif kind == "recipient_parent":  # widens recipients' ancestor masks
+                led.declare_recipient(*args)
+            elif kind == "recipient_disjoint":  # sets recipients' forbid masks
+                led.declare_disjoint(*args[0])
             elif kind == "event":
                 led.record_event(ActionType.COLLECT, args[0], args[1], "Partner")
-            elif args[0] < len(led.consents):
-                led.withdraw(args[0], retroactive=args[1])
+            elif led.consents:  # a withdrawal of one of the ledger's consents
+                ref = draw(st.integers(0, len(led.consents) - 1))
+                led.withdraw(ref, retroactive=args[0])
         except (ConsistencyError, AlreadyWithdrawnError):
             pass
 
@@ -1472,18 +1501,19 @@ class TestPairIndexMatchesARescan:
                 assert led.check(query) == reference_decide(led, query), query
 
     @settings(max_examples=60, deadline=None)
-    @given(memo_steps)
-    def test_decisions_match_a_rescan_after_every_step(self, ops):
+    @given(memo_steps, st.data())
+    def test_decisions_match_a_rescan_after_every_step(self, ops, data):
         led = fresh_ledger()
         led.declare_subject(CAROL)
         for name in MEMO_DATA:
             led.declare_data(name)
         led.declare_data("C", "A", "B")
         led.declare_data("D", "C")
+        led.declare_recipient("Broker")
         fresh = iter(range(len(ops)))
         self.agree(led)
         for op in ops:
-            self.step(led, op, fresh)
+            self.step(led, op, fresh, data.draw)
             self.agree(led)
 
 

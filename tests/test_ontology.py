@@ -79,6 +79,20 @@ class TestDeclarations:
         with pytest.raises(KindMismatchError):
             graph.resolve("X", RECIPIENT)
 
+    @pytest.mark.parametrize("kind", [DATA, RECIPIENT, None, "data"])
+    def test_a_name_resolves_as_its_id_does(self, graph, kind):
+        x = graph.declare_concept("X", DATA, [])
+
+        def outcome(ref):
+            try:
+                return graph.resolve(ref, kind)
+            except Exception as err:
+                return type(err), str(err)
+
+        class Name(str):
+            pass
+        assert outcome("X") == outcome(Name("X")) == outcome(x)
+
     @pytest.mark.parametrize("cid", [1.5, None, True, False, b"X", (0,), 1.0])
     def test_an_id_that_is_not_an_int_is_unknown(self, graph, cid):
         x = graph.declare_concept("X", DATA, [])
