@@ -42,8 +42,8 @@ nothing, since they change which pairs match, not what a pair covers. A
 query that matches several pairs, or is asked before the present, builds
 its cover on the spot. Covers follow the consents, at most two per pair.
 
-`Ledger.check` finds candidates through two indexes of one shape, which
-`grant` fills: a mask with bit d for each data concept d that files a
+`Ledger.check` finds candidates through two `_PairIndex`es, which `grant`
+fills: a mask with bit d for each data concept d that files a
 (data, recipient) pair, and per such concept the mask of the recipients
 paired with it. One index per subject holds its own pairs, next to their
 consents filed by pair; the other holds the distinct pairs of all
@@ -62,8 +62,9 @@ builds a cover, not the ledger's size.
 
 The denial path walks the index of all pairs after the subject's own
 pairs have failed the rule, so a pair that applies there is another
-subject's: the subject-mismatch verdict needs no exclusion and does not
-depend on the subject. In guaranteed mode that walk visits just the
+subject's: the subject-mismatch verdict needs no exclusion, does not
+depend on the subject, and is settled by the first pair that applies,
+where the walk stops. In guaranteed mode that walk visits at most the
 ancestors of the query's data concept that file a pair. The rule reads
 masks that each declaration sets, so nothing needs dropping when the
 ontology grows.
@@ -88,7 +89,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import chronology
 from .chronology import StepInterval
@@ -237,33 +238,40 @@ class _PairFile:
         self.covers: dict[bool, _Cover] = {}
 
 
-class _SubjectFile:
-    """One subject's consents, filed by (data, recipient) pair, and indexed
-    as the ledger indexes all pairs: `data_keys` has bit d for each data
-    concept d the subject holds a pair on, and `by_data[d]` bit r for each
-    recipient r paired with it."""
+class _PairIndex:
+    """Distinct (data, recipient) pairs, indexed for the matching walk:
+    `data_keys` has bit d for each data concept d that files a pair, and
+    `by_data[d]` bit r for each recipient r paired with it."""
 
-    __slots__ = ("data_keys", "by_data", "pairs")
+    __slots__ = ("data_keys", "by_data")
 
     def __init__(self) -> None:
         self.data_keys = 0
         self.by_data: dict[int, int] = {}
+
+    def add(self, data: int, recipient: int) -> None:
+        self.data_keys |= 1 << data
+        self.by_data[data] = self.by_data.get(data, 0) | 1 << recipient
+
+
+class _SubjectFile(_PairIndex):
+    """One subject's pairs, indexed as the ledger indexes all pairs, and its
+    consents filed by pair."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self) -> None:
+        super().__init__()
         self.pairs: dict[tuple[int, int], _PairFile] = {}
 
     def file(self, record: ConsentRecord) -> None:
-        data, recipient = record.data_concept, record.recipient_concept
-        filed = self.pairs.get((data, recipient))
+        pair = record.data_concept, record.recipient_concept
+        filed = self.pairs.get(pair)
         if filed is None:
-            filed = self.pairs[data, recipient] = _PairFile()
-            self.data_keys |= 1 << data
-            self.by_data[data] = self.by_data.get(data, 0) | 1 << recipient
+            filed = self.pairs[pair] = _PairFile()
+            self.add(*pair)
         filed.consents.append(record)
         filed.covers.clear()
-
-
-# An unknown subject's file: no pairs, in one shared file that only
-# `_decide` reads, and its walk over no data keys reads nothing from it.
-_NO_PAIRS = _SubjectFile()
 
 
 class EventRecord(NamedTuple):
@@ -314,11 +322,8 @@ class Ledger:
         # shared record objects and drops its pair's covers. Every known
         # subject is a key, with its consents filed by (data, recipient) pair.
         self._by_subject: dict[str, _SubjectFile] = {}
-        # The distinct (data, recipient) pairs of all subjects: data -> the
-        # mask of its recipients, bit r for recipient r; and its keys as a
-        # mask, bit d for data concept d.
-        self._by_data: dict[int, int] = {}
-        self._data_keys = 0
+        # The distinct (data, recipient) pairs of all subjects.
+        self._all_pairs = _PairIndex()
         self._event_concepts: set[int] = set()  # concepts recorded events use
         self._next_event = 1
 
@@ -380,8 +385,7 @@ class Ledger:
         if own is None:
             own = self._by_subject[subject] = _SubjectFile()
         own.file(record)
-        self._by_data[data_id] = self._by_data.get(data_id, 0) | 1 << recipient_id
-        self._data_keys |= 1 << data_id
+        self._all_pairs.add(data_id, recipient_id)
         if label is not None:
             self._labels[label] = record.id
         return record.id
@@ -466,7 +470,7 @@ class Ledger:
         its cover from their consents for itself alone. When none applies,
         the same rule over every subject's pairs tells a subject mismatch
         from no matching consent: the subject's own pairs have just failed
-        it, so a pair that applies is another subject's.
+        it, so the first pair that applies is another subject's.
         """
         graph = self.ontology
         up, forbid = graph._up, graph._forbid
@@ -477,12 +481,14 @@ class Ledger:
         if up[data] & forbid[data] or up[recipient] & forbid[recipient]:
             return _by_position(Decision, (((span, _NOTHING),), Reason.CONCEPT_UNSATISFIABLE))
 
-        own = self._by_subject.get(query.subject, _NO_PAIRS)
-        matched = self._matching(query, own.data_keys, own.by_data)
+        # `decide_event` may ask about a subject not yet known, who holds
+        # no pairs.
+        own = self._by_subject.get(query.subject)
+        matched = [] if own is None else list(self._matching(query, own))
         if not matched:
-            reason = Reason.SUBJECT_MISMATCH \
-                if self._matching(query, self._data_keys, self._by_data) \
-                else Reason.NO_MATCHING_CONSENT
+            reason = Reason.NO_MATCHING_CONSENT \
+                if next(self._matching(query, self._all_pairs), None) is None \
+                else Reason.SUBJECT_MISMATCH
             return _by_position(Decision, (((span, _NOTHING),), reason))
         pairs, action, access_at = own.pairs, query.action, query.access_at
         if len(matched) == 1 and access_at >= self.now:
@@ -515,17 +521,15 @@ class Ledger:
                 f"{chronology.format_step(query.access_at)}"
             )
 
-    def _matching(self, query: AuthzQuery, data_keys: int,
-                  by_data: Mapping[int, int]) -> list[tuple[int, int]]:
-        """The matching rule: the filed (data, recipient) pairs that apply to
-        the query's concepts, before any subject or time reasoning.
+    def _matching(self, query: AuthzQuery,
+                  index: _PairIndex) -> Iterator[tuple[int, int]]:
+        """The matching rule: the indexed (data, recipient) pairs that apply
+        to the query's concepts, before any subject or time reasoning, lowest
+        data concept first, so a caller may stop at the first.
 
-        The pairs are indexed as the ledger indexes them: `data_keys` has
-        bit d for each filed data concept d, and `by_data[d]` bit r for each
-        recipient r filed with it. The query's concepts were validated on
-        entry, by `check` or by the query builders `_event_query` uses, and
-        a consent's were at its grant, so the ontology's masks are read
-        unchecked.
+        The query's concepts were validated on entry, by `check` or by the
+        query builders `_event_query` uses, and a consent's were at its
+        grant, so the ontology's masks are read unchecked.
         """
         graph = self.ontology
         data, recipient = query.data_concept, query.recipient_concept
@@ -533,14 +537,14 @@ class Ledger:
             # The pair's concepts subsume the query's: each is among the
             # query concept's ancestors, found with one AND per axis.
             up = graph._up
-            walk, wanted, disjoint = data_keys & up[data], up[recipient], None
+            walk, wanted, disjoint = index.data_keys & up[data], up[recipient], None
         else:
             # Possible mode: nothing may rule the overlap out, i.e. neither
             # of the pair's concepts is disjoint from the query's (this also
             # treats an unsatisfiable side as disjoint from everything). Every
             # filed concept is walked, and each is tested on its own.
-            walk, wanted, disjoint = data_keys, -1, graph._disjoint
-        found = []
+            walk, wanted, disjoint = index.data_keys, -1, graph._disjoint
+        by_data = index.by_data
         while walk:  # the set bits, lowest first
             low = walk & -walk
             walk ^= low
@@ -553,8 +557,7 @@ class Ledger:
                 hits ^= bit
                 r = bit.bit_length() - 1
                 if not (disjoint and disjoint(r, recipient)):
-                    found.append((d, r))
-        return found
+                    yield d, r
 
     # -- events --------------------------------------------------------------
 

@@ -124,12 +124,13 @@ class ConceptGraph:
 
     def resolve(self, ref: int | str, kind: ConceptKind | None = None) -> int:
         """Map a name or id to an id, optionally insisting on a kind."""
-        if type(ref) is str:  # the common case: a known name of the kind asked
+        if isinstance(ref, str):
             cid = self._by_name.get(ref)
-            if cid is not None and self._concepts[cid].kind is kind:
-                return cid
-        concept = self._concepts[self.lookup(ref)] if isinstance(ref, str) \
-            else self.concept(ref)
+            if cid is None:
+                raise UnknownConceptError(ref)
+            concept = self._concepts[cid]
+        else:
+            concept = self.concept(ref)
         if kind is not None and concept.kind is not kind:
             if type(kind) is not ConceptKind:  # a kind that matched is a ConceptKind
                 raise InvalidValueError(f"kind must be a ConceptKind or None, got {kind!r}")

@@ -1126,7 +1126,8 @@ def count_work(led, monkeypatch):
     index ("own", by subject) and in the index of every subject's pairs
     ("all"), and count each kind check."""
     calls = {"own": {}, "all": [], "kind": 0}
-    monkeypatch.setattr(led, "_by_data", VisitLog(led._by_data, calls["all"]))
+    every = led._all_pairs
+    monkeypatch.setattr(every, "by_data", VisitLog(every.by_data, calls["all"]))
     for subject, own in led._by_subject.items():
         calls["own"][subject] = []
         monkeypatch.setattr(own, "by_data", VisitLog(own.by_data, calls["own"][subject]))
@@ -1200,6 +1201,16 @@ class TestCheckWork:
         assert decision.reason is Reason.OK
         assert calls["own"]["erin"] == [led.ontology.lookup("Location")]
         assert calls["all"] == []
+
+    def test_a_possible_mode_denial_stops_at_the_first_pair_that_applies(self, monkeypatch):
+        # Possible mode walks every filed data concept; Location, the lowest,
+        # is not disjoint from Contacts, so its pair settles the mismatch.
+        led = crowded_ledger()
+        calls = count_work(led, monkeypatch)
+        query = led.collect_query("Contacts", CAROL, "Partner", Mode.POSSIBLE)
+        assert led.check(query).reason is Reason.SUBJECT_MISMATCH
+        assert len({d for d, _ in pairs_of(led)}) == 5
+        assert calls["all"] == [led.ontology.lookup("Location")]
 
     @pytest.mark.parametrize("data, subject, recipient, reason", QUERIES)
     def test_kinds_are_checked_once_per_query(self, monkeypatch, data, subject,
