@@ -83,7 +83,7 @@ def _read(path: str) -> str:
 def _run_report_json(path: str, report: RunReport) -> dict:
     graph = report.ledger.ontology
     events = [{"id": ev.id, **ev.fields(graph), "authorized": ev.verdict.authorized,
-               "reason": ev.verdict.reason.value} for ev in report.events]
+               "reason": ev.verdict.reason._value_} for ev in report.events]
     return {
         "script": path,
         "passed": report.passed,

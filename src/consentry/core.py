@@ -70,9 +70,11 @@ masks that each declaration sets, so nothing needs dropping when the
 ontology grows.
 
 `record_event` and `decide_event`, which the script interpreter's `assume`
-calls, build their query in one place, `_event_query`: the resolving
-builders validate the concepts, a name of the kind asked with one lookup,
-and an access's interval, when the caller gives one, gets `check`'s shape
+calls, build their query in one place, `_event_query`. It refuses a bad
+action, subject or collect interval, then builds the query with `_query`,
+the one builder `collect_query` and `access_query` call too, which
+resolves each concept, a name of the kind asked with one lookup. An
+access's interval, when the caller gives one, then gets `check`'s shape
 test; the ledger builds the others on its own clock. So both skip the rest
 of `check`'s entry validation and report a bad query alike.
 
@@ -81,7 +83,11 @@ of `check`'s entry validation and report a bad query alike.
 tuples with the same values, changed with `_replace` and built by position.
 The ledger builds these per-event values with `tuple.__new__`, as it builds
 intervals on its own clock, since their classes check nothing: a call to
-the class would only add a Python frame per value.
+the class would only add a Python frame per value. The log monitor builds
+its statements the same way, a per-event string is read off its enum
+member's `_value_` (on 3.11 the `.value` property costs two frames), and
+`EventRecord.fields` reads names off the graph's concept list, since the
+ids were resolved when the query was built.
 `ConsentRecord` is a slotted class that `withdraw` marks in place.
 """
 
@@ -292,11 +298,12 @@ class EventRecord(NamedTuple):
         collected steps of an access (None for a collect)."""
         query = self.query
         span = query.collected_interval
+        concepts = graph._concepts  # the ids were resolved with the query
         return {
-            "action": query.action.value,
-            "data_concept": graph.name_of(query.data_concept),
+            "action": query.action._value_,
+            "data_concept": concepts[query.data_concept].name,
             "subject": query.subject,
-            "recipient_concept": graph.name_of(query.recipient_concept),
+            "recipient_concept": concepts[query.recipient_concept].name,
             "step": query.access_at,
             "collected_steps": (span.start, span.end)
             if query.action is ActionType.ACCESS else None,
@@ -420,11 +427,7 @@ class Ledger:
     def collect_query(self, data: int | str, subject: str, recipient: int | str,
                       mode: Mode = Mode.GUARANTEED) -> AuthzQuery:
         """Ask about collecting right now."""
-        graph, now = self.ontology, self.now
-        return _by_position(AuthzQuery, (
-            ActionType.COLLECT, graph.resolve(data, ConceptKind.DATA), subject,
-            graph.resolve(recipient, ConceptKind.RECIPIENT),
-            _by_position(StepInterval, (now, now + 1)), now, mode))
+        return self._query(ActionType.COLLECT, data, subject, recipient, None, mode)
 
     def access_query(self, data: int | str, subject: str, recipient: int | str,
                      collected_interval: StepInterval | None = None,
@@ -433,12 +436,23 @@ class Ledger:
 
         With no interval given the query spans all history, [T1, now+1).
         """
+        return self._query(ActionType.ACCESS, data, subject, recipient, collected_interval,
+                           mode)
+
+    def _query(self, action: ActionType, data: int | str, subject: str,
+               recipient: int | str, interval: StepInterval | None,
+               mode: Mode) -> AuthzQuery:
+        """The query asked now, built by position: the data concept resolved,
+        then the recipient. A None interval is the ledger's own: a collect's
+        step, or all history for an access. A given one is not checked."""
         graph, now = self.ontology, self.now
-        interval = _by_position(StepInterval, (1, now + 1)) if collected_interval is None \
-            else collected_interval
-        return _by_position(AuthzQuery, (
-            ActionType.ACCESS, graph.resolve(data, ConceptKind.DATA), subject,
-            graph.resolve(recipient, ConceptKind.RECIPIENT), interval, now, mode))
+        data_id = graph.resolve(data, ConceptKind.DATA)
+        recipient_id = graph.resolve(recipient, ConceptKind.RECIPIENT)
+        if interval is None:
+            interval = _by_position(StepInterval, (
+                now if action is ActionType.COLLECT else 1, now + 1))
+        return _by_position(AuthzQuery, (action, data_id, subject, recipient_id, interval,
+                                         now, mode))
 
     def check(self, query: AuthzQuery) -> Decision:
         """Decide a query against the current ledger. Pure: no reader sees a change."""
@@ -505,17 +519,18 @@ class Ledger:
         interval = query.collected_interval
         if not isinstance(interval, StepInterval):
             raise QueryError(f"the collected interval must be a StepInterval, got {interval!r}")
-        if not interval.bounded:
+        start, end = interval.start, interval.end
+        if end is None:
             raise QueryError("queries need a bounded collection interval")
         if query.action is ActionType.COLLECT:
-            if interval.end != interval.start + 1:
+            if end != start + 1:
                 raise QueryError("collection queries cover exactly one step")
-            if interval.start != query.access_at:
+            if start != query.access_at:
                 raise QueryError(
-                    f"collection step {chronology.format_step(interval.start)} is not "
+                    f"collection step {chronology.format_step(start)} is not "
                     f"the query's step {chronology.format_step(query.access_at)}"
                 )
-        elif interval.last > query.access_at:
+        elif end > query.access_at + 1:  # its last step, end - 1, is past the access
             raise QueryError(
                 f"collection interval {interval} reaches past access step "
                 f"{chronology.format_step(query.access_at)}"
@@ -527,9 +542,9 @@ class Ledger:
         to the query's concepts, before any subject or time reasoning, lowest
         data concept first, so a caller may stop at the first.
 
-        The query's concepts were validated on entry, by `check` or by the
-        query builders `_event_query` uses, and a consent's were at its
-        grant, so the ontology's masks are read unchecked.
+        The query's concepts were validated on entry, by `check` or by
+        `_query`, which `_event_query` builds with, and a consent's were at
+        its grant, so the ontology's masks are read unchecked.
         """
         graph = self.ontology
         data, recipient = query.data_concept, query.recipient_concept
@@ -592,20 +607,23 @@ class Ledger:
                      collected_interval: StepInterval | None) -> AuthzQuery:
         """The query `record_event` and `decide_event` ask, ready to decide.
 
-        The builders resolve both concepts, so an unknown one is reported
-        before a bad interval; an access's interval, when the caller gives
-        one, is then checked as `check` checks it. The ledger builds the
-        others on its own clock, in shape. The subject is the caller's to
-        declare.
+        Refusals come in one order: the action, the subject, a collect's
+        interval (a collect takes none), then the data concept and the
+        recipient, which `_query` resolves, and last an access's interval,
+        when the caller gives one, checked as `check` checks it. So a
+        collect's interval is refused before an unknown concept, and an
+        unknown concept before an access's bad interval. The ledger builds
+        the other intervals on its own clock, in shape. The subject is the
+        caller's to declare.
         """
         if type(action) is not ActionType:
             raise QueryError(f"unknown action {action!r}, expected an ActionType")
-        _check_subject(subject)
-        if action is ActionType.COLLECT:
-            if collected_interval is not None:
-                raise QueryError("collection events do not take a collected interval")
-            return self.collect_query(data, subject, recipient)
-        query = self.access_query(data, subject, recipient, collected_interval)
+        if type(subject) is not str:  # so a plain name pays no call for the check
+            _check_subject(subject)
+        if collected_interval is not None and action is ActionType.COLLECT:
+            raise QueryError("collection events do not take a collected interval")
+        query = self._query(action, data, subject, recipient, collected_interval,
+                            Mode.GUARANTEED)
         if collected_interval is not None:
             self._validate_query_shape(query)
         return query

@@ -18,20 +18,24 @@ grant/withdraw records, the access log carries collect/access records:
 
 Each parser turns a record straight into a row: its timestamp, the
 script statement it stands for (a Grant, Withdraw, Collect or Access
-carrying the record's line), and the collection window's two instants
-for an access that has one, else None. A record costs one call to the
-JSON decoder's C scanner; a line the scanner fails on, or leaves more
-than whitespace after, goes through the full decoder, which reports the
-error. The manifest's statements, then both logs' rows merged by
+carrying the record's line, built by position with `tuple.__new__`, since
+the statement classes check nothing), and the collection window's two
+instants for an access that has one, else None. A record costs one call
+to the JSON decoder's C scanner; a line the scanner fails on, or leaves
+more than whitespace after, goes through the full decoder, which reports
+the error. A field is checked inline and handed to its reporter only
+when it fails. The manifest's statements, then both logs' rows merged by
 timestamp in one stable sort (consent rows first at equal timestamps),
 become one stream of script statements. Each wall-clock instant maps
-onto a 1-based step of fixed duration starting at an epoch; with no
-epoch given, the earliest instant either log mentions starts step 1, the
-start of a collection window included. A windowed access is the one
-statement that waits for the epoch: it is rebuilt with its window's
-steps as it is merged. Each clock gap between rows is one Step statement
-however many steps it spans, so a scan's cost follows its records, not
-the step duration.
+onto a 1-based step of fixed duration starting at an epoch, inline in
+the merge; with no epoch given, the earliest instant either log mentions
+starts step 1, the start of a collection window included. A windowed
+access is the one statement that waits for the epoch: the merge builds it
+by position with its window's steps. The two parsed lists are dropped
+once merged, and each merged row as it is replayed, so the rows already
+replayed leave nothing for the garbage collector to scan. Each clock gap
+between rows is one Step statement however many steps it spans, so a
+scan's cost follows its records, not the step duration.
 `scan` runs that stream through the script interpreter on a fresh ledger
 and reports each denied event as a Violation: its log line, event id,
 `EventRecord.fields` and reason. Scanning is replay: the same logs
@@ -53,7 +57,6 @@ from __future__ import annotations
 import json
 import re
 from datetime import datetime, timedelta, timezone
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -77,6 +80,10 @@ _NO_OFFSET = "the epoch and every instant need a UTC offset, such as +00:00"
 
 # (timestamp, statement, collection window or None); see the module docstring.
 Row = tuple[datetime, Statement, tuple[datetime, datetime] | None]
+
+# Builds a statement from its fields without a call to its class: the
+# statement classes check nothing, so a call would only add a frame.
+_by_position = tuple.__new__
 
 
 # One timestamp grammar on every Python: `fromisoformat` alone reads more
@@ -155,9 +162,11 @@ def _field(payload: dict, key: str, line: int) -> str:
 
 
 def _instant_field(payload: dict, key: str, line: int) -> datetime:
+    value = payload.get(key)
     try:
-        return parse_instant(_field(payload, key, line))
+        return parse_instant(value)
     except InvalidValueError as err:
+        _field(payload, key, line)  # raises if missing or not a string
         raise LogFormatError(str(err), line) from None
 
 
@@ -179,8 +188,9 @@ def parse_consent_log(text: str) -> list[Row]:
 
 
 def _consent_row(line_no: int, payload: dict) -> Row:
-    action = _field(payload, "action", line_no)
+    action = payload.get("action")
     if action not in CONSENT_ACTIONS:
+        _field(payload, "action", line_no)  # raises if missing or not a name
         raise LogFormatError(f"unknown consent action {action!r}", line_no)
     timestamp = _instant_field(payload, "timestamp", line_no)
     consent_id = _field(payload, "consent_id", line_no)
@@ -188,23 +198,18 @@ def _consent_row(line_no: int, payload: dict) -> Row:
     if not isinstance(retroactive, bool):
         raise LogFormatError("field 'retroactive' must be a boolean", line_no)
     if action == "grant":
-        stmt = Grant(*_names(payload, line_no), consent_id, retroactive, line_no)
+        stmt = _by_position(Grant, (*_names(payload, line_no), consent_id, retroactive,
+                                    line_no))
     else:
-        stmt = Withdraw(consent_id, retroactive, line_no)
+        stmt = _by_position(Withdraw, (consent_id, retroactive, line_no))
     return timestamp, stmt, None
 
 
 def parse_access_log(text: str) -> list[Row]:
     """The access log's rows: a Collect or Access each, and an access's window."""
     # Collection-window stamps repeat across records; record stamps do not.
+    # A stamp that is not a string is never kept: `_instant_field` refuses it.
     windows: dict[str, datetime] = {}
-
-    def window_end(payload: dict, key: str, line_no: int) -> datetime:
-        raw = payload[key]
-        instant = windows.get(raw) if isinstance(raw, str) else None
-        if instant is None:
-            instant = windows[raw] = _instant_field(payload, key, line_no)
-        return instant
 
     def row(line_no: int, payload: dict) -> Row:
         action = payload.get("action")
@@ -221,8 +226,14 @@ def parse_access_log(text: str) -> list[Row]:
                 raise LogFormatError(
                     "'collected_from' and 'collected_to' must appear together", line_no)
             if has_from:
-                start = window_end(payload, "collected_from", line_no)
-                end = window_end(payload, "collected_to", line_no)
+                ends = []
+                for key in ("collected_from", "collected_to"):
+                    raw = payload[key]
+                    instant = windows.get(raw) if type(raw) is str else None
+                    if instant is None:
+                        instant = windows[raw] = _instant_field(payload, key, line_no)
+                    ends.append(instant)
+                start, end = ends
                 if end < start:
                     raise LogFormatError(
                         "'collected_to' precedes 'collected_from'", line_no)
@@ -230,12 +241,12 @@ def parse_access_log(text: str) -> list[Row]:
                     raise LogFormatError(
                         "collection window reaches past the access timestamp", line_no)
                 window = (start, end)
-            stmt = Access(*names, line=line_no)
+            stmt = _by_position(Access, (*names, None, None, line_no))
         elif "collected_from" in payload or "collected_to" in payload:
             raise LogFormatError("collect records do not take a collection window",
                                  line_no)
         else:
-            stmt = Collect(*names, line_no)
+            stmt = _by_position(Collect, (*names, line_no))
         return timestamp, stmt, window
 
     return _parse_log(text, "access log", row)
@@ -288,7 +299,7 @@ class Violation(NamedTuple):
             where += f" of data collected in {StepInterval(*f['collected_steps'])}"
         return (f"line {self.log_line}: {f['action']} {f['data_concept']} "
                 f"subject={f['subject']} recipient={f['recipient_concept']} "
-                f"at {where}: {self.reason.value}")
+                f"at {where}: {self.reason._value_}")
 
 
 class ViolationReport(NamedTuple):
@@ -303,7 +314,8 @@ class ViolationReport(NamedTuple):
     def summary(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for v in self.violations:
-            counts[v.reason.value] = counts.get(v.reason.value, 0) + 1
+            reason = v.reason._value_
+            counts[reason] = counts.get(reason, 0) + 1
         return counts
 
     def to_json(self) -> dict:
@@ -312,7 +324,7 @@ class ViolationReport(NamedTuple):
             "events_scanned": self.events_scanned,
             "final_step": self.final_step,
             "violations": [{"line": v.log_line, "event_id": v.event_id, **v.fields,
-                            "reason": v.reason.value} for v in self.violations],
+                            "reason": v.reason._value_} for v in self.violations],
             "summary": self.summary(),
         }
 
@@ -351,33 +363,44 @@ def _statements(manifest: str, consent_log: str, access_log: str,
     if epoch is not None and epoch.utcoffset() is None:
         raise InvalidValueError(f"{_NO_OFFSET}, got the epoch {epoch.isoformat()}")
     yield from parse_manifest(manifest)
-    consents = parse_consent_log(consent_log)
+    rows = parse_consent_log(consent_log)
     accesses = parse_access_log(access_log)
     if epoch is None:
-        firsts = (log[0][0] for log in (consents, accesses) if log)
-        windows = (window[0] for _, _, window in accesses if window is not None)
-        epoch = min(chain(firsts, windows), default=None)
-
-    def step_of(instant: datetime, stmt: Statement) -> int:
-        if instant < epoch:
-            raise EpochError(f"instant {instant.isoformat()} precedes the epoch",
-                             stmt.line, _SOURCES[stmt.role])
-        return (instant - epoch) // step_duration + 1
-
-    now = 1
+        firsts = [log[0][0] for log in (rows, accesses) if log]
+        epoch = min([window[0] for _, _, window in accesses if window is not None] + firsts,
+                    default=None)
     # Both row lists are timestamp-sorted, so the sort merges two runs.
     # Consent rows must win ties so a same-instant grant already counts for
-    # the event next to it: the sort is stable and they come first.
-    for timestamp, stmt, window in sorted(consents + accesses, key=itemgetter(0)):
-        target = step_of(timestamp, stmt)
+    # the event next to it: the sort is stable and they come first. The
+    # merged list is read from its end, each row dropped as it is replayed.
+    rows += accesses
+    del accesses
+    rows.sort(key=itemgetter(0))
+    rows.reverse()
+    now = 1
+    while rows:
+        timestamp, stmt, window = rows.pop()
+        # An instant maps to step (instant - epoch) // step_duration + 1. Of
+        # a window, which ends by its timestamp, only the start can precede
+        # the epoch when the timestamp does not.
+        if timestamp < epoch:
+            raise _before_epoch(timestamp, stmt)
+        target = (timestamp - epoch) // step_duration + 1
         if now < target:
-            yield Step(target - now, stmt.line)
+            yield _by_position(Step, (target - now, stmt.line))
             now = target
         if window is not None:
-            stmt = Access(stmt.data, stmt.subject, stmt.recipient,
-                          step_of(window[0], stmt), step_of(window[1], stmt) + 1,
-                          line=stmt.line)
+            start, end = window
+            if start < epoch:
+                raise _before_epoch(start, stmt)
+            stmt = _by_position(Access, (*stmt[:3], (start - epoch) // step_duration + 1,
+                                         (end - epoch) // step_duration + 2, stmt.line))
         yield stmt
+
+
+def _before_epoch(instant: datetime, stmt: Statement) -> EpochError:
+    return EpochError(f"instant {instant.isoformat()} precedes the epoch",
+                      stmt.line, _SOURCES[stmt.role])
 
 
 # The source of each role of statement `_statements` yields, to place an
@@ -400,7 +423,6 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | Non
     ledger = Ledger()
     violations = []
     events = 0
-    new = tuple.__new__  # Violation checks nothing, so skip its __new__'s frame
     for stmt in _statements(manifest, consent_log, access_log, epoch, step_duration):
         try:
             event = stmt.apply(ledger)
@@ -409,11 +431,11 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | Non
         if event is None:
             continue
         events += 1
-        if event.verdict.authorized:
+        reason = event.verdict.reason
+        if reason is Reason.OK:
             continue
-        violations.append(new(Violation, (stmt.line, event.id,
-                                          event.fields(ledger.ontology),
-                                          event.verdict.reason)))
+        violations.append(_by_position(Violation, (stmt.line, event.id,
+                                                   event.fields(ledger.ontology), reason)))
     return ViolationReport(tuple(violations), events, ledger.now)
 
 

@@ -166,24 +166,22 @@ def _declared(self, led: Ledger, result: None) -> str:
     return "declared"
 
 
-def _ensure_recipient(led: Ledger, name: str) -> None:
-    # Recipient roles spring into existence on first mention, like subjects:
-    # an undeclared one lands directly under the Recipient root, exactly what
-    # an explicit declaration would do. Data concepts never auto-declare;
-    # their place in the hierarchy carries meaning.
-    if name not in led.ontology:
-        led.declare_recipient(name)
+# Recipient roles spring into existence on first mention, like subjects: each
+# statement that names one declares it, unless known, directly under the
+# Recipient root, exactly what an explicit declaration would do. Data concepts
+# never auto-declare; their place in the hierarchy carries meaning.
 
 
 def _record(self: Collect | Access, led: Ledger) -> EventRecord:
-    _ensure_recipient(led, self.recipient)
+    if self.recipient not in led.ontology:
+        led.declare_recipient(self.recipient)
     return led.record_event(self.action_type, self.data, self.subject, self.recipient,
                             self.interval())
 
 
 def _event_note(self, led: Ledger, event: EventRecord) -> str:
     verdict = "authorized" if event.verdict.authorized else \
-        f"denied ({event.verdict.reason.value})"
+        f"denied ({event.verdict.reason._value_})"
     return f"event {event.id} {verdict}"
 
 
@@ -262,7 +260,8 @@ class Grant(NamedTuple):
         return f"grant {retro}{self.data} {self.subject} {self.recipient} :{self.label}"
 
     def apply(self, led: Ledger) -> None:
-        _ensure_recipient(led, self.recipient)
+        if self.recipient not in led.ontology:
+            led.declare_recipient(self.recipient)
         led.grant(self.data, self.subject, self.recipient, retroactive=self.retro,
                   label=self.label)
 
@@ -368,7 +367,8 @@ class Assume(NamedTuple):
         inner = self.action
         # Subjects spring into existence on first mention, even inside assume.
         led.declare_subject(inner.subject)
-        _ensure_recipient(led, inner.recipient)
+        if inner.recipient not in led.ontology:
+            led.declare_recipient(inner.recipient)
         decision = led.decide_event(inner.action_type, inner.data, inner.subject,
                                     inner.recipient, inner.interval())
         return AssumeResult(self.line, self.expected, decision.authorized, self.text())

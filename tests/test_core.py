@@ -499,6 +499,29 @@ class TestEvents:
             led.record_event(ActionType.ACCESS, "Nowhere", ALICE, "Partner",
                              collected_interval=StepInterval(1, 3))
 
+    # The refusal order is the same for both: a collect's interval is refused
+    # before its concepts are resolved, an access's concepts before its interval.
+    @pytest.mark.parametrize("ask", ["record_event", "decide_event"])
+    @pytest.mark.parametrize("data, recipient", [("Nowhere", "Partner"),
+                                                 ("Location", "Nobody")])
+    def test_a_collect_interval_outranks_an_unknown_concept(self, ask, data, recipient):
+        led = fresh_ledger()
+        with pytest.raises(QueryError) as refused:
+            getattr(led, ask)(ActionType.COLLECT, data, ALICE, recipient,
+                              StepInterval.single(1))
+        assert str(refused.value) == "collection events do not take a collected interval"
+
+    @pytest.mark.parametrize("ask", ["record_event", "decide_event"])
+    @pytest.mark.parametrize("data, recipient", [("Nowhere", "Partner"),
+                                                 ("Location", "Nobody")])
+    @pytest.mark.parametrize("interval", [StepInterval(1, 3), StepInterval(1), (1, 2)],
+                             ids=["future", "unbounded", "not-an-interval"])
+    def test_an_unknown_access_concept_outranks_a_bad_interval(self, ask, data, recipient,
+                                                               interval):
+        led = fresh_ledger()
+        with pytest.raises(UnknownConceptError):
+            getattr(led, ask)(ActionType.ACCESS, data, ALICE, recipient, interval)
+
 
 class TestDecideEvent:
     """`decide_event` gives the verdict `record_event` would attach, and
@@ -1437,7 +1460,8 @@ memo_steps = st.lists(st.one_of(
     st.tuples(st.just("disjoint"), st.lists(memo_data_st, min_size=2, max_size=3)),
     st.tuples(st.just("recipient_parent"), memo_recipient_st, memo_recipient_st),
     st.tuples(st.just("recipient_disjoint"), st.lists(memo_recipient_st, min_size=2,
-                                                      max_size=3)),
+                                                      max_size=3, unique=True),
+              memo_data_st),
     st.tuples(st.just("event"), memo_data_st, st.sampled_from(MEMO_SUBJECTS)),
     st.tuples(st.just("withdraw"), st.booleans()),  # the consent is drawn as it runs
 ), min_size=3, max_size=15)
@@ -1468,7 +1492,13 @@ class TestPairIndexMatchesARescan:
             elif kind == "recipient_parent":  # widens recipients' ancestor masks
                 led.declare_recipient(*args)
             elif kind == "recipient_disjoint":  # sets recipients' forbid masks
-                led.declare_disjoint(*args[0])
+                # The queried subject's consents on each side, so that a
+                # possible-mode query on one side meets pairs on the others
+                # that it must not match.
+                names, data = args
+                for name in names:
+                    led.grant(data, ALICE, name)
+                led.declare_disjoint(*names)
             elif kind == "event":
                 led.record_event(ActionType.COLLECT, args[0], args[1], "Partner")
             elif led.consents:  # a withdrawal of one of the ledger's consents
