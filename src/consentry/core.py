@@ -34,13 +34,13 @@ because the step is outside its grant window, so the two least his give a
 denial's cause.
 
 Every grant and withdrawal happens at a step no later than the present, so
-from the present on no reach moves with the access step. Each subject's
-pair keeps, per action, the cover built at the present, and a decision on
-that one pair costs a clip: bisections, and a slice of the cover's runs.
-A grant or withdrawal on the pair drops its covers; declarations drop
-nothing, since they change which pairs match, not what a pair covers. A
-query that matches several pairs, or is asked before the present, builds
-its cover on the spot. Covers follow the consents, at most two per pair.
+from the present on no reach moves with the access step. Each subject keeps
+the cover built at the present per action and set of its pairs that a
+query matched, and a later decision at the present on the same set costs a
+clip: bisections, and a slice of the cover's runs. A grant or withdrawal on
+a pair drops the covers of the sets that hold it, and no other; declarations
+drop nothing, since they change which set a query matches, not what a set
+covers. A query asked before the present builds its cover on the spot.
 
 `Ledger.check` finds candidates through two `_PairIndex`es, which `grant`
 fills: a mask with bit d for each data concept d that files a
@@ -227,23 +227,6 @@ _Cover = tuple[tuple[int, ...], tuple[Run, ...], tuple[int, ...], int | None, in
 _NOTHING: frozenset[int] = frozenset()
 
 
-class _PairFile:
-    """One subject's consents on one (data, recipient) pair, in id order,
-    and the covers decided from them.
-
-    `covers` keeps a cover per action, keyed by `action is
-    ActionType.ACCESS`, built at the present: at an access step no earlier
-    than the ledger's clock, past every grant and withdrawal on the pair.
-    A grant or withdrawal on the pair clears them.
-    """
-
-    __slots__ = ("consents", "covers")
-
-    def __init__(self) -> None:
-        self.consents: list[ConsentRecord] = []
-        self.covers: dict[bool, _Cover] = {}
-
-
 class _PairIndex:
     """Distinct (data, recipient) pairs, indexed for the matching walk:
     `data_keys` has bit d for each data concept d that files a pair, and
@@ -261,23 +244,33 @@ class _PairIndex:
 
 
 class _SubjectFile(_PairIndex):
-    """One subject's pairs, indexed as the ledger indexes all pairs, and its
-    consents filed by pair."""
+    """One subject's pairs, indexed as the ledger indexes all pairs, its
+    consents filed by pair in id order, and its covers built at the present:
+    `covers[action is ActionType.ACCESS]` maps the pairs `_matching` yields
+    to their cover. A grant or withdrawal on a pair calls `drop`."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("pairs", "covers")
 
     def __init__(self) -> None:
         super().__init__()
-        self.pairs: dict[tuple[int, int], _PairFile] = {}
+        self.pairs: dict[tuple[int, int], list[ConsentRecord]] = {}
+        self.covers: tuple[dict[tuple[tuple[int, int], ...], _Cover], ...] = ({}, {})
 
     def file(self, record: ConsentRecord) -> None:
         pair = record.data_concept, record.recipient_concept
         filed = self.pairs.get(pair)
         if filed is None:
-            filed = self.pairs[pair] = _PairFile()
+            filed = self.pairs[pair] = []
             self.add(*pair)
-        filed.consents.append(record)
-        filed.covers.clear()
+        else:  # a kept cover names only pairs filed before
+            self.drop(pair)
+        filed.append(record)
+
+    def drop(self, pair: tuple[int, int]) -> None:
+        """Forget the kept covers built from the pair's consents."""
+        for covers in self.covers:
+            for key in [key for key in covers if pair in key]:
+                del covers[key]
 
 
 class EventRecord(NamedTuple):
@@ -418,8 +411,7 @@ class Ledger:
                 f"at {chronology.format_step(record.withdrawal.step)}"
             )
         record.withdrawal = Withdrawal(self.now, retroactive)
-        self._by_subject[record.subject].pairs[
-            record.data_concept, record.recipient_concept].covers.clear()
+        self._by_subject[record.subject].drop((record.data_concept, record.recipient_concept))
         return record
 
     # -- queries -----------------------------------------------------------
@@ -477,14 +469,14 @@ class Ledger:
     def _decide(self, query: AuthzQuery) -> Decision:
         """Decide a query whose concepts, subject and interval are valid.
 
-        The matching rule picks the subject's own pairs that apply. When
-        one applies and the query is asked at the present or later, the
-        pair's kept cover is clipped to it, built first if there is none. A
-        query that several pairs match, or asked before the present, builds
-        its cover from their consents for itself alone. When none applies,
-        the same rule over every subject's pairs tells a subject mismatch
-        from no matching consent: the subject's own pairs have just failed
-        it, so the first pair that applies is another subject's.
+        The matching rule picks the subject's own pairs that apply, and
+        their consents' cover is clipped to the query's span: asked at the
+        present or later, the cover the subject keeps for those pairs and
+        the action, built and kept first if there is none; asked before,
+        one built for the query alone. When no pair applies, the same rule
+        over every subject's pairs tells a subject mismatch from no matching
+        consent: the subject's own pairs have just failed it, so the first
+        pair that applies is another subject's.
         """
         graph = self.ontology
         up, forbid = graph._up, graph._forbid
@@ -498,21 +490,20 @@ class Ledger:
         # `decide_event` may ask about a subject not yet known, who holds
         # no pairs.
         own = self._by_subject.get(query.subject)
-        matched = [] if own is None else list(self._matching(query, own))
+        matched = () if own is None else tuple(self._matching(query, own))
         if not matched:
             reason = Reason.NO_MATCHING_CONSENT \
                 if next(self._matching(query, self._all_pairs), None) is None \
                 else Reason.SUBJECT_MISMATCH
             return _by_position(Decision, (((span, _NOTHING),), reason))
-        pairs, action, access_at = own.pairs, query.action, query.access_at
-        if len(matched) == 1 and access_at >= self.now:
-            covers, slot = pairs[matched[0]].covers, action is ActionType.ACCESS
-            cover = covers.get(slot)
-            if cover is None:
-                cover = covers[slot] = _cover(pairs[matched[0]].consents, action, access_at)
-        else:
-            cover = _cover([c for pair in matched for c in pairs[pair].consents],
-                           action, access_at)
+        action, access_at = query.action, query.access_at
+        present = access_at >= self.now
+        covers = own.covers[action is ActionType.ACCESS]
+        cover = covers.get(matched) if present else None
+        if cover is None:
+            cover = _cover([c for pair in matched for c in own.pairs[pair]], action, access_at)
+            if present:
+                covers[matched] = cover
         return _clip(cover, span)
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
@@ -522,6 +513,10 @@ class Ledger:
         start, end = interval.start, interval.end
         if end is None:
             raise QueryError("queries need a bounded collection interval")
+        # `_replace` skips StepInterval's check. A bool is an int, but no step.
+        if type(start) is not int or type(end) is not int or not 1 <= start < end:
+            raise QueryError(f"collection interval bounds must be whole steps with "
+                             f"1 <= start < end, got [{start!r}, {end!r})")
         if query.action is ActionType.COLLECT:
             if end != start + 1:
                 raise QueryError("collection queries cover exactly one step")

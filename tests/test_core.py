@@ -335,6 +335,18 @@ class TestDenialReasons:
         assert decision.reason is Reason.WITHDRAWN_RETRO
 
 
+# Intervals that `_replace` and `_make` build without StepInterval's check.
+UNCHECKED_INTERVALS = {
+    "T0-start": StepInterval(1, 3)._replace(start=0),
+    "empty": StepInterval._make((2, 2)),
+    "reversed": StepInterval._make((3, 2)),
+    "bool-start": StepInterval._make((True, 2)),
+    "float-start": StepInterval._make((1.5, 3)),
+}
+UNCHECKED_REFUSAL = re.escape("collection interval bounds must be whole steps with "
+                              "1 <= start < end")
+
+
 class TestLedgerValidation:
     def test_unknown_subject_rejected(self):
         led = fresh_ledger()
@@ -370,6 +382,24 @@ class TestLedgerValidation:
         with pytest.raises(QueryError):
             led.check(led.access_query("Location", ALICE, "Partner",
                                        StepInterval(1)))
+
+    @pytest.mark.parametrize("interval", UNCHECKED_INTERVALS.values(),
+                             ids=UNCHECKED_INTERVALS)
+    def test_an_access_interval_that_skipped_its_check_is_refused(self, interval):
+        # A retroactive grant covers every step the interval names.
+        led = fresh_ledger()
+        led.grant("Location", ALICE, "Partner", retroactive=True)
+        led.advance(3)                                                   # T4
+        query = led.access_query("Location", ALICE, "Partner")
+        with pytest.raises(QueryError, match=UNCHECKED_REFUSAL):
+            led.check(AuthzQueryWith(query, collected_interval=interval))
+
+    def test_a_collect_step_that_skipped_its_check_is_refused(self):
+        led = fresh_ledger()
+        led.grant("Location", ALICE, "Partner")
+        query = led.collect_query("Location", ALICE, "Partner")             # T1
+        with pytest.raises(QueryError, match=UNCHECKED_REFUSAL):
+            led.check(AuthzQueryWith(query, collected_interval=StepInterval._make((True, 2))))
 
     def test_duplicate_label_rejected(self):
         led = fresh_ledger()
@@ -514,13 +544,26 @@ class TestEvents:
     @pytest.mark.parametrize("ask", ["record_event", "decide_event"])
     @pytest.mark.parametrize("data, recipient", [("Nowhere", "Partner"),
                                                  ("Location", "Nobody")])
-    @pytest.mark.parametrize("interval", [StepInterval(1, 3), StepInterval(1), (1, 2)],
-                             ids=["future", "unbounded", "not-an-interval"])
+    @pytest.mark.parametrize("interval", [StepInterval(1, 3), StepInterval(1), (1, 2),
+                                          *UNCHECKED_INTERVALS.values()],
+                             ids=["future", "unbounded", "not-an-interval",
+                                  *UNCHECKED_INTERVALS])
     def test_an_unknown_access_concept_outranks_a_bad_interval(self, ask, data, recipient,
                                                                interval):
         led = fresh_ledger()
         with pytest.raises(UnknownConceptError):
             getattr(led, ask)(ActionType.ACCESS, data, ALICE, recipient, interval)
+
+    @pytest.mark.parametrize("ask", ["record_event", "decide_event"])
+    @pytest.mark.parametrize("interval", UNCHECKED_INTERVALS.values(),
+                             ids=UNCHECKED_INTERVALS)
+    def test_an_access_interval_that_skipped_its_check_is_refused(self, ask, interval):
+        led = fresh_ledger()
+        led.grant("Location", ALICE, "Partner", retroactive=True)
+        led.advance(3)                                                   # T4
+        with pytest.raises(QueryError, match=UNCHECKED_REFUSAL):
+            getattr(led, ask)(ActionType.ACCESS, "Location", ALICE, "Partner", interval)
+        assert led._next_event == 1 and not led._event_concepts
 
 
 class TestDecideEvent:
@@ -1401,6 +1444,66 @@ class TestPairCovers:
         calls.clear()
         assert led.check(now) == expected[now]
         assert calls == []
+
+    # Writes after which a query on DeviceLocation, which ALICE's pairs
+    # Location/Partner and DeviceLocation/Partner both match, must or must not
+    # rebuild its cover. Contacts/Partner is her third pair, which it does not.
+    WRITES = {
+        "grant-first": (lambda led: led.grant("Location", ALICE, "Partner"), True),
+        "grant-second": (lambda led: led.grant("DeviceLocation", ALICE, "Partner",
+                                               retroactive=True), True),
+        "withdraw-first": (lambda led: led.withdraw("first"), True),
+        "withdraw-second": (lambda led: led.withdraw("second", retroactive=True), True),
+        "grant-third": (lambda led: led.grant("Contacts", ALICE, "Partner"), False),
+        "withdraw-third": (lambda led: led.withdraw("third", retroactive=True), False),
+        "grant-other-subject": (lambda led: led.grant("Location", BOB, "Partner"), False),
+        "declare-concept": (lambda led: led.declare_data("Fresh", "Location"), False),
+        "declare-disjoint": (lambda led: led.declare_disjoint("Contacts", "WalkingRoute"),
+                             False),
+    }
+
+    @pytest.mark.parametrize("write", WRITES)
+    @pytest.mark.parametrize("action", list(ActionType), ids=lambda a: a.value)
+    def test_a_cover_two_pairs_match_is_kept_until_a_write_on_one(self, monkeypatch,
+                                                                  action, write):
+        led = fresh_ledger()
+        led.grant("Location", ALICE, "Partner", label="first")             # T1
+        led.advance()
+        led.grant("DeviceLocation", ALICE, "Partner", label="second")      # T2
+        led.grant("Contacts", ALICE, "Partner", label="third")
+        led.advance()                                                      # T3
+        graph = led.ontology
+        matched = {graph.lookup("Location"), graph.lookup("DeviceLocation")}
+        reach = ConsentRecord.reach
+        calls = []
+
+        def counted(consent, *args):
+            calls.append(consent.id)
+            return reach(consent, *args)
+
+        def reaches():
+            """The consents a decision at the present reads a reach of."""
+            ask = led.access_query if action is ActionType.ACCESS else led.collect_query
+            query = ask("DeviceLocation", ALICE, "Advertiser")
+            calls.clear()
+            decision = led.check(query)
+            read = sorted(calls)
+            assert decision == reference_decide(led, query)
+            return read
+
+        def rebuilt():
+            return sorted(c.id for c in led.consents
+                          if c.subject == ALICE and c.data_concept in matched)
+
+        monkeypatch.setattr(ConsentRecord, "reach", counted)
+        assert reaches() == rebuilt() == [0, 1]
+        assert reaches() == []
+        led.advance()                                                      # T4
+        assert reaches() == []
+        apply, rebuilds = self.WRITES[write]
+        apply(led)
+        assert reaches() == (rebuilt() if rebuilds else [])
+        assert reaches() == []
 
     def test_realistic_decisions_reach_only_to_rebuild_a_cover(self, monkeypatch):
         # `realistic` files every consent on one pair, so each action's first
