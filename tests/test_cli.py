@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import subprocess
@@ -516,3 +517,146 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "passed: 1/1" in proc.stdout
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's setting after the test, whatever it sets."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+# One command line per subcommand; the replaced `func` never reads the files.
+COMMANDS = {
+    "cmd_run": ["run", "x.consent"],
+    "cmd_monitor": ["monitor", "m.consent", "c.jsonl", "a.jsonl"],
+    "cmd_simulate": ["simulate", "--scenario", "steps", "--steps", "1"],
+    "cmd_explain": ["explain", "x.consent", "--consent", ":c1"],
+}
+
+
+def _raise(err):
+    raise err
+
+
+# Each way a command can end: what it does, and the status main returns
+# (None: the exception propagates out of main).
+OUTCOMES = {
+    "exit-0": (lambda: 0, 0),
+    "exit-1": (lambda: 1, 1),
+    "exit-2": (lambda: _raise(ConsentryError("refused")), 2),
+    "unexpected-exception": (lambda: _raise(RuntimeError("unexpected")), None),
+}
+
+
+def run_probed(monkeypatch, command, outcome="exit-0"):
+    """Run main with `command`'s func replaced by a probe that records
+    whether the collector is enabled; return what the probe saw."""
+    act, status = OUTCOMES[outcome]
+    seen = []
+
+    def probe(args):
+        seen.append(gc.isenabled())
+        return act()
+
+    monkeypatch.setattr(cli, command, probe)
+    if status is None:
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(COMMANDS[command])
+    else:
+        assert main(COMMANDS[command]) == status
+    return seen
+
+
+@pytest.mark.usefixtures("gc_state")
+class TestCollectorPause:
+    """main pauses the cyclic collector around the one command it runs."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_the_collector_is_off_while_a_command_runs(self, monkeypatch, command):
+        gc.enable()
+        assert run_probed(monkeypatch, command) == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+    def test_an_enabled_collector_is_enabled_again(self, monkeypatch, capsys, outcome):
+        gc.enable()
+        assert run_probed(monkeypatch, "cmd_run", outcome) == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+    def test_a_disabled_collector_stays_disabled(self, monkeypatch, capsys, outcome):
+        gc.disable()
+        assert run_probed(monkeypatch, "cmd_run", outcome) == [False]
+        assert not gc.isenabled()
+
+    def test_a_usage_error_leaves_the_collector_as_it_was(self, capsys):
+        gc.enable()
+        with pytest.raises(SystemExit):
+            main(["run"])
+        assert gc.isenabled()
+
+
+DENIED = FIXTURES / "monitor_denied"
+# (subject, data, recipient) from the monitor_denied vocabulary; dave holds
+# no consent, so the long inputs carry denials as well as authorized events.
+ROTATION = [("alice", "Location", "Advertiser"), ("bob", "Contacts", "Advertiser"),
+            ("carol", "Health", "Insurer"), ("dave", "Fitness", "Insurer")]
+
+
+def long_access_log(tmp_path, records):
+    start = datetime(2026, 3, 1, tzinfo=timezone.utc)
+    lines = []
+    for i in range(records):
+        subject, data, recipient = ROTATION[i % len(ROTATION)]
+        lines.append(log_line(
+            timestamp=(start + timedelta(hours=i)).strftime("%Y-%m-%dT%H:%M:%SZ"),
+            action="collect", data_concept=data, subject=subject,
+            recipient_concept=recipient))
+    return write(tmp_path, f"accesses-{records}.jsonl", "".join(lines))
+
+
+def long_script(tmp_path, events):
+    lines = [(DENIED / "manifest.consent").read_text(encoding="utf-8"),
+             "grant Location alice Advertiser :c1\n", "grant Health carol Insurer :c3\n"]
+    for i in range(events):
+        subject, data, recipient = ROTATION[i % len(ROTATION)]
+        lines.append(f"collect {data} {subject} {recipient}\nstep\n")
+    return write(tmp_path, f"script-{events}.consent", "".join(lines))
+
+
+@pytest.mark.usefixtures("gc_state")
+class TestCommandGarbage:
+    """A command's cyclic garbage does not grow with its input, which is
+    what makes pausing the collector for a whole command safe."""
+
+    @staticmethod
+    def garbage_after(argv):
+        """The objects gc.collect() frees after one command run with the
+        collector off, so that no automatic collection frees any first."""
+        gc.collect()
+        gc.disable()
+        main(argv)
+        return gc.collect()
+
+    def test_monitor_json_garbage_is_the_same_at_ten_times_the_records(
+            self, tmp_path, capsys):
+        def argv(records):
+            return ["monitor", str(DENIED / "manifest.consent"),
+                    str(DENIED / "consents.jsonl"), long_access_log(tmp_path, records),
+                    "--json"]
+        short, long = argv(150), argv(1500)
+        self.garbage_after(short)  # warm-up: the first call imports monitor
+        assert self.garbage_after(long) == self.garbage_after(short)
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["events_scanned"] == 150
+
+    def test_run_json_garbage_is_the_same_at_ten_times_the_lines(self, tmp_path, capsys):
+        short = ["run", long_script(tmp_path, 150), "--json"]
+        long = ["run", long_script(tmp_path, 1500), "--json"]
+        self.garbage_after(short)
+        assert self.garbage_after(long) == self.garbage_after(short)
+        assert len(json.loads(capsys.readouterr().out.splitlines()[-1])["events"]) == 150
