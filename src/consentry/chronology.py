@@ -71,7 +71,7 @@ class StepInterval(_Bounds):
         if start < 1:
             raise IntervalError(f"interval start must be >= 1, got {start}")
         if end is not None and end <= start:
-            raise IntervalError(f"interval end must exceed start, got [{start}, {end})")
+            raise IntervalError(f"empty interval [{format_step(start)}, {format_step(end)})")
         return tuple.__new__(cls, (start, end))
 
     @classmethod

@@ -35,12 +35,12 @@ denial's cause.
 
 Every grant and withdrawal happens at a step no later than the present, so
 from the present on no reach moves with the access step. Each subject keeps
-the cover built at the present per action and set of its pairs that a
-query matched, and a later decision at the present on the same set costs a
-clip: bisections, and a slice of the cover's runs. A grant or withdrawal on
-a pair drops the covers of the sets that hold it, and no other; declarations
-drop nothing, since they change which set a query matches, not what a set
-covers. A query asked before the present builds its cover on the spot.
+its covers built at the present in one map keyed by action and pairs, the
+set of its pairs that a query matched. A later decision at the present with
+the same key costs a clip. A grant or withdrawal on a pair drops the covers
+whose keys hold it, and no other; declarations drop nothing, since they
+change which set a query matches, not what a set covers. A query asked
+before the present builds its cover on the spot.
 
 `Ledger.check` finds candidates through two `_PairIndex`es, which `grant`
 fills: a mask with bit d for each data concept d that files a
@@ -95,6 +95,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from enum import Enum
+from math import inf
 from typing import Iterator, NamedTuple
 
 from . import chronology
@@ -218,9 +219,9 @@ class Decision(NamedTuple):
 # [T1, oo) with maximal runs, the last one unbounded, and `starts` holds
 # their first steps, for bisection; `gaps` holds the indexes of the empty
 # ones. `first_cut` is the least hi of a reach that a withdrawal ends, and
-# `first_retro_cut` the least of one a retroactive withdrawal ends; None
-# when there is none.
-_Cover = tuple[tuple[int, ...], tuple[Run, ...], tuple[int, ...], int | None, int | None]
+# `first_retro_cut` the least of one a retroactive withdrawal ends; inf,
+# past every step, when there is none.
+_Cover = tuple[tuple[int, ...], tuple[Run, ...], tuple[int, ...], float, float]
 
 # The ids of no consent: one shared value for every empty run, since
 # `frozenset()` builds a new object each time.
@@ -245,16 +246,16 @@ class _PairIndex:
 
 class _SubjectFile(_PairIndex):
     """One subject's pairs, indexed as the ledger indexes all pairs, its
-    consents filed by pair in id order, and its covers built at the present:
-    `covers[action is ActionType.ACCESS]` maps the pairs `_matching` yields
-    to their cover. A grant or withdrawal on a pair calls `drop`."""
+    consents filed by pair in id order, and its covers built at the present
+    in one map keyed by action and pairs, `(action, *pairs)` with the pairs
+    as `_matching` yields them. A grant or withdrawal on a pair calls `drop`."""
 
     __slots__ = ("pairs", "covers")
 
     def __init__(self) -> None:
         super().__init__()
         self.pairs: dict[tuple[int, int], list[ConsentRecord]] = {}
-        self.covers: tuple[dict[tuple[tuple[int, int], ...], _Cover], ...] = ({}, {})
+        self.covers: dict[tuple, _Cover] = {}
 
     def file(self, record: ConsentRecord) -> None:
         pair = record.data_concept, record.recipient_concept
@@ -268,9 +269,7 @@ class _SubjectFile(_PairIndex):
 
     def drop(self, pair: tuple[int, int]) -> None:
         """Forget the kept covers built from the pair's consents."""
-        for covers in self.covers:
-            for key in [key for key in covers if pair in key]:
-                del covers[key]
+        self.covers = {key: cover for key, cover in self.covers.items() if pair not in key}
 
 
 class EventRecord(NamedTuple):
@@ -471,12 +470,12 @@ class Ledger:
 
         The matching rule picks the subject's own pairs that apply, and
         their consents' cover is clipped to the query's span: asked at the
-        present or later, the cover the subject keeps for those pairs and
-        the action, built and kept first if there is none; asked before,
-        one built for the query alone. When no pair applies, the same rule
-        over every subject's pairs tells a subject mismatch from no matching
-        consent: the subject's own pairs have just failed it, so the first
-        pair that applies is another subject's.
+        present or later, the cover the subject keeps in its one map keyed
+        by action and pairs, built and kept first if there is none; asked
+        before, one built for the query alone. When no pair applies, the
+        same rule over every subject's pairs tells a subject mismatch from no
+        matching consent: the subject's own pairs have just failed it, so
+        the first pair that applies is another subject's.
         """
         graph = self.ontology
         up, forbid = graph._up, graph._forbid
@@ -487,23 +486,24 @@ class Ledger:
         if up[data] & forbid[data] or up[recipient] & forbid[recipient]:
             return _by_position(Decision, (((span, _NOTHING),), Reason.CONCEPT_UNSATISFIABLE))
 
-        # `decide_event` may ask about a subject not yet known, who holds
-        # no pairs.
+        # The kept-cover key: the action and the own pairs that apply, none
+        # for a subject not yet known, whom `decide_event` may ask about.
         own = self._by_subject.get(query.subject)
-        matched = () if own is None else tuple(self._matching(query, own))
-        if not matched:
+        action = query.action
+        key = (action,) if own is None else (action, *self._matching(query, own))
+        if len(key) == 1:
             reason = Reason.NO_MATCHING_CONSENT \
                 if next(self._matching(query, self._all_pairs), None) is None \
                 else Reason.SUBJECT_MISMATCH
             return _by_position(Decision, (((span, _NOTHING),), reason))
-        action, access_at = query.action, query.access_at
+        access_at = query.access_at
         present = access_at >= self.now
-        covers = own.covers[action is ActionType.ACCESS]
-        cover = covers.get(matched) if present else None
+        covers = own.covers
+        cover = covers.get(key) if present else None
         if cover is None:
-            cover = _cover([c for pair in matched for c in own.pairs[pair]], action, access_at)
+            cover = _cover([c for pair in key[1:] for c in own.pairs[pair]], action, access_at)
             if present:
-                covers[matched] = cover
+                covers[key] = cover
         return _clip(cover, span)
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
@@ -684,7 +684,7 @@ def _cover(consents: list[ConsentRecord], action: ActionType, accessed_at: int) 
         gaps.append(len(runs))
     runs.append((_by_position(StepInterval, (at, None)), frozenset(live) if live else _NOTHING))
     return (tuple(starts), tuple(runs), tuple(gaps),
-            min(cuts, default=None), min(retro_cuts, default=None))
+            min(cuts, default=inf), min(retro_cuts, default=inf))
 
 
 def _clip(cover: _Cover, span: StepInterval) -> Decision:
@@ -715,9 +715,9 @@ def _clip(cover: _Cover, span: StepInterval) -> Decision:
     k = bisect_left(gaps, j) - 1
     if k < 0 or gaps[k] < i:
         return _by_position(Decision, (clipped, Reason.OK))
-    gap_end = runs[gaps[k]][0].end
-    last = end - 1 if gap_end is None or gap_end > end else gap_end - 1
-    reason = Reason.WITHDRAWN_RETRO if first_retro_cut is not None and first_retro_cut <= last \
-        else Reason.WITHDRAWN_NON_RETRO if first_cut is not None and first_cut <= last \
+    gap = gaps[k]  # run j - 1 ends at or past the span's end
+    last = end - 1 if gap == j - 1 else starts[gap + 1] - 1
+    reason = Reason.WITHDRAWN_RETRO if first_retro_cut <= last \
+        else Reason.WITHDRAWN_NON_RETRO if first_cut <= last \
         else Reason.OUTSIDE_GRANT_WINDOW
     return _by_position(Decision, (clipped, reason))

@@ -56,7 +56,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from datetime import datetime, timedelta, timezone
+from itertools import pairwise
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -262,7 +264,7 @@ def _parse_log(text: str, source: str, row: Callable[[int, dict], Row]) -> list[
         rows = [row(line_no, payload) for line_no, payload in _record_lines(text)]
     except LogFormatError as err:
         raise LogFormatError(err.message, err.line, source) from None
-    for (prev, _, _), (cur, stmt, _) in zip(rows, rows[1:]):
+    for (prev, _, _), (cur, stmt, _) in pairwise(rows):
         if cur < prev:
             raise LogOrderError(
                 f"timestamp goes backwards (previous record at {prev.isoformat()})",
@@ -312,11 +314,7 @@ class ViolationReport(NamedTuple):
         return not self.violations
 
     def summary(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for v in self.violations:
-            reason = v.reason._value_
-            counts[reason] = counts.get(reason, 0) + 1
-        return counts
+        return dict(Counter(v.reason._value_ for v in self.violations))
 
     def to_json(self) -> dict:
         return {

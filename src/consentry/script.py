@@ -325,12 +325,7 @@ class Access(NamedTuple):
     def interval(self) -> StepInterval | None:
         if self.start is None:
             return None  # all collected history, [T1, now+1)
-        if self.end is None:
-            return StepInterval.single(self.start)
-        if self.end <= self.start:
-            raise IntervalError(f"empty interval [{format_step(self.start)}, "
-                                f"{format_step(self.end)})")
-        return StepInterval(self.start, self.end)
+        return StepInterval(self.start, self.start + 1 if self.end is None else self.end)
 
 
 class Step(NamedTuple):

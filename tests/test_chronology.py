@@ -109,6 +109,13 @@ def test_degenerate_intervals_rejected():
         StepInterval(-3, 2)
 
 
+@pytest.mark.parametrize("end", [2, 3])
+def test_an_empty_interval_is_refused_with_its_bounds(end):
+    with pytest.raises(IntervalError) as err:
+        StepInterval(3, end)
+    assert str(err.value) == f"empty interval [T3, T{end})"
+
+
 def test_single_constructor():
     assert StepInterval.single(7) == StepInterval(7, 8)
 

@@ -1095,6 +1095,23 @@ class TestSweepKernel:
         assert decision.reason is Reason.WITHDRAWN_RETRO
         assert decision == reference_decide(led, query)
 
+    @pytest.mark.parametrize("end, reason", [(4, Reason.OUTSIDE_GRANT_WINDOW),
+                                             (6, Reason.WITHDRAWN_NON_RETRO)])
+    def test_a_cause_is_judged_at_the_spans_last_step_inside_a_longer_gap(self, end,
+                                                                        reason):
+        # The empty run [T1, T10) outlasts the span, so the last uncovered step
+        # is the span's, not T9: the consent granted and withdrawn at T5 has an
+        # empty reach, and its cut counts only once the span reaches T5.
+        led = fresh_ledger()
+        led.advance(4)
+        led.withdraw(led.grant("Location", ALICE, "Partner"))      # T5
+        led.advance(5)
+        led.grant("Location", ALICE, "Partner")                    # T10
+        query = led.access_query("Location", ALICE, "Partner", StepInterval(3, end))
+        decision = led.check(query)
+        assert decision == Decision(((StepInterval(3, end), frozenset()),), reason)
+        assert decision == reference_decide(led, query)
+
     def test_a_gap_that_starts_where_the_span_ends_leaves_it_covered(self):
         led = fresh_ledger()
         cid = led.grant("Location", ALICE, "Partner")              # T1
@@ -1504,6 +1521,51 @@ class TestPairCovers:
         apply(led)
         assert reaches() == (rebuilt() if rebuilds else [])
         assert reaches() == []
+
+    @pytest.mark.parametrize("write", WRITES)
+    def test_a_collect_and_an_access_on_the_same_pairs_keep_a_cover_each(self, monkeypatch,
+                                                                         write):
+        # One map holds both actions' covers: the key names the action, so a
+        # collect's cover never answers an access on the same pairs, and a
+        # write on a matched pair drops both.
+        led = fresh_ledger()
+        led.grant("Location", ALICE, "Partner", label="first")             # T1
+        led.advance()
+        led.grant("DeviceLocation", ALICE, "Partner", label="second")      # T2
+        led.grant("Contacts", ALICE, "Partner", label="third")
+        led.advance()                                                      # T3
+        graph = led.ontology
+        matched = {graph.lookup("Location"), graph.lookup("DeviceLocation")}
+        reach = ConsentRecord.reach
+        calls = []
+
+        def counted(consent, *args):
+            calls.append(consent.id)
+            return reach(consent, *args)
+
+        def reaches():
+            """The consents a collect, then an access, at the present read a
+            reach of."""
+            read = []
+            for ask in (led.collect_query, led.access_query):
+                query = ask("DeviceLocation", ALICE, "Advertiser")
+                calls.clear()
+                decision = led.check(query)
+                read.append(sorted(calls))
+                assert decision == reference_decide(led, query)
+            return read
+
+        def rebuilt():
+            return sorted(c.id for c in led.consents
+                          if c.subject == ALICE and c.data_concept in matched)
+
+        monkeypatch.setattr(ConsentRecord, "reach", counted)
+        assert reaches() == [[0, 1], [0, 1]]
+        assert reaches() == [[], []]
+        apply, rebuilds = self.WRITES[write]
+        apply(led)
+        assert reaches() == ([rebuilt(), rebuilt()] if rebuilds else [[], []])
+        assert reaches() == [[], []]
 
     def test_realistic_decisions_reach_only_to_rebuild_a_cover(self, monkeypatch):
         # `realistic` files every consent on one pair, so each action's first

@@ -487,6 +487,12 @@ class TestExecutionErrors:
         assert err.value.line == 4
         assert str(err.value) == "line 4: empty interval [T3, T3)"
 
+    def test_backwards_interval(self):
+        with pytest.raises(ExecutionError) as err:
+            run_script("new data X Data\nstep\nstep\nstep\naccess X s R T3 T2\n")
+        assert err.value.line == 5
+        assert str(err.value) == "line 5: empty interval [T3, T2)"
+
     def test_future_access_interval(self):
         with pytest.raises(ExecutionError):
             run_script("new data X Data\naccess X s R T1 T5\n")
