@@ -9,7 +9,10 @@ end) and may leave the end unbounded.
 equal to the plain tuple `(start, end)`, and changed with `_replace`. Its
 check runs in `__new__`; `_replace` and `_make` skip it, so the engine
 never uses them on intervals. `in` tests whether a step lies inside the
-interval, not whether it is one of the two fields.
+interval, not whether it is one of the two fields; a value that is not
+exactly an int, a bool or "x" included, lies in no interval. `parse_step`
+refuses any token that is not a step token, a value that is not a `str`
+included, with an `IntervalError`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def format_step(step: int) -> str:
 
 def parse_step(token: str) -> int:
     """Parse a textual step token such as 'T4'."""
-    m = STEP_TOKEN.match(token)
+    m = STEP_TOKEN.match(token) if isinstance(token, str) else None
     if m is None:
         raise IntervalError(f"not a step token: {token!r}")
     try:
@@ -89,8 +92,8 @@ class StepInterval(_Bounds):
             raise IntervalError("unbounded interval has no last step")
         return self.end - 1
 
-    def __contains__(self, step: int) -> bool:
-        if step < self.start:
+    def __contains__(self, step: object) -> bool:
+        if type(step) is not int or step < self.start:
             return False
         return self.end is None or step < self.end
 

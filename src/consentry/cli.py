@@ -54,16 +54,12 @@ def parse_duration(text: str) -> timedelta:
     if not isinstance(text, str):
         raise InvalidValueError(f"a duration must be a str, got {text!r}")
     raw = text.strip()
-    if raw.isascii() and raw.isdigit():
-        parts = {"seconds": raw}
-    else:
-        m = _DURATION.match(raw)
-        if m is None or not any(m.groupdict().values()):
-            raise InvalidValueError(
-                f"cannot parse duration {text!r} (use forms like 1d, 12h, 90m, 30s)")
-        parts = m.groupdict()
+    m = _DURATION.match(raw + "s" if raw.isascii() and raw.isdigit() else raw)
+    if m is None or not any(m.groupdict().values()):
+        raise InvalidValueError(
+            f"cannot parse duration {text!r} (use forms like 1d, 12h, 90m, 30s)")
     try:
-        value = timedelta(**{unit: int(n) for unit, n in parts.items() if n})
+        value = timedelta(**{unit: int(n) for unit, n in m.groupdict().items() if n})
     except (OverflowError, ValueError):  # ValueError: more digits than int() converts
         raise InvalidValueError(f"duration {text!r} is too long") from None
     if value <= timedelta(0):
@@ -131,19 +127,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 # -- monitor ----------------------------------------------------------------
 
 
-def _step_duration(args: argparse.Namespace) -> timedelta:
-    text = args.step_duration or os.environ.get(STEP_DURATION_ENV) \
-        or DEFAULT_STEP_DURATION
-    return parse_duration(text)
-
-
 def cmd_monitor(args: argparse.Namespace) -> int:
     from . import monitor  # here, so that the other subcommands never load it
 
     manifest = _read(args.manifest)
     consent_log = _read(args.consent_log)
     access_log = _read(args.access_log)
-    duration = _step_duration(args)
+    duration = parse_duration(args.step_duration or os.environ.get(STEP_DURATION_ENV)
+                              or DEFAULT_STEP_DURATION)
     epoch = None  # the earliest instant either log mentions
     if args.epoch:
         epoch = monitor.parse_instant(args.epoch)
@@ -205,9 +196,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     ledger = report.ledger
     consent = ledger.consent(args.consent.lstrip(":"))
     graph = ledger.ontology
-    if args.horizon is not None and args.horizon < 1:
-        raise ConsentryError(f"horizon must be at least 1, got {args.horizon}")
-    horizon = args.horizon if args.horizon is not None else report.final_step + 2
+    horizon = report.final_step + 2 if args.horizon is None else args.horizon
+    if horizon < 1:
+        raise ConsentryError(f"horizon must be at least 1, got {horizon}")
     grant_kind = "retroactive" if consent.grant_retroactive else "non-retroactive"
     print(f":{consent.label or consent.id}  data={graph.name_of(consent.data_concept)}"
           f"  subject={consent.subject}"

@@ -94,6 +94,7 @@ ids were resolved when the query was built.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from enum import Enum
 from math import inf
 from typing import Iterator, NamedTuple
@@ -318,9 +319,10 @@ class Ledger:
         self.consents: list[ConsentRecord] = []
         self._labels: dict[str, int] = {}
         # Indexes over `consents`, filled in `grant`; withdrawal marks the
-        # shared record objects and drops its pair's covers. Every known
-        # subject is a key, with its consents filed by (data, recipient) pair.
-        self._by_subject: dict[str, _SubjectFile] = {}
+        # shared record objects and drops its pair's covers. Indexing the map
+        # declares a subject, its consents filed by (data, recipient) pair; a
+        # read that must not declare one uses `.get` or `in`.
+        self._by_subject: defaultdict[str, _SubjectFile] = defaultdict(_SubjectFile)
         # The distinct (data, recipient) pairs of all subjects.
         self._all_pairs = _PairIndex()
         self._event_concepts: set[int] = set()  # concepts recorded events use
@@ -335,8 +337,7 @@ class Ledger:
 
     def declare_subject(self, subject: str) -> str:
         _check_subject(subject)
-        if subject not in self._by_subject:
-            self._by_subject[subject] = _SubjectFile()
+        self._by_subject[subject]
         return subject
 
     def knows_subject(self, subject: str) -> bool:
@@ -380,10 +381,7 @@ class Ledger:
             grant_retroactive=retroactive,
         )
         self.consents.append(record)
-        own = self._by_subject.get(subject)
-        if own is None:
-            own = self._by_subject[subject] = _SubjectFile()
-        own.file(record)
+        self._by_subject[subject].file(record)
         self._all_pairs.add(data_id, recipient_id)
         if label is not None:
             self._labels[label] = record.id
@@ -457,9 +455,14 @@ class Ledger:
         if type(query.access_at) is not int or query.access_at < 1:
             raise QueryError(f"access step must be an int of at least 1, "
                              f"got {query.access_at!r}")
-        graph = self.ontology
-        graph.resolve(query.data_concept, ConceptKind.DATA)
-        graph.resolve(query.recipient_concept, ConceptKind.RECIPIENT)
+        # A query holds concept ids: `resolve` reads a name too, `_decide` does not.
+        graph, data, recipient = self.ontology, query.data_concept, query.recipient_concept
+        if isinstance(data, str):
+            raise QueryError(f"data_concept must be a concept id, not a name: {data!r}")
+        graph.resolve(data, ConceptKind.DATA)
+        if isinstance(recipient, str):
+            raise QueryError(f"recipient_concept must be a concept id, not a name: {recipient!r}")
+        graph.resolve(recipient, ConceptKind.RECIPIENT)
         if not self.knows_subject(query.subject):
             raise UnknownSubjectError(query.subject)
         self._validate_query_shape(query)
@@ -579,8 +582,7 @@ class Ledger:
         The event is returned, not kept; ids count up from 1 per ledger.
         """
         query = self._event_query(action, data, subject, recipient, collected_interval)
-        if subject not in self._by_subject:  # `_event_query` checked the subject
-            self._by_subject[subject] = _SubjectFile()
+        self._by_subject[subject]  # declared; `_event_query` checked it
         event = _by_position(EventRecord, (self._next_event, query, self._decide(query)))
         self._next_event += 1
         self._event_concepts.update((query.data_concept, query.recipient_concept))
@@ -637,7 +639,8 @@ def _check_subject(subject: object) -> None:
 # Builds a named tuple from its values without a call to its `__new__`. An
 # interval on the ledger's own clock, or a run inside a query's span, which
 # was checked when it was built, skips StepInterval's check; `AuthzQuery`,
-# `Decision` and `EventRecord` check nothing, so a call would only cost a frame.
+# `Decision`, `EventRecord` and the monitor's statements check nothing, so a
+# call would only cost a frame.
 _by_position = tuple.__new__
 
 

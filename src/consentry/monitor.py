@@ -63,7 +63,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .chronology import StepInterval, format_step
-from .core import Ledger, Reason
+from .core import Ledger, Reason, _by_position
 from .errors import (
     ConsentryError,
     EpochError,
@@ -82,11 +82,6 @@ _NO_OFFSET = "the epoch and every instant need a UTC offset, such as +00:00"
 
 # (timestamp, statement, collection window or None); see the module docstring.
 Row = tuple[datetime, Statement, tuple[datetime, datetime] | None]
-
-# Builds a statement from its fields without a call to its class: the
-# statement classes check nothing, so a call would only add a frame.
-_by_position = tuple.__new__
-
 
 # One timestamp grammar on every Python: `fromisoformat` alone reads more
 # forms from 3.11 on and fewer fraction widths on 3.10. [0-9], not \d, which

@@ -162,8 +162,8 @@ _BUT_LAST = (_eq_but_last, lambda self, other: not _eq_but_last(self, other),
 ROLES = ("declaration", "consent", "event", "clock", "assume")
 
 
-def _declared(self, led: Ledger, result: None) -> str:
-    return "declared"
+def _fixed(note: str):  # a `note` method that gives the same text every time
+    return lambda self, led, result: note
 
 
 # Recipient roles spring into existence on first mention, like subjects: each
@@ -190,7 +190,7 @@ class NewData(NamedTuple):
     parent: str
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
-    role, note = "declaration", _declared
+    role, note = "declaration", _fixed("declared")
 
     def text(self) -> str:
         return f"new data {self.name} {self.parent}"
@@ -203,7 +203,7 @@ class NewRecipient(NamedTuple):
     name: str
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
-    role, note = "declaration", _declared
+    role, note = "declaration", _fixed("declared")
 
     def text(self) -> str:
         return f"new recipient {self.name}"
@@ -216,7 +216,7 @@ class NewDisjoint(NamedTuple):
     names: tuple[str, ...]
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
-    role = "declaration"
+    role, note = "declaration", _fixed("declared disjoint")
 
     def text(self) -> str:
         return "new disjoint " + " ".join(self.names)
@@ -224,25 +224,19 @@ class NewDisjoint(NamedTuple):
     def apply(self, led: Ledger) -> None:
         led.declare_disjoint(*self.names)
 
-    def note(self, led: Ledger, result: None) -> str:
-        return "declared disjoint"
-
 
 class NewEquiv(NamedTuple):
     a: str
     b: str
     line: int = 0
     __eq__, __ne__, __hash__ = _BUT_LAST
-    role = "declaration"
+    role, note = "declaration", _fixed("declared equivalent")
 
     def text(self) -> str:
         return f"new equiv {self.a} {self.b}"
 
     def apply(self, led: Ledger) -> None:
         led.declare_equivalent(self.a, self.b)
-
-    def note(self, led: Ledger, result: None) -> str:
-        return "declared equivalent"
 
 
 class Grant(NamedTuple):

@@ -1,16 +1,18 @@
 """Every deliberate failure at the input boundary is a ConsentryError.
 
-Fuzzed scripts, logs, durations, instants, bench scenarios and ontology
-declarations either go through or raise a ConsentryError; no raw
-ValueError, TypeError, OverflowError or RecursionError escapes. Each property runs with CPython's cap on
-int-string digits and without it, since the cap decides where a long
-number fails. Arguments of the wrong type, such as None for a script or
-an int for a step duration, raise InvalidValueError.
+Fuzzed scripts, logs, durations, instants, bench scenarios, ontology
+declarations, ledger calls, queries, step tokens and intervals either go
+through or raise a ConsentryError; no raw ValueError, TypeError,
+OverflowError or RecursionError escapes. Each property over text runs
+with CPython's cap on int-string digits and without it, since the cap
+decides where a long number fails. Arguments of the wrong type, such as
+None for a script or an int for a step duration, raise InvalidValueError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -19,9 +21,11 @@ from hypothesis import strategies as st
 
 from consentry import monitor
 from consentry.bench import BenchScenario, run_scenario, scenario_names
+from consentry.chronology import StepInterval, parse_step
 from consentry.cli import parse_duration
-from consentry.core import Ledger
-from consentry.errors import ConsentryError, InvalidValueError
+from consentry.core import ActionType, AuthzQuery, Ledger, Mode
+from consentry.errors import (ConsentryError, IntervalError, InvalidValueError, QueryError,
+                              UnknownConceptError)
 from consentry.ontology import ConceptGraph, ConceptKind
 from consentry.script import KEYWORDS, parse, run_script, tokenize
 
@@ -179,6 +183,72 @@ def test_declarations(steps):
             assert led.ontology.resolve(names[0]) == cid
 
 
+# -- the value API ---------------------------------------------------------------
+
+JUNK = st.one_of(
+    st.sampled_from(["D", "R", "s", "c", "Data", "Recipient", "T3", b"T3", "", None, True,
+                     False, 1.0, [1], (1, 2), ActionType.COLLECT, ActionType.ACCESS,
+                     Mode.GUARANTEED, Mode.POSSIBLE, StepInterval(1, 2), StepInterval(2)]),
+    st.integers(-2, 12), st.text(max_size=3), st.floats())
+
+
+def holds_in(value, interval):
+    """`in` on an interval: only an int, and not a bool, lies inside."""
+    assert (value in interval) is (type(value) is int and interval.start <= value
+                                   and (interval.end is None or value < interval.end))
+
+
+def replaced(action, field):
+    def call(led, args):
+        query = led.collect_query("D", "s", "R") if action is ActionType.COLLECT \
+            else led.access_query("D", "s", "R")
+        return led.check(query._replace(**{field: args[0]}))
+    return call
+
+
+# Each call takes the five junk values it is given, or the first few of them.
+VALUE_CALLS = {
+    "grant": lambda led, a: led.grant(*a),
+    "withdraw": lambda led, a: led.withdraw(*a[:2]),
+    "consent": lambda led, a: led.consent(a[0]),
+    "advance": lambda led, a: led.advance(a[0]),
+    "record_event": lambda led, a: led.record_event(*a),
+    "decide_event": lambda led, a: led.decide_event(*a),
+    "check-collect": lambda led, a: led.check(led.collect_query(*a[:3], mode=a[3])),
+    "check-access": lambda led, a: led.check(led.access_query(*a)),
+    **{f"check-{action.value}-{field}": replaced(action, field)
+       for action in ActionType for field in AuthzQuery._fields},
+    "parse_step": lambda led, a: parse_step(a[0]),
+    "StepInterval": lambda led, a: StepInterval(*a[:2]),
+    "in": lambda led, a: (holds_in(a[0], StepInterval(1, 3)), holds_in(a[0], StepInterval(2))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(VALUE_CALLS)), st.tuples(*[JUNK] * 5)),
+                max_size=8))
+@example([("check-access-data_concept", ("D",) * 5)])
+@example([("check-collect-recipient_concept", ("R",) * 5)])
+@example([("parse_step", (None,) * 5), ("parse_step", (3,) * 5),
+          ("parse_step", (b"T3",) * 5)])
+@example([("in", ("x",) * 5)])
+@example([("in", (True,) * 5)])
+def test_the_value_api_refuses_junk_with_its_own_errors(calls):
+    """Ledger calls, built and replaced queries, step tokens and intervals
+    given junk values go through or raise a ConsentryError, and `in` on an
+    interval answers a bool for any value."""
+    led = Ledger()
+    led.declare_data("D")
+    led.declare_recipient("R")
+    led.grant("D", "s", "R", label="c")
+    led.advance(2)
+    for name, args in calls:
+        try:
+            VALUE_CALLS[name](led, args)
+        except ConsentryError:
+            pass
+
+
 # -- arguments of the wrong type -----------------------------------------------
 
 DAY = timedelta(days=1)
@@ -223,3 +293,25 @@ def test_a_name_that_is_not_a_string_is_not_present():
 def test_a_text_or_time_argument_of_the_wrong_type_is_refused(call):
     with pytest.raises(InvalidValueError):
         call()
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("data_concept", "D", QueryError),
+    ("recipient_concept", "R", QueryError),
+    ("data_concept", True, UnknownConceptError),
+    ("recipient_concept", 1.0, UnknownConceptError),
+])
+def test_check_refuses_a_concept_name_naming_the_field(field, value, error):
+    led = Ledger()
+    led.declare_data("D")
+    led.declare_recipient("R")
+    led.declare_subject("s")
+    query = led.access_query("D", "s", "R")._replace(**{field: value})
+    with pytest.raises(error, match=field if error is QueryError else None):
+        led.check(query)
+
+
+@pytest.mark.parametrize("token", [None, 3, b"T3"])
+def test_parse_step_refuses_a_token_that_is_not_a_str(token):
+    with pytest.raises(IntervalError, match=f"^not a step token: {re.escape(repr(token))}$"):
+        parse_step(token)
