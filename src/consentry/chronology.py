@@ -79,6 +79,8 @@ class StepInterval(_Bounds):
 
     @classmethod
     def single(cls, step: int) -> "StepInterval":
+        if type(step) is not int:  # before `step + 1`, which may raise anything
+            raise IntervalError(f"a step must be a whole number, got {step!r}")
         return cls(step, step + 1)
 
     @property

@@ -14,6 +14,7 @@ Each command runs with Python's cyclic garbage collector paused, and the
 collector is enabled again afterwards if it was enabled before. A
 command's cyclic garbage is a few hundred objects however long its input,
 so the pause saves the collections without holding memory that grows.
+The argument parser is built once per process, on `main`'s first call.
 
 The step duration for `monitor` comes from --step-duration, then the
 CONSENT_STEP_DURATION environment variable, then defaults to one day.
@@ -29,6 +30,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from typing import TYPE_CHECKING
 
 from . import bench
@@ -229,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a consent script")
     p_run.add_argument("script", help="path to the script")
     p_run.add_argument("--json", action="store_true", help="emit a JSON report")
-    p_run.set_defaults(func=cmd_run)
 
     p_mon = sub.add_parser("monitor", help="scan consent/access logs for violations")
     p_mon.add_argument("manifest", help="declarations manifest (new-statements only)")
@@ -241,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"step length, e.g. 1d or 6h (default: "
                             f"${STEP_DURATION_ENV} or {DEFAULT_STEP_DURATION})")
     p_mon.add_argument("--json", action="store_true", help="emit a JSON report")
-    p_mon.set_defaults(func=cmd_monitor)
 
     p_sim = sub.add_parser("simulate", help="run a timing scenario, emit CSV")
     p_sim.add_argument("--scenario", required=True, choices=bench.scenario_names())
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--reps", type=int, default=bench.REPS)
     p_sim.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_exp = sub.add_parser("explain",
                            help="show one consent's authorization region")
@@ -258,18 +257,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--consent", required=True, help="consent label, e.g. :consent1")
     p_exp.add_argument("--horizon", type=int,
                        help="largest step to draw (default: final step + 2)")
-    p_exp.set_defaults(func=cmd_explain)
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads its arguments with, built on first use: a
+    command pays for it once per process, and importing pays nothing. It
+    holds no function: `main` finds a command's, `cmd_<name>`, when it runs."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConsentryError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -36,11 +36,12 @@ denial's cause.
 Every grant and withdrawal happens at a step no later than the present, so
 from the present on no reach moves with the access step. Each subject keeps
 its covers built at the present in one map keyed by action and pairs, the
-set of its pairs that a query matched. A later decision at the present with
-the same key costs a clip. A grant or withdrawal on a pair drops the covers
-whose keys hold it, and no other; declarations drop nothing, since they
-change which set a query matches, not what a set covers. A query asked
-before the present builds its cover on the spot.
+action's value and the set of its pairs that a query matched. A later
+decision at the present with the same key costs a clip. A grant or
+withdrawal on a pair drops the covers whose keys hold it, and no other;
+declarations drop nothing, since they change which set a query matches, not
+what a set covers. A query asked before the present builds its cover on the
+spot.
 
 `Ledger.check` finds candidates through two `_PairIndex`es, which `grant`
 fills: a mask with bit d for each data concept d that files a
@@ -56,24 +57,38 @@ are ancestors of the query's, so the walk visits the data concepts in
 `by_data[d] & _up[recipient]`. Possible mode walks every filed data
 concept and recipient and keeps those not disjoint from the query's, one
 clash test per concept. A pair is visited once, however many consents it
-files, so a check costs in proportion to the subject's filed data
-concepts and the runs it returns, plus its matching consents when it
-builds a cover, not the ledger's size.
+files, so a check whose question is new costs in proportion to the
+subject's filed data concepts and the runs it returns, plus its matching
+consents when it builds a cover, not the ledger's size.
 
 The denial path walks the index of all pairs after the subject's own
 pairs have failed the rule, so a pair that applies there is another
 subject's: the subject-mismatch verdict needs no exclusion, does not
 depend on the subject, and is settled by the first pair that applies,
 where the walk stops. In guaranteed mode that walk visits at most the
-ancestors of the query's data concept that file a pair. The rule reads
-masks that each declaration sets, so nothing needs dropping when the
-ontology grows.
+ancestors of the query's data concept that file a pair.
+
+What the rule answers is kept, in each index's `kept` map, so that a
+question asked again costs dict lookups and a clip. A subject's file maps a
+question, `(data, recipient, action, mode)` with the enum members by value,
+to its kept-cover key. The index of all pairs maps `(data, recipient, mode)`
+to a denial's reason, which does not depend on the subject, so a subject
+the ledger has never seen reads it too. An index clears its map when it
+gains a new pair; a regrant on a pair it has and a withdrawal change no
+match and clear nothing. The rule also reads the ontology's masks, so every
+map is dropped when `ConceptGraph._commit` has rewritten them since, which
+its generation counter tells; a fresh concept writes no old mask and drops
+nothing. The unsatisfiability test reads the masks first on every decision
+and is never kept. The maps grow with the distinct questions asked of each
+subject, not with events.
 
 `record_event` and `decide_event`, which the script interpreter's `assume`
 calls, build their query in one place, `_event_query`. It refuses a bad
 action, subject or collect interval, then builds the query with `_query`,
-the one builder `collect_query` and `access_query` call too, which
-resolves each concept, a name of the kind asked with one lookup. An
+the one builder `collect_query` and `access_query` call too. It checks
+each concept inline, a name of the kind asked with one lookup and one kind
+test, and hands any other to `resolve`, which reads an id or raises;
+`check` checks its ids inline with a type, a bounds and a kind test. An
 access's interval, when the caller gives one, then gets `check`'s shape
 test; the ledger builds the others on its own clock. So both skip the rest
 of `check`'s entry validation and report a bad query alike.
@@ -140,6 +155,14 @@ class Reason(Enum):
     SUBJECT_MISMATCH = "SubjectMismatch"
 
 
+# The enum members that every decision reads, read off their classes once
+# here: on 3.10 and 3.11 each read off the class costs about as much as a
+# Python call.
+_DATA, _RECIPIENT = ConceptKind.DATA, ConceptKind.RECIPIENT
+_COLLECT, _ACCESS = ActionType.COLLECT, ActionType.ACCESS
+_GUARANTEED, _OK = Mode.GUARANTEED, Reason.OK
+
+
 class Withdrawal(NamedTuple):
     step: int
     retroactive: bool
@@ -175,7 +198,7 @@ class ConsentRecord:
         """
         w = self.withdrawal
         hi = None if w is None else w.step
-        if action is ActionType.COLLECT:
+        if action is _COLLECT:
             return self.granted_at, hi
         in_force = accessed_at >= self.granted_at
         lo = 1 if self.grant_retroactive and in_force else self.granted_at
@@ -212,7 +235,7 @@ class Decision(NamedTuple):
 
     @property
     def authorized(self) -> bool:
-        return self.reason is Reason.OK
+        return self.reason is _OK
 
 
 # A set of consents' coverage of [T1, oo) at one access step, as `_cover`
@@ -232,24 +255,32 @@ _NOTHING: frozenset[int] = frozenset()
 class _PairIndex:
     """Distinct (data, recipient) pairs, indexed for the matching walk:
     `data_keys` has bit d for each data concept d that files a pair, and
-    `by_data[d]` bit r for each recipient r paired with it."""
+    `by_data[d]` bit r for each recipient r paired with it. `kept` holds
+    what the ledger read off a walk of the index, by question; a new pair
+    clears it, since it may change any walk's answer."""
 
-    __slots__ = ("data_keys", "by_data")
+    __slots__ = ("data_keys", "by_data", "kept")
 
     def __init__(self) -> None:
         self.data_keys = 0
         self.by_data: dict[int, int] = {}
+        self.kept: dict[tuple, object] = {}
 
     def add(self, data: int, recipient: int) -> None:
-        self.data_keys |= 1 << data
-        self.by_data[data] = self.by_data.get(data, 0) | 1 << recipient
+        mask, bit = self.by_data.get(data, 0), 1 << recipient
+        if not mask & bit:
+            self.data_keys |= 1 << data
+            self.by_data[data] = mask | bit
+            self.kept.clear()
 
 
 class _SubjectFile(_PairIndex):
     """One subject's pairs, indexed as the ledger indexes all pairs, its
     consents filed by pair in id order, and its covers built at the present
-    in one map keyed by action and pairs, `(action, *pairs)` with the pairs
-    as `_matching` yields them. A grant or withdrawal on a pair calls `drop`."""
+    in one map keyed by action and pairs, `(action, *pairs)` with the action's
+    value and the pairs as `_matching` yields them. `kept` maps a question,
+    `(data, recipient, action, mode)` by value, to that key. A grant or
+    withdrawal on a pair calls `drop`."""
 
     __slots__ = ("pairs", "covers")
 
@@ -299,7 +330,7 @@ class EventRecord(NamedTuple):
             "recipient_concept": concepts[query.recipient_concept].name,
             "step": query.access_at,
             "collected_steps": (span.start, span.end)
-            if query.action is ActionType.ACCESS else None,
+            if query.action is _ACCESS else None,
         }
 
 
@@ -323,8 +354,11 @@ class Ledger:
         # declares a subject, its consents filed by (data, recipient) pair; a
         # read that must not declare one uses `.get` or `in`.
         self._by_subject: defaultdict[str, _SubjectFile] = defaultdict(_SubjectFile)
-        # The distinct (data, recipient) pairs of all subjects.
+        # The distinct (data, recipient) pairs of all subjects; its `kept`
+        # maps (data, recipient, mode) by value to a denial's reason.
         self._all_pairs = _PairIndex()
+        # The ontology's generation that every `kept` map was read at.
+        self._generation = self.ontology._generation
         self._event_concepts: set[int] = set()  # concepts recorded events use
         self._next_event = 1
 
@@ -416,7 +450,7 @@ class Ledger:
     def collect_query(self, data: int | str, subject: str, recipient: int | str,
                       mode: Mode = Mode.GUARANTEED) -> AuthzQuery:
         """Ask about collecting right now."""
-        return self._query(ActionType.COLLECT, data, subject, recipient, None, mode)
+        return self._query(_COLLECT, data, subject, recipient, None, mode)
 
     def access_query(self, data: int | str, subject: str, recipient: int | str,
                      collected_interval: StepInterval | None = None,
@@ -425,7 +459,7 @@ class Ledger:
 
         With no interval given the query spans all history, [T1, now+1).
         """
-        return self._query(ActionType.ACCESS, data, subject, recipient, collected_interval,
+        return self._query(_ACCESS, data, subject, recipient, collected_interval,
                            mode)
 
     def _query(self, action: ActionType, data: int | str, subject: str,
@@ -435,11 +469,18 @@ class Ledger:
         then the recipient. A None interval is the ledger's own: a collect's
         step, or all history for an access. A given one is not checked."""
         graph, now = self.ontology, self.now
-        data_id = graph.resolve(data, ConceptKind.DATA)
-        recipient_id = graph.resolve(recipient, ConceptKind.RECIPIENT)
+        # A name of the kind asked passes with one lookup and one test; any
+        # other reference goes to `resolve`, which reads an id or refuses.
+        by_name, concepts = graph._by_name, graph._concepts
+        data_id = by_name.get(data) if type(data) is str else None
+        if data_id is None or concepts[data_id].kind is not _DATA:
+            data_id = graph.resolve(data, _DATA)
+        recipient_id = by_name.get(recipient) if type(recipient) is str else None
+        if recipient_id is None or concepts[recipient_id].kind is not _RECIPIENT:
+            recipient_id = graph.resolve(recipient, _RECIPIENT)
         if interval is None:
             interval = _by_position(StepInterval, (
-                now if action is ActionType.COLLECT else 1, now + 1))
+                now if action is _COLLECT else 1, now + 1))
         return _by_position(AuthzQuery, (action, data_id, subject, recipient_id, interval,
                                          now, mode))
 
@@ -455,14 +496,22 @@ class Ledger:
         if type(query.access_at) is not int or query.access_at < 1:
             raise QueryError(f"access step must be an int of at least 1, "
                              f"got {query.access_at!r}")
-        # A query holds concept ids: `resolve` reads a name too, `_decide` does not.
+        # A query holds concept ids. An id of the kind asked passes with a
+        # type, a bounds and a kind test. Anything else is refused: a name
+        # here, since `resolve` would read it, and the rest by `resolve`.
         graph, data, recipient = self.ontology, query.data_concept, query.recipient_concept
-        if isinstance(data, str):
-            raise QueryError(f"data_concept must be a concept id, not a name: {data!r}")
-        graph.resolve(data, ConceptKind.DATA)
-        if isinstance(recipient, str):
-            raise QueryError(f"recipient_concept must be a concept id, not a name: {recipient!r}")
-        graph.resolve(recipient, ConceptKind.RECIPIENT)
+        concepts = graph._concepts
+        if not (type(data) is int and 0 <= data < len(concepts)
+                and concepts[data].kind is _DATA):
+            if isinstance(data, str):
+                raise QueryError(f"data_concept must be a concept id, not a name: {data!r}")
+            graph.resolve(data, _DATA)
+        if not (type(recipient) is int and 0 <= recipient < len(concepts)
+                and concepts[recipient].kind is _RECIPIENT):
+            if isinstance(recipient, str):
+                raise QueryError(
+                    f"recipient_concept must be a concept id, not a name: {recipient!r}")
+            graph.resolve(recipient, _RECIPIENT)
         if not self.knows_subject(query.subject):
             raise UnknownSubjectError(query.subject)
         self._validate_query_shape(query)
@@ -479,6 +528,9 @@ class Ledger:
         same rule over every subject's pairs tells a subject mismatch from no
         matching consent: the subject's own pairs have just failed it, so
         the first pair that applies is another subject's.
+
+        Each index keeps what the rule answered for a question, until it
+        gains a pair or a declaration rewrites the masks the rule reads.
         """
         graph = self.ontology
         up, forbid = graph._up, graph._forbid
@@ -488,26 +540,50 @@ class Ledger:
         # forbidden to them.
         if up[data] & forbid[data] or up[recipient] & forbid[recipient]:
             return _by_position(Decision, (((span, _NOTHING),), Reason.CONCEPT_UNSATISFIABLE))
+        if graph._generation != self._generation:
+            self._forget_matches()
 
         # The kept-cover key: the action and the own pairs that apply, none
         # for a subject not yet known, whom `decide_event` may ask about.
+        # Questions are keyed by the enum members' values, whose hashes are
+        # kept, unlike the members', which are computed in Python.
         own = self._by_subject.get(query.subject)
-        action = query.action
-        key = (action,) if own is None else (action, *self._matching(query, own))
-        if len(key) == 1:
-            reason = Reason.NO_MATCHING_CONSENT \
-                if next(self._matching(query, self._all_pairs), None) is None \
-                else Reason.SUBJECT_MISMATCH
+        action, mode = query.action._value_, query.mode._value_
+        if own is None:
+            key = None
+        else:
+            kept = own.kept
+            key = kept.get((data, recipient, action, mode))
+            if key is None:
+                key = kept[data, recipient, action, mode] = (
+                    action, *self._matching(query, own))
+        if key is None or len(key) == 1:
+            kept = self._all_pairs.kept
+            reason = kept.get((data, recipient, mode))
+            if reason is None:
+                reason = kept[data, recipient, mode] = Reason.NO_MATCHING_CONSENT \
+                    if next(self._matching(query, self._all_pairs), None) is None \
+                    else Reason.SUBJECT_MISMATCH
             return _by_position(Decision, (((span, _NOTHING),), reason))
         access_at = query.access_at
         present = access_at >= self.now
         covers = own.covers
         cover = covers.get(key) if present else None
         if cover is None:
-            cover = _cover([c for pair in key[1:] for c in own.pairs[pair]], action, access_at)
+            cover = _cover([c for pair in key[1:] for c in own.pairs[pair]], query.action,
+                           access_at)
             if present:
                 covers[key] = cover
         return _clip(cover, span)
+
+    def _forget_matches(self) -> None:
+        """Drop every kept answer of the matching rule: a declaration has
+        rewritten the masks it reads. The covers stay, since a set of pairs
+        covers the same steps whichever queries it matches."""
+        self._all_pairs.kept.clear()
+        for own in self._by_subject.values():
+            own.kept.clear()
+        self._generation = self.ontology._generation
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
         interval = query.collected_interval
@@ -520,7 +596,7 @@ class Ledger:
         if type(start) is not int or type(end) is not int or not 1 <= start < end:
             raise QueryError(f"collection interval bounds must be whole steps with "
                              f"1 <= start < end, got [{start!r}, {end!r})")
-        if query.action is ActionType.COLLECT:
+        if query.action is _COLLECT:
             if end != start + 1:
                 raise QueryError("collection queries cover exactly one step")
             if start != query.access_at:
@@ -546,7 +622,7 @@ class Ledger:
         """
         graph = self.ontology
         data, recipient = query.data_concept, query.recipient_concept
-        if query.mode is Mode.GUARANTEED:
+        if query.mode is _GUARANTEED:
             # The pair's concepts subsume the query's: each is among the
             # query concept's ancestors, found with one AND per axis.
             up = graph._up
@@ -617,10 +693,10 @@ class Ledger:
             raise QueryError(f"unknown action {action!r}, expected an ActionType")
         if type(subject) is not str:  # so a plain name pays no call for the check
             _check_subject(subject)
-        if collected_interval is not None and action is ActionType.COLLECT:
+        if collected_interval is not None and action is _COLLECT:
             raise QueryError("collection events do not take a collected interval")
         query = self._query(action, data, subject, recipient, collected_interval,
-                            Mode.GUARANTEED)
+                            _GUARANTEED)
         if collected_interval is not None:
             self._validate_query_shape(query)
         return query
@@ -717,7 +793,7 @@ def _clip(cover: _Cover, span: StepInterval) -> Decision:
     # Of the empty runs before run j, only the last can meet the span.
     k = bisect_left(gaps, j) - 1
     if k < 0 or gaps[k] < i:
-        return _by_position(Decision, (clipped, Reason.OK))
+        return _by_position(Decision, (clipped, _OK))
     gap = gaps[k]  # run j - 1 ends at or past the span's end
     last = end - 1 if gap == j - 1 else starts[gap + 1] - 1
     reason = Reason.WITHDRAWN_RETRO if first_retro_cut <= last \

@@ -32,7 +32,8 @@ every concept below a side. Each is one pass over the concepts, one AND
 per concept, into the touched concepts' new masks. `_commit` judges them
 while the old masks are still in place, and writes them only if no
 protected concept turns unsatisfiable, so a refusal has nothing to
-restore. No parent sets are kept: an edge is new when its parent's bit is
+restore. Each write bumps a generation counter, which the ledger reads to
+drop the matches it keeps. No parent sets are kept: an edge is new when its parent's bit is
 not yet in the child's `_up`, since a parent already there adds nothing.
 """
 
@@ -87,6 +88,10 @@ class ConceptGraph:
         self._up: list[int] = []
         self._forbid: list[int] = []
         self._roots: dict[ConceptKind, int] = {}
+        # Counts the `_commit`s that rewrote masks, so that a reader who keeps
+        # answers read off the masks knows when to drop them. A fresh concept
+        # changes no mask already written, so it does not count.
+        self._generation = 0
         for kind in ConceptKind:
             self._roots[kind] = self._add(_ROOT_NAMES[kind], kind, ())
 
@@ -278,6 +283,7 @@ class ConceptGraph:
         up, forbid = self._up, self._forbid
         for c, (new_up, new_forbid) in masks.items():
             up[c], forbid[c] = new_up, new_forbid
+        self._generation += 1
 
     # -- reasoning -------------------------------------------------------
 

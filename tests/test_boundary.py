@@ -220,6 +220,7 @@ VALUE_CALLS = {
        for action in ActionType for field in AuthzQuery._fields},
     "parse_step": lambda led, a: parse_step(a[0]),
     "StepInterval": lambda led, a: StepInterval(*a[:2]),
+    "single": lambda led, a: StepInterval.single(a[0]),
     "in": lambda led, a: (holds_in(a[0], StepInterval(1, 3)), holds_in(a[0], StepInterval(2))),
 }
 
@@ -232,6 +233,8 @@ VALUE_CALLS = {
 @example([("parse_step", (None,) * 5), ("parse_step", (3,) * 5),
           ("parse_step", (b"T3",) * 5)])
 @example([("in", ("x",) * 5)])
+@example([("single", ("x",) * 5), ("single", (None,) * 5), ("single", ([1],) * 5),
+          ("single", (2.5,) * 5), ("single", (True,) * 5), ("single", (0,) * 5)])
 @example([("in", (True,) * 5)])
 def test_the_value_api_refuses_junk_with_its_own_errors(calls):
     """Ledger calls, built and replaced queries, step tokens and intervals

@@ -518,6 +518,20 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "passed: 1/1" in proc.stdout
 
+    def test_the_parser_is_built_on_first_use_and_only_once(self, monkeypatch, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from consentry import cli; print(cli._parser.cache_info().currsize)"],
+            capture_output=True, text=True)
+        assert proc.stdout == "0\n"  # importing builds nothing
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for _ in range(2):
+            assert main(["simulate", "--scenario", "steps", "--steps", "1", "--reps", "1"]) == 0
+        assert built == [1]
+
 
 @pytest.fixture
 def gc_state():
@@ -530,7 +544,7 @@ def gc_state():
         gc.disable()
 
 
-# One command line per subcommand; the replaced `func` never reads the files.
+# One command line per subcommand; the replaced command never reads the files.
 COMMANDS = {
     "cmd_run": ["run", "x.consent"],
     "cmd_monitor": ["monitor", "m.consent", "c.jsonl", "a.jsonl"],

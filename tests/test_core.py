@@ -1307,23 +1307,57 @@ class TestCheckWork:
             counts.append(calls["kind"])
         assert counts[0] == counts[1]
 
-    def test_repeated_denials_visit_only_filed_ancestors_and_do_the_same_work(
+    def test_a_denial_walks_filed_ancestors_and_a_repeat_walks_neither_index(
             self, monkeypatch):
+        # A denial's first ask walks only filed ancestors. A repeat walks
+        # neither index until one gains a pair or a declaration rewrites
+        # masks, and then only the indexes whose answers that dropped.
         led = crowded_ledger()
+        led.declare_data("Email")
         calls = count_work(led, monkeypatch)
-        for data, subject, recipient, reason in QUERIES:
-            if reason is Reason.OK:
-                continue
-            query = led.collect_query(data, subject, recipient)
-            work = []
-            for _ in range(2):
-                clear_visits(calls)
-                assert led.check(query).reason is reason
-                own, every = calls["own"][subject], calls["all"]
-                assert set(own) == filed_ancestors(led, query.data_concept, subject)
-                assert set(every) <= filed_ancestors(led, query.data_concept)
-                work.append((own[:], every[:]))
-            assert work[0] == work[1]
+        denials = [(led.collect_query(data, subject, recipient), reason)
+                   for data, subject, recipient, reason in QUERIES if reason is not Reason.OK]
+
+        def asks(own_walks, all_walks):
+            """Each denial, asked twice. The first ask walks the subject's own
+            index if the subject is in `own_walks`, and the index of every
+            pair if `all_walks` and no denial before it asked of the same
+            concepts; the repeat walks nothing."""
+            asked = set()
+            for query, reason in denials:
+                concepts = query.data_concept, query.recipient_concept
+                for first in (True, False):
+                    clear_visits(calls)
+                    assert led.check(query).reason is reason
+                    own, every = calls["own"][query.subject], calls["all"]
+                    if first and query.subject in own_walks:
+                        assert set(own) == filed_ancestors(led, query.data_concept,
+                                                           query.subject)
+                    else:
+                        assert own == []
+                    if first and all_walks and concepts not in asked:
+                        filed = filed_ancestors(led, query.data_concept)
+                        assert set(every) <= filed
+                        assert set(every) == filed if reason is Reason.NO_MATCHING_CONSENT \
+                            else every
+                    else:
+                        assert every == []
+                asked.add(concepts)
+
+        asks({ALICE, CAROL}, True)
+        asks(set(), False)
+        led.declare_data("Fresh", "Location")  # a fresh concept rewrites no mask
+        asks(set(), False)
+        led.grant("Contacts", "s1", "Partner")  # a pair already filed
+        led.withdraw(len(led.consents) - 1)
+        asks(set(), False)
+        # New pairs under every query's data concept, which apply to none.
+        led.grant("Data", "s1", "Advertiser")  # another subject's
+        asks(set(), True)
+        led.grant("Data", CAROL, "Advertiser")  # Carol's, which s1 filed first
+        asks({CAROL}, False)
+        led.declare_data("Email", "Contacts")  # a new parent rewrites masks
+        asks({ALICE, CAROL}, True)
 
     def test_a_grant_is_seen_by_the_next_denial_visiting_only_filed_ancestors(
             self, monkeypatch):
@@ -1389,7 +1423,7 @@ class TestCheckWork:
         assert decide().reason is Reason.WITHDRAWN_RETRO
         assert sorted(calls) == matching
 
-    def test_resolve_runs_twice_per_recorded_event(self, monkeypatch):
+    def test_resolve_runs_only_for_a_concept_that_fails_the_inline_check(self, monkeypatch):
         led = crowded_ledger()
         resolve = led.ontology.resolve
         calls = []
@@ -1402,16 +1436,28 @@ class TestCheckWork:
         led.advance()
         for data, subject, recipient, _ in QUERIES:
             for action in ActionType:
-                del calls[:]
                 led.record_event(action, data, subject, recipient)
-                assert calls == [data, recipient]
-        # `check` still validates its query at entry.
+        # `check` still validates its query at entry, inline.
         query = led.collect_query("Location", ALICE, "Partner")
-        del calls[:]
         led.check(query)
-        assert calls == [query.data_concept, query.recipient_concept]
-        with pytest.raises(KindMismatchError):
-            led.check(query._replace(recipient_concept=query.data_concept))
+        assert calls == []
+        # An id handed to a query builder is read by `resolve`.
+        assert led.collect_query(query.data_concept, ALICE, "Partner") == query
+        assert calls == [query.data_concept]
+        # A concept that fails the inline check is refused by `resolve`.
+        for data, recipient, error in (("Nowhere", "Partner", UnknownConceptError),
+                                       ("Location", "Location", KindMismatchError)):
+            del calls[:]
+            with pytest.raises(error):
+                led.record_event(ActionType.COLLECT, data, ALICE, recipient)
+            assert calls == [data if error is UnknownConceptError else recipient]
+        for field, ref, error in (("recipient_concept", query.data_concept, KindMismatchError),
+                                  ("data_concept", len(led.ontology), UnknownConceptError),
+                                  ("data_concept", True, UnknownConceptError)):
+            del calls[:]
+            with pytest.raises(error):
+                led.check(query._replace(**{field: ref}))
+            assert calls == [ref]
         with pytest.raises(UnknownSubjectError):
             led.check(query._replace(subject="nobody"))
         with pytest.raises(QueryError):
@@ -1607,6 +1653,86 @@ class TestPairCovers:
         assert len(rebuilt) == 2 * (1 + 2000 // bench.CHURN_EVERY)
 
 
+# -- matches and denials kept per question ------------------------------------------
+
+class TestKeptMatches:
+    """A subject keeps the pairs each question matched, and the ledger each
+    denial's reason, until an index gains a pair or a declaration rewrites
+    masks: a read repeated across any write equals a fresh scan."""
+
+    # Writes that change a read's verdict: the write, the read (data,
+    # subject, recipient, mode) and its reasons before and after.
+    FLIPS = {
+        "own-pair": (lambda led: led.grant("Contacts", ALICE, "Partner", retroactive=True),
+                     ("Contacts", ALICE, "Partner", Mode.GUARANTEED),
+                     Reason.NO_MATCHING_CONSENT, Reason.OK),
+        "other-subject-pair": (lambda led: led.grant("Contacts", BOB, "Partner"),
+                               ("Contacts", ALICE, "Partner", Mode.GUARANTEED),
+                               Reason.NO_MATCHING_CONSENT, Reason.SUBJECT_MISMATCH),
+        "new-parent": (lambda led: led.declare_data("Contacts", "Location"),
+                       ("Contacts", ALICE, "Partner", Mode.GUARANTEED),
+                       Reason.NO_MATCHING_CONSENT, Reason.OK),
+        "equivalence": (lambda led: led.declare_equivalent("Contacts", "Location"),
+                        ("Contacts", ALICE, "Partner", Mode.GUARANTEED),
+                        Reason.NO_MATCHING_CONSENT, Reason.OK),
+        "disjointness": (lambda led: led.declare_disjoint("Contacts", "Location"),
+                         ("Contacts", ALICE, "Partner", Mode.POSSIBLE),
+                         Reason.OK, Reason.NO_MATCHING_CONSENT),
+    }
+
+    @staticmethod
+    def ledger():
+        led = fresh_ledger()
+        led.grant("Location", ALICE, "Partner")                    # T1
+        led.advance()                                              # T2
+        return led
+
+    @pytest.mark.parametrize("write", FLIPS)
+    @pytest.mark.parametrize("action", list(ActionType), ids=lambda a: a.value)
+    def test_a_repeated_read_sees_a_write_that_changes_its_match(self, action, write):
+        apply, (data, subject, recipient, mode), before, after = self.FLIPS[write]
+        led = self.ledger()
+        ask = led.access_query if action is ActionType.ACCESS else led.collect_query
+        for reason in (before, after):
+            for _ in range(2):
+                query = ask(data, subject, recipient, mode=mode)
+                decision = led.check(query)
+                assert decision.reason is reason
+                assert decision == reference_decide(led, query)
+            if reason is before:
+                apply(led)
+
+    # Writes that change no match: a fresh concept, a regrant on a pair
+    # already filed and a withdrawal.
+    STILL = {
+        "fresh-concept": lambda led: led.declare_data("Fresh", "Location"),
+        "regrant": lambda led: led.grant("Location", ALICE, "Partner"),
+        "withdrawal": lambda led: led.withdraw(0, retroactive=True),
+    }
+    READS = [  # (data, subject, recipient, mode)
+        ("DeviceLocation", ALICE, "Advertiser", Mode.GUARANTEED),
+        ("Contacts", ALICE, "Partner", Mode.GUARANTEED),
+        ("Contacts", ALICE, "Partner", Mode.POSSIBLE),
+        ("Location", BOB, "Partner", Mode.GUARANTEED),
+    ]
+
+    @pytest.mark.parametrize("write", STILL)
+    def test_a_write_that_changes_no_match_leaves_the_repeat_walking_nothing(
+            self, monkeypatch, write):
+        led = self.ledger()
+        calls = count_work(led, monkeypatch)
+        queries = [ask(data, subject, recipient, mode=mode)
+                   for data, subject, recipient, mode in self.READS
+                   for ask in (led.collect_query, led.access_query)]
+        for query in queries:
+            led.check(query)
+        self.STILL[write](led)
+        for query in queries:
+            clear_visits(calls)
+            assert led.check(query) == reference_decide(led, query)
+            assert calls["own"][query.subject] == calls["all"] == []
+
+
 # -- the subject-mismatch index against a full rescan ------------------------------
 
 MEMO_DATA = ["A", "B", "C", "D", "E"]
@@ -1633,8 +1759,8 @@ memo_steps = st.lists(st.one_of(
 
 
 class TestPairIndexMatchesARescan:
-    """Every decision read from the pair index and its covers equals a fresh
-    full scan, as the clock, grants, declarations and withdrawals come and go."""
+    """Every decision read from the pair index, its covers and its kept
+    matches equals a fresh full scan, as the clock, grants, declarations and withdrawals come and go."""
 
     @staticmethod
     def step(led, op, fresh, draw):
@@ -1706,6 +1832,18 @@ class TestPairIndexMatchesARescan:
             for query in cls.queries(led, data, subject, recipient, mode):
                 assert led.check(query) == reference_decide(led, query), query
 
+    @staticmethod
+    def stranger(led, draw):
+        """One event decided for a subject the ledger has never seen: with no
+        file of its own, its read goes straight to the kept denials."""
+        names = [c.name for c in led.ontology.concepts() if c.kind is ConceptKind.DATA]
+        action = draw(st.sampled_from(ActionType))
+        data, recipient = draw(st.sampled_from(names)), draw(memo_recipient_st)
+        decision = led.decide_event(action, data, "stranger", recipient)
+        ask = led.access_query if action is ActionType.ACCESS else led.collect_query
+        assert decision == reference_decide(led, ask(data, "stranger", recipient))
+        assert not led.knows_subject("stranger")
+
     @settings(max_examples=60, deadline=None)
     @given(memo_steps, st.data())
     def test_decisions_match_a_rescan_after_every_step(self, ops, data):
@@ -1721,6 +1859,7 @@ class TestPairIndexMatchesARescan:
         for op in ops:
             self.step(led, op, fresh, data.draw)
             self.agree(led)
+            self.stranger(led, data.draw)
 
 
 class TestDeepHierarchy:
