@@ -75,10 +75,6 @@ class TimingSeries(NamedTuple):
     micros: list[list[int]]  # [rep][step], microseconds
     verdicts: list[list[tuple]]  # [rep][step]
 
-    @property
-    def reps(self) -> int:
-        return len(self.micros)
-
 
 # A step function does one step's work (ledger.now is the step index) and
 # ends by advancing the clock. It returns a verdict tuple for equivalence

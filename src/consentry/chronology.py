@@ -3,7 +3,8 @@
 Steps are 1-based ordinal indices. The engine attaches no wall-clock
 meaning to them; the log monitor maps timestamps onto steps at its own
 boundary. Intervals are half-open ([start, end) contains start but not
-end) and may leave the end unbounded.
+end) and may leave the end unbounded. The steps of a bounded one are
+`range(*interval)`.
 
 `StepInterval` is a named tuple, built on every decision: immutable,
 equal to the plain tuple `(start, end)`, and changed with `_replace`. Its
@@ -83,27 +84,10 @@ class StepInterval(_Bounds):
             raise IntervalError(f"a step must be a whole number, got {step!r}")
         return cls(step, step + 1)
 
-    @property
-    def bounded(self) -> bool:
-        return self.end is not None
-
-    @property
-    def last(self) -> int:
-        """Largest step inside the interval."""
-        if self.end is None:
-            raise IntervalError("unbounded interval has no last step")
-        return self.end - 1
-
     def __contains__(self, step: object) -> bool:
         if type(step) is not int or step < self.start:
             return False
         return self.end is None or step < self.end
-
-    def steps(self) -> range:
-        """Every step in the interval, in order. Bounded intervals only."""
-        if self.end is None:
-            raise IntervalError("cannot enumerate an unbounded interval")
-        return range(self.start, self.end)
 
     def __str__(self) -> str:
         hi = format_step(self.end) if self.end is not None else "..."

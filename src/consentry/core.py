@@ -75,12 +75,14 @@ to its kept-cover key. The index of all pairs maps `(data, recipient, mode)`
 to a denial's reason, which does not depend on the subject, so a subject
 the ledger has never seen reads it too. An index clears its map when it
 gains a new pair; a regrant on a pair it has and a withdrawal change no
-match and clear nothing. The rule also reads the ontology's masks, so every
-map is dropped when `ConceptGraph._commit` has rewritten them since, which
-its generation counter tells; a fresh concept writes no old mask and drops
-nothing. The unsatisfiability test reads the masks first on every decision
-and is never kept. The maps grow with the distinct questions asked of each
-subject, not with events.
+match and clear nothing. The rule also reads the ontology's masks, which
+`ConceptGraph._commit` rewrites and counts in its generation counter. Each
+index stamps its map with the generation it was filled at, and a decision
+that reads the map compares the stamp first and clears a stale map then,
+so a declaration costs the same however many subjects keep answers. A fresh
+concept writes no old mask and stales nothing. The unsatisfiability test
+reads the masks first on every decision and is never kept. The maps grow
+with the distinct questions asked of each subject, not with events.
 
 `record_event` and `decide_event`, which the script interpreter's `assume`
 calls, build their query in one place, `_event_query`. It refuses a bad
@@ -257,14 +259,17 @@ class _PairIndex:
     `data_keys` has bit d for each data concept d that files a pair, and
     `by_data[d]` bit r for each recipient r paired with it. `kept` holds
     what the ledger read off a walk of the index, by question; a new pair
-    clears it, since it may change any walk's answer."""
+    clears it, since it may change any walk's answer. `generation` is the
+    ontology's generation `kept` was filled at: the ledger clears a map whose
+    stamp is stale before it reads it."""
 
-    __slots__ = ("data_keys", "by_data", "kept")
+    __slots__ = ("data_keys", "by_data", "kept", "generation")
 
     def __init__(self) -> None:
         self.data_keys = 0
         self.by_data: dict[int, int] = {}
         self.kept: dict[tuple, object] = {}
+        self.generation = 0
 
     def add(self, data: int, recipient: int) -> None:
         mask, bit = self.by_data.get(data, 0), 1 << recipient
@@ -357,8 +362,6 @@ class Ledger:
         # The distinct (data, recipient) pairs of all subjects; its `kept`
         # maps (data, recipient, mode) by value to a denial's reason.
         self._all_pairs = _PairIndex()
-        # The ontology's generation that every `kept` map was read at.
-        self._generation = self.ontology._generation
         self._event_concepts: set[int] = set()  # concepts recorded events use
         self._next_event = 1
 
@@ -530,7 +533,10 @@ class Ledger:
         the first pair that applies is another subject's.
 
         Each index keeps what the rule answered for a question, until it
-        gains a pair or a declaration rewrites the masks the rule reads.
+        gains a pair or a declaration rewrites the masks the rule reads: an
+        index whose stamp is not the ontology's generation clears its map
+        when it is read. An authorized decision reads one map and makes one
+        generation test, and a denial reads two.
         """
         graph = self.ontology
         up, forbid = graph._up, graph._forbid
@@ -540,8 +546,7 @@ class Ledger:
         # forbidden to them.
         if up[data] & forbid[data] or up[recipient] & forbid[recipient]:
             return _by_position(Decision, (((span, _NOTHING),), Reason.CONCEPT_UNSATISFIABLE))
-        if graph._generation != self._generation:
-            self._forget_matches()
+        generation = graph._generation
 
         # The kept-cover key: the action and the own pairs that apply, none
         # for a subject not yet known, whom `decide_event` may ask about.
@@ -553,16 +558,23 @@ class Ledger:
             key = None
         else:
             kept = own.kept
+            if own.generation != generation:
+                kept.clear()
+                own.generation = generation
             key = kept.get((data, recipient, action, mode))
             if key is None:
                 key = kept[data, recipient, action, mode] = (
                     action, *self._matching(query, own))
         if key is None or len(key) == 1:
-            kept = self._all_pairs.kept
+            index = self._all_pairs
+            kept = index.kept
+            if index.generation != generation:
+                kept.clear()
+                index.generation = generation
             reason = kept.get((data, recipient, mode))
             if reason is None:
                 reason = kept[data, recipient, mode] = Reason.NO_MATCHING_CONSENT \
-                    if next(self._matching(query, self._all_pairs), None) is None \
+                    if next(self._matching(query, index), None) is None \
                     else Reason.SUBJECT_MISMATCH
             return _by_position(Decision, (((span, _NOTHING),), reason))
         access_at = query.access_at
@@ -575,15 +587,6 @@ class Ledger:
             if present:
                 covers[key] = cover
         return _clip(cover, span)
-
-    def _forget_matches(self) -> None:
-        """Drop every kept answer of the matching rule: a declaration has
-        rewritten the masks it reads. The covers stay, since a set of pairs
-        covers the same steps whichever queries it matches."""
-        self._all_pairs.kept.clear()
-        for own in self._by_subject.values():
-            own.kept.clear()
-        self._generation = self.ontology._generation
 
     def _validate_query_shape(self, query: AuthzQuery) -> None:
         interval = query.collected_interval

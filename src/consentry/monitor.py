@@ -63,7 +63,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .chronology import StepInterval, format_step
-from .core import Ledger, Reason, _by_position
+from .core import _OK, Ledger, Reason, _by_position
 from .errors import (
     ConsentryError,
     EpochError,
@@ -425,7 +425,7 @@ def scan(manifest: str, consent_log: str, access_log: str, epoch: datetime | Non
             continue
         events += 1
         reason = event.verdict.reason
-        if reason is Reason.OK:
+        if reason is _OK:
             continue
         violations.append(_by_position(Violation, (stmt.line, event.id,
                                                    event.fields(ledger.ontology), reason)))

@@ -32,16 +32,17 @@ every concept below a side. Each is one pass over the concepts, one AND
 per concept, into the touched concepts' new masks. `_commit` judges them
 while the old masks are still in place, and writes them only if no
 protected concept turns unsatisfiable, so a refusal has nothing to
-restore. Each write bumps a generation counter, which the ledger reads to
-drop the matches it keeps. No parent sets are kept: an edge is new when its parent's bit is
-not yet in the child's `_up`, since a parent already there adds nothing.
+restore. Each write bumps a generation counter, which each of the ledger's
+kept maps of matches compares with its own stamp when it is next read. No
+parent sets are kept: an edge is new when its parent's bit is not yet in
+the child's `_up`, since a parent already there adds nothing.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations
-from typing import Collection, Iterator, NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .errors import (
     ConsistencyError, DeclarationError, InvalidValueError, KindMismatchError,
@@ -87,27 +88,17 @@ class ConceptGraph:
         # included, and the concepts declared disjoint from any of them.
         self._up: list[int] = []
         self._forbid: list[int] = []
-        self._roots: dict[ConceptKind, int] = {}
         # Counts the `_commit`s that rewrote masks, so that a reader who keeps
         # answers read off the masks knows when to drop them. A fresh concept
         # changes no mask already written, so it does not count.
         self._generation = 0
         for kind in ConceptKind:
-            self._roots[kind] = self._add(_ROOT_NAMES[kind], kind, ())
+            self._add(_ROOT_NAMES[kind], kind, ())
 
     # -- introspection -------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._concepts)
-
     def __contains__(self, name: str) -> bool:
         return isinstance(name, str) and name in self._by_name
-
-    def concepts(self) -> Iterator[Concept]:
-        return iter(self._concepts)
-
-    def root(self, kind: ConceptKind) -> int:
-        return self._roots[kind]
 
     def lookup(self, name: str) -> int:
         cid = self._by_name.get(name) if isinstance(name, str) else None
@@ -198,7 +189,7 @@ class ConceptGraph:
                                 f"placing {name!r} under {under}")
             return existing
 
-        return self._add(name, kind, parent_ids or [self._roots[kind]])
+        return self._add(name, kind, parent_ids or [self._by_name[_ROOT_NAMES[kind]]])
 
     def declare_equivalent(self, a: str, b: str, protected: Collection[int] = ()) -> None:
         """Record that two same-kind concepts denote the same category: each
@@ -298,9 +289,6 @@ class ConceptGraph:
         if self.kind_of(general) is not self.kind_of(specific):
             raise KindMismatchError("subsumption never crosses data/recipient kinds")
         return self._up[specific] & 1 << general != 0
-
-    def equivalent(self, a: int, b: int) -> bool:
-        return self.subsumes(a, b) and self.subsumes(b, a)
 
     def is_unsatisfiable(self, cid: int) -> bool:
         """True when cid sits below both sides of some disjoint pair."""

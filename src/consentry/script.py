@@ -84,6 +84,11 @@ class Token(NamedTuple):
     column: int
 
 
+# Read off its class once here, as `core` reads its hot members: an access
+# tests one or two of its words against it.
+_TIME = TokenKind.TIME
+
+
 @lru_cache(maxsize=4096)  # scripts repeat their words, so most are judged once
 def _word_kind(word: str) -> TokenKind | None:
     """What one lexeme means: a keyword, a label such as :c1, a time step
@@ -451,7 +456,7 @@ def _action(words: list[str], kinds: list[TokenKind], at: int,
     steps = [None, None]
     try:
         for i in (0, 1):
-            if end == len(words) or kinds[end] is not TokenKind.TIME:
+            if end == len(words) or kinds[end] is not _TIME:
                 break
             steps[i] = parse_step(words[end])
             end += 1

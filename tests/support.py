@@ -22,9 +22,9 @@ from consentry.core import (
     ActionType, AuthzQuery, ConsentRecord, Decision, Ledger, Mode, Reason, Run,
 )
 from consentry.errors import (
-    ConsistencyError, IntervalError, LexError, LogFormatError, ParseError,
+    ConsistencyError, IntervalError, LexError, LogFormatError, ParseError, UnknownConceptError,
 )
-from consentry.ontology import ConceptGraph, ConceptKind
+from consentry.ontology import Concept, ConceptGraph, ConceptKind
 from consentry.oracle import FiniteScenario
 from consentry.script import (
     KEYWORDS, Access, Assume, Collect, Grant, NewData, NewDisjoint, NewEquiv,
@@ -76,6 +76,24 @@ def authorized_region(consent: ConsentRecord, horizon: int) -> set[tuple[int, in
     }
 
 
+def concepts(graph: ConceptGraph) -> list[Concept]:
+    """Every concept of the graph, in id order, read through `concept`,
+    which refuses the first id past the last."""
+    found: list[Concept] = []
+    while True:
+        try:
+            found.append(graph.concept(len(found)))
+        except UnknownConceptError:
+            return found
+
+
+def graph_state(graph: ConceptGraph) -> list[tuple]:
+    """All a graph says of its concepts: each one, its ancestors and whether
+    it is unsatisfiable. Equal before and after a refused declaration."""
+    return [(c, graph.ancestors(c.id), graph.is_unsatisfiable(c.id))
+            for c in concepts(graph)]
+
+
 # Lower rank wins when several causes explain a denial.
 _DENIAL_RANK = {
     Reason.CONCEPT_UNSATISFIABLE: 0,
@@ -117,7 +135,7 @@ def reference_decide(ledger: Ledger, query: AuthzQuery) -> Decision:
     if all(ids for _, ids in runs):
         return Decision(runs, Reason.OK)
     if matching:
-        last = next(run.last for run, ids in reversed(runs) if not ids)
+        last = next(run.end - 1 for run, ids in reversed(runs) if not ids)
         causes = set()
         for c in matching:
             hi = c.reach(query.action, query.access_at)[1]

@@ -36,7 +36,8 @@ from consentry.ontology import ConceptKind
 from consentry.oracle import ConsentSpec, oracle_collection_steps, oracle_region
 
 from support import (
-    authorized_region, concepts_match, covers_access, covers_collection, reference_decide,
+    authorized_region, concepts, concepts_match, covers_access, covers_collection,
+    graph_state, reference_decide,
 )
 
 ALICE = "alice"
@@ -687,12 +688,12 @@ class TestArgumentsAreNotMisread:
     @pytest.mark.parametrize("name", [7, None, ["x"]])
     def test_a_concept_name_that_is_not_a_string_is_refused(self, name):
         led = self.ledger()
-        size = len(led.ontology)
+        before = graph_state(led.ontology)
         for declare in (led.declare_data, led.declare_recipient,
                         lambda n: led.declare_data("X", n)):
             with pytest.raises(InvalidValueError, match="names must be strings"):
                 declare(name)
-        assert len(led.ontology) == size
+        assert graph_state(led.ontology) == before
         for declare in (led.declare_equivalent, led.declare_disjoint):
             with pytest.raises(UnknownConceptError):
                 declare(name, "D")
@@ -815,7 +816,7 @@ def per_step_check(led, query):
     here reads `ConsentRecord.reach`.
     """
     g = led.ontology
-    steps = query.collected_interval.steps()
+    steps = range(*query.collected_interval)
     if g.is_unsatisfiable(query.data_concept) or \
             g.is_unsatisfiable(query.recipient_concept):
         return {s: frozenset() for s in steps}, Reason.CONCEPT_UNSATISFIABLE
@@ -867,7 +868,7 @@ def per_step_check(led, query):
 
 def per_step_coverage(decision):
     """`decision.runs` as one entry per collection step: step -> covering ids."""
-    return {step: ids for run, ids in decision.runs for step in run.steps()}
+    return {step: ids for run, ids in decision.runs for step in range(*run)}
 
 
 def assert_runs_tile(decision, interval):
@@ -1452,7 +1453,7 @@ class TestCheckWork:
                 led.record_event(ActionType.COLLECT, data, ALICE, recipient)
             assert calls == [data if error is UnknownConceptError else recipient]
         for field, ref, error in (("recipient_concept", query.data_concept, KindMismatchError),
-                                  ("data_concept", len(led.ontology), UnknownConceptError),
+                                  ("data_concept", len(concepts(led.ontology)), UnknownConceptError),
                                   ("data_concept", True, UnknownConceptError)):
             del calls[:]
             with pytest.raises(error):
@@ -1733,6 +1734,34 @@ class TestKeptMatches:
             assert calls["own"][query.subject] == calls["all"] == []
 
 
+class TestKeptMapsAreStamped:
+    """A declaration that rewrites masks clears no kept map itself. Each map
+    compares its stamp with the ontology's generation when it is next read,
+    so one declaration and one decision touch one subject's map at any
+    number of subjects."""
+
+    @pytest.mark.parametrize("subjects", [10, 1000])
+    def test_a_declaration_leaves_other_subjects_maps_until_they_read(self, subjects):
+        led = fresh_ledger()
+        names = [f"s{i}" for i in range(subjects)]
+        for name in names:
+            led.grant("Location", name, "Partner")
+        led.advance()
+        ask = lambda subject: led.collect_query("Contacts", subject, "Partner")
+        for name in names:
+            assert led.check(ask(name)).reason is Reason.NO_MATCHING_CONSENT
+        a, *others, b = names
+        held = {name: dict(led._by_subject[name].kept) for name in names}
+        led.declare_equivalent("Contacts", "Location")  # now every pair matches
+        assert led.check(ask(a)).reason is Reason.OK
+        for name in (*others, b):  # stale, and still there
+            assert held[name] and led._by_subject[name].kept == held[name]
+        query = ask(b)
+        decision = led.check(query)
+        assert decision.reason is Reason.OK
+        assert decision == reference_decide(led, query)
+
+
 # -- the subject-mismatch index against a full rescan ------------------------------
 
 MEMO_DATA = ["A", "B", "C", "D", "E"]
@@ -1825,7 +1854,7 @@ class TestPairIndexMatchesARescan:
 
     @classmethod
     def agree(cls, led):
-        names = [c.name for c in led.ontology.concepts()
+        names = [c.name for c in concepts(led.ontology)
                  if c.kind is ConceptKind.DATA]
         for data, recipient, mode, subject in product(
                 names, MEMO_RECIPIENTS, Mode, (ALICE, CAROL)):
@@ -1836,7 +1865,7 @@ class TestPairIndexMatchesARescan:
     def stranger(led, draw):
         """One event decided for a subject the ledger has never seen: with no
         file of its own, its read goes straight to the kept denials."""
-        names = [c.name for c in led.ontology.concepts() if c.kind is ConceptKind.DATA]
+        names = [c.name for c in concepts(led.ontology) if c.kind is ConceptKind.DATA]
         action = draw(st.sampled_from(ActionType))
         data, recipient = draw(st.sampled_from(names)), draw(memo_recipient_st)
         decision = led.decide_event(action, data, "stranger", recipient)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from consentry import script
 from consentry.core import Ledger
 from consentry.errors import ConsentryError, ExecutionError, LexError, ParseError
+from consentry.ontology import RECIPIENT_ROOT
 from consentry.script import (
     KEYWORDS,
     Access,
@@ -452,7 +453,7 @@ assume true collect X newperson NewCorp
         assert report.passed
         graph = report.ledger.ontology
         rec = graph.lookup("NewCorp")
-        assert graph.subsumes(graph.root(graph.kind_of(rec)), rec)
+        assert graph.subsumes(graph.lookup(RECIPIENT_ROOT), rec)
 
     def test_assume_alone_creates_its_subject(self):
         report = run_script("new data X Data\nassume false collect X ghost R\n")
